@@ -2,16 +2,30 @@
 """Regenerate frozen corpus artifacts from the current implementation.
 
 Writes the golden typing derivation for the unsolvable self-application in
-T4 and the expected-verdict table for every built-in theory.  Run after a
-deliberate behaviour change, then review the diff before committing.
+T4 and the expected-verdict table for every built-in theory, the latter at
+the budgets `ittlab corpus` checks it with (the CLI's default fuel, width
+and chain depth).  Run after a deliberate behaviour change, then review the
+diff before committing.
 """
 
 import json
 import pathlib
 
-from ittlab.assignment import Basis, Found, check_derivation, infer_bounded
-from ittlab.sensibility import builtin_theories, evidence_summary, verdict
+from ittlab.assignment import (
+    DEFAULT_FUEL,
+    Basis,
+    Found,
+    check_derivation,
+    infer_bounded,
+)
+from ittlab.sensibility import (
+    DEFAULT_CHAIN_DEPTH,
+    builtin_theories,
+    evidence_summary,
+    verdict,
+)
 from ittlab.sexpr import unparse_derivation
+from ittlab.subtyping import DEFAULT_WIDTH
 from ittlab.terms import parse_term
 from ittlab.types import parse_ty
 
@@ -33,7 +47,12 @@ def golden_derivation() -> None:
 def verdict_table() -> None:
     table = {}
     for name, entry in builtin_theories().entries:
-        v = verdict(entry.spec)
+        v = verdict(
+            entry.spec,
+            fuel=DEFAULT_FUEL,
+            inter_width=DEFAULT_WIDTH,
+            depth=DEFAULT_CHAIN_DEPTH,
+        )
         table[name] = {
             "verdict": type(v).__name__,
             "evidence": evidence_summary(v),

@@ -48,6 +48,8 @@ from .types import (
     ty_key,
 )
 
+DEFAULT_FUEL = 10_000
+
 
 @dataclass(frozen=True)
 class Basis:
@@ -380,7 +382,7 @@ def infer_bounded(
     g: Basis,
     m: Term,
     target: Ty,
-    fuel: int = 10_000,
+    fuel: int = DEFAULT_FUEL,
     inter_width: int = DEFAULT_WIDTH,
     cap: int = DEFAULT_CAP,
 ) -> Found | NotFoundWithinFuel:
@@ -411,7 +413,7 @@ class Preserved:
 def subject_reduction_probe(
     t: TheorySpec,
     d: Derivation,
-    fuel: int = 10_000,
+    fuel: int = DEFAULT_FUEL,
     inter_width: int = DEFAULT_WIDTH,
     cap: int = DEFAULT_CAP,
 ) -> Preserved | NotFoundWithinFuel:

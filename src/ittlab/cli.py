@@ -11,10 +11,9 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .assignment import Found, check_derivation, infer_bounded
+from .assignment import DEFAULT_FUEL, Found, check_derivation, infer_bounded
 from .embedding import ConstantMap, Failed, Verified, verify_embedding
 from .errors import IttError
 from .polarity import (
@@ -26,6 +25,7 @@ from .polarity import (
     stage_plan,
 )
 from .sensibility import (
+    DEFAULT_CHAIN_DEPTH,
     EmbeddingFrom,
     EmbeddingInto,
     NonSensible,
@@ -45,14 +45,11 @@ from .sexpr import (
     unparse_derivation,
     unparse_subproof,
 )
-from .subtyping import Proven, Valid, check_subproof, derive_le
+from .subtyping import DEFAULT_WIDTH, Proven, Valid, check_subproof, derive_le
 from .terms import Reached, head_reduce, head_step, parse_term, print_term
 from .theory import TheorySpec, parse_theory, validate_natural
 from .types import parse_ty, print_ty
 
-DEFAULT_FUEL = 10_000
-DEFAULT_WIDTH = 2
-DEFAULT_DEPTH = 3
 TRACE_CAP = 50
 
 
@@ -415,7 +412,9 @@ def _cmd_corpus(args) -> tuple[dict, int, list[str]]:
         )
     )
 
-    def analyse(name: str) -> tuple[str, dict, bool]:
+    results: dict[str, dict] = {}
+    all_match = True
+    for name in names:
         v = verdict(
             reg.lookup(name).spec,
             fuel=args.fuel,
@@ -423,20 +422,9 @@ def _cmd_corpus(args) -> tuple[dict, int, list[str]]:
             depth=args.depth,
         )
         got = {"verdict": type(v).__name__, "evidence": evidence_summary(v)}
-        want = golden.get(name)
-        return name, got, got == want
-
-    results: dict[str, dict] = {}
-    all_match = True
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for name, got, match in pool.map(analyse, names):
-            results[name] = {
-                "verdict": got["verdict"],
-                "evidence": got["evidence"],
-                "golden": golden.get(name),
-                "match": match,
-            }
-            all_match = all_match and match
+        match = got == golden.get(name)
+        results[name] = {**got, "golden": golden.get(name), "match": match}
+        all_match = all_match and match
     payload = {"results": results, "all_match": all_match}
     lines = []
     for name in names:
@@ -500,7 +488,7 @@ def _build_parser() -> _Parser:
     p.add_argument("theory")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=int, default=DEFAULT_CHAIN_DEPTH)
     p.add_argument("--pool", help="file of extra candidate unsolvable terms")
     p.add_argument(
         "--map-into",
@@ -522,7 +510,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=int, default=DEFAULT_CHAIN_DEPTH)
 
     return parser
 

@@ -191,6 +191,44 @@ class TransferCertificate:
     evidence: object
 
 
+_EVIDENCE = {
+    "sensible": "sensibility evidence for the target",
+    "nonsensible": "non-sensibility evidence for the source",
+}
+
+
+def transfer(
+    k: ConstantMap,
+    kind: str,
+    evidence: object,
+    inter_width: int = DEFAULT_WIDTH,
+    cap: int = DEFAULT_CAP,
+) -> TransferCertificate | Failed | UnknownWithin:
+    """Verify k once and, if Verified, certify that evidence crosses it.
+
+    Kind "sensible" carries the target's sensibility back to the source;
+    kind "nonsensible" carries the source's non-sensibility forward to the
+    target.  A failed verification is returned unchanged.
+    """
+    if kind not in _EVIDENCE:
+        raise InvalidInput(f"unknown transfer kind {kind!r}")
+    if evidence is None:
+        raise PreconditionFailed(f"{_EVIDENCE[kind]} is required")
+    verdict = verify_embedding(k, inter_width, cap)
+    if not isinstance(verdict, Verified):
+        return verdict
+    return TransferCertificate(kind, k.source.name, k.target.name, verdict, evidence)
+
+
+def _transfer_or_raise(
+    k: ConstantMap, kind: str, evidence: object, inter_width: int, cap: int
+) -> TransferCertificate:
+    cert = transfer(k, kind, evidence, inter_width, cap)
+    if not isinstance(cert, TransferCertificate):
+        raise PreconditionFailed(f"embedding not verified: {cert}")
+    return cert
+
+
 def transfer_sensible(
     k: ConstantMap,
     target_evidence: object,
@@ -198,14 +236,7 @@ def transfer_sensible(
     cap: int = DEFAULT_CAP,
 ) -> TransferCertificate:
     """Target sensible plus verified embedding yields source sensible."""
-    if target_evidence is None:
-        raise PreconditionFailed("sensibility evidence for the target is required")
-    verdict = verify_embedding(k, inter_width, cap)
-    if not isinstance(verdict, Verified):
-        raise PreconditionFailed(f"embedding not verified: {verdict}")
-    return TransferCertificate(
-        "sensible", k.source.name, k.target.name, verdict, target_evidence
-    )
+    return _transfer_or_raise(k, "sensible", target_evidence, inter_width, cap)
 
 
 def transfer_nonsensible(
@@ -215,11 +246,4 @@ def transfer_nonsensible(
     cap: int = DEFAULT_CAP,
 ) -> TransferCertificate:
     """Source non-sensible plus verified embedding yields target non-sensible."""
-    if source_evidence is None:
-        raise PreconditionFailed("non-sensibility evidence for the source is required")
-    verdict = verify_embedding(k, inter_width, cap)
-    if not isinstance(verdict, Verified):
-        raise PreconditionFailed(f"embedding not verified: {verdict}")
-    return TransferCertificate(
-        "nonsensible", k.source.name, k.target.name, verdict, source_evidence
-    )
+    return _transfer_or_raise(k, "nonsensible", source_evidence, inter_width, cap)

@@ -33,7 +33,7 @@ class UndefinedConstant(IttError):
     """A constant was looked up in an axiom set that does not define it."""
 
 
-class InvalidInput(IttError):
+class InvalidInput(IttError, ValueError):
     """An operation's precondition on its arguments does not hold."""
 
 

@@ -15,15 +15,7 @@ from importlib import resources
 from typing import Union
 
 from .assignment import Basis, Derivation, Found, infer_bounded
-from .embedding import (
-    ConstantMap,
-    TransferCertificate,
-    Verified,
-    extend_structurally,
-    transfer_nonsensible,
-    transfer_sensible,
-    verify_embedding,
-)
+from .embedding import ConstantMap, TransferCertificate, compose_maps, transfer
 from .errors import InvalidInput
 from .polarity import PolarityPass, check_positive_polarity, completion
 from .subtyping import DEFAULT_CAP, Proven, is_top_equiv
@@ -165,7 +157,6 @@ UNSOLVABLE_POOL: tuple[Term, ...] = (
     parse_term(_OMEGA2),
     parse_term(r"(\x. x x x) (\x. x x x)"),
     parse_term(rf"({_OMEGA2}) (\y. y)"),
-    parse_term(r"(\x. x x) (\x. x x)"),
 )
 
 
@@ -342,72 +333,48 @@ def _map_pool(
     return registered_maps() + tuple(extra_maps) + identities
 
 
-def _rebase(k: ConstantMap, source: TheorySpec) -> ConstantMap:
-    return ConstantMap.of(source, k.target, k.as_dict())
-
-
-def _chains_from(
-    t: TheorySpec, pool: tuple[ConstantMap, ...], depth: int
+def _chains(
+    t: TheorySpec, pool: tuple[ConstantMap, ...], depth: int, into: bool
 ) -> list[ConstantMap]:
-    """Composites of up to depth pool maps whose source matches t."""
-    frontier = [_rebase(k, t) for k in pool if _same_theory(k.source, t)]
+    """Composites of up to depth pool maps leaving t, or reaching t if into.
+
+    The end at t is rebased to t itself.  A chain is never extended back to
+    t or by a self-map, and each far end keeps a given mapping once.
+    """
+
+    def near(k: ConstantMap) -> TheorySpec:
+        return k.target if into else k.source
+
+    def far(k: ConstantMap) -> TheorySpec:
+        return k.source if into else k.target
+
+    def rebase(k: ConstantMap, at: TheorySpec) -> ConstantMap:
+        if into:
+            return ConstantMap.of(k.source, at, k.as_dict())
+        return ConstantMap.of(at, k.target, k.as_dict())
+
+    frontier = [rebase(k, t) for k in pool if _same_theory(near(k), t)]
     out: list[ConstantMap] = []
     for _ in range(max(depth, 1)):
         out.extend(frontier)
         nxt = []
         for chain in frontier:
+            end = far(chain)
             for k in pool:
-                if not _same_theory(k.source, chain.target):
+                if not _same_theory(near(k), end):
                     continue
-                if _same_theory(k.target, t) or _same_theory(k.target, chain.target):
+                if _same_theory(far(k), t) or _same_theory(far(k), end):
                     continue
-                step = ConstantMap.of(chain.target, k.target, k.as_dict())
-                composed = {
-                    name: extend_structurally(step, image)
-                    for name, image in chain.mapping
-                }
-                nxt.append(ConstantMap.of(t, k.target, composed))
+                link = rebase(k, end)
+                if into:
+                    nxt.append(compose_maps(link, chain))
+                else:
+                    nxt.append(compose_maps(chain, link))
         frontier = nxt
     seen: set[tuple[str, tuple[tuple[str, Ty], ...]]] = set()
     unique = []
     for k in out:
-        key = (k.target.name, k.mapping)
-        if key not in seen:
-            seen.add(key)
-            unique.append(k)
-    return unique
-
-
-def _maps_into(
-    t: TheorySpec, pool: tuple[ConstantMap, ...], depth: int
-) -> list[ConstantMap]:
-    """Composites of up to depth pool maps whose target matches t."""
-    frontier = [
-        ConstantMap.of(k.source, t, k.as_dict())
-        for k in pool
-        if _same_theory(k.target, t)
-    ]
-    out: list[ConstantMap] = []
-    for _ in range(max(depth, 1)):
-        out.extend(frontier)
-        nxt = []
-        for chain in frontier:
-            for k in pool:
-                if not _same_theory(k.target, chain.source):
-                    continue
-                if _same_theory(k.source, t) or _same_theory(k.source, chain.source):
-                    continue
-                pre = ConstantMap.of(k.source, chain.source, k.as_dict())
-                composed = {
-                    name: extend_structurally(chain, image)
-                    for name, image in pre.mapping
-                }
-                nxt.append(ConstantMap.of(k.source, t, composed))
-        frontier = nxt
-    seen: set[tuple[str, tuple[tuple[str, Ty], ...]]] = set()
-    unique = []
-    for k in out:
-        key = (k.source.name, k.mapping)
+        key = (far(k).name, k.mapping)
         if key not in seen:
             seen.add(key)
             unique.append(k)
@@ -439,23 +406,22 @@ def verdict(
     )
 
     pool = _map_pool(reg, extra_maps)
-    for k in _chains_from(t, pool, depth):
+    for k in _chains(t, pool, depth, into=False):
         target_evidence = _sensible_status(k.target, reg)
         if target_evidence is None:
             tried.append(f"embedding into {k.target.name}: target not known sensible")
             continue
-        v = verify_embedding(k, inter_width, cap)
-        if isinstance(v, Verified):
-            cert = transfer_sensible(k, target_evidence, inter_width, cap)
-            return Sensible(EmbeddingInto(k.target.name, cert))
-        tried.append(f"embedding into {k.target.name}: {type(v).__name__}")
+        r = transfer(k, "sensible", target_evidence, inter_width, cap)
+        if isinstance(r, TransferCertificate):
+            return Sensible(EmbeddingInto(k.target.name, r))
+        tried.append(f"embedding into {k.target.name}: {type(r).__name__}")
 
     w = probe_unsolvable_typing(t, fuel, inter_width, cap, extra_pool)
     if isinstance(w, Witness):
         return NonSensible(UnsolvableTyped(w.term, w.ty, w.derivation, w.head_trace))
     tried.append(f"unsolvable-typing probe: NoneFound at fuel {fuel}")
 
-    for k in _maps_into(t, pool, depth):
+    for k in _chains(t, pool, depth, into=True):
         source_evidence: object | None = None
         for name, entry in reg.entries:
             if isinstance(entry.status, KnownNonSensible) and _same_theory(
@@ -474,10 +440,9 @@ def verdict(
                 f"embedding from {k.source.name}: source not known non-sensible"
             )
             continue
-        v = verify_embedding(k, inter_width, cap)
-        if isinstance(v, Verified):
-            cert = transfer_nonsensible(k, source_evidence, inter_width, cap)
-            return NonSensible(EmbeddingFrom(k.source.name, cert))
-        tried.append(f"embedding from {k.source.name}: {type(v).__name__}")
+        r = transfer(k, "nonsensible", source_evidence, inter_width, cap)
+        if isinstance(r, TransferCertificate):
+            return NonSensible(EmbeddingFrom(k.source.name, r))
+        tried.append(f"embedding from {k.source.name}: {type(r).__name__}")
 
     return Unknown(tuple(tried))

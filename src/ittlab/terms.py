@@ -11,9 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Union
 
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 
 Term = Union["Var", "Abs", "App"]
 
@@ -372,17 +372,6 @@ def head_step(m: Term) -> Term | None:
     return out
 
 
-def head_steps(m: Term) -> Iterator[Term]:
-    """All successive head reducts of m, starting with m itself."""
-    yield m
-    while True:
-        nxt = head_step(m)
-        if nxt is None:
-            return
-        m = nxt
-        yield m
-
-
 @dataclass(frozen=True)
 class Reached:
     hnf: Term
@@ -398,7 +387,7 @@ class FuelExhausted:
 def head_reduce(m: Term, fuel: int) -> Reached | FuelExhausted:
     """Run at most fuel head steps; Reached means a head normal form was hit."""
     if fuel < 0:
-        raise ValueError("fuel must be nonnegative")
+        raise InvalidInput("fuel must be nonnegative")
     steps = 0
     while steps <= fuel:
         nxt = head_step(m)

@@ -54,6 +54,11 @@ class TestReduce:
         assert report["inputs"][0]["kind"] == "file"
         assert len(report["inputs"][0]["sha256"]) == 64
 
+    def test_negative_fuel_is_a_usage_error(self, capsys):
+        # exit 1 would claim a definitive negative
+        assert main(["reduce", "x", "--fuel", "-1"]) == 3
+        assert "fuel must be nonnegative" in capsys.readouterr().err
+
 
 class TestSubtype:
     def test_proven_with_revalidating_certificate(self, capsys):

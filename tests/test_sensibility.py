@@ -6,10 +6,13 @@ from importlib import resources
 
 import pytest
 
+from ittlab import embedding, sensibility
 from ittlab.assignment import check_derivation
+from ittlab.embedding import Verified
 from ittlab.errors import InvalidInput
 from ittlab.sensibility import (
     UNSOLVABLE_POOL,
+    EmbeddingFrom,
     EmbeddingInto,
     KnownNonSensible,
     KnownSensible,
@@ -73,6 +76,7 @@ class TestRegistry:
     def test_pool_really_is_unsolvable(self):
         for term in UNSOLVABLE_POOL:
             assert isinstance(head_reduce(term, 300), FuelExhausted)
+        assert len(set(UNSOLVABLE_POOL)) == len(UNSOLVABLE_POOL)
 
 
 class TestProbe:
@@ -171,3 +175,55 @@ class TestVerdicts:
         assert isinstance(v, NonSensible)
         assert isinstance(v.evidence, UnsolvableTyped)
         assert print_ty(v.evidence.ty) == "c"
+
+    def test_embedding_from_a_known_nonsensible_source(self):
+        # at fuel 1 the probe finds no witness in T2inv itself, so the
+        # verdict comes from the registered embedding of Park
+        v = verdict(spec("T2inv"), fuel=1)
+        assert isinstance(v, NonSensible)
+        assert isinstance(v.evidence, EmbeddingFrom)
+        assert v.evidence.source == "Park"
+        assert v.evidence.certificate.kind == "nonsensible"
+        assert isinstance(v.evidence.certificate.embedding, Verified)
+
+    def test_each_embedding_is_verified_once(self, monkeypatch):
+        calls = []
+        original = embedding.verify_embedding
+
+        def counting(k, *args, **kwargs):
+            calls.append(k)
+            return original(k, *args, **kwargs)
+
+        monkeypatch.setattr(embedding, "verify_embedding", counting)
+        if hasattr(sensibility, "verify_embedding"):
+            monkeypatch.setattr(sensibility, "verify_embedding", counting)
+        assert isinstance(verdict(spec("T3")), Sensible)
+        assert len(calls) == 1
+
+
+_CHAIN_PAIRS = {
+    ("T2", False): [("T2", "T2prime")],
+    ("T3", False): [("T3", "TCDZ")],
+    ("Tstar", False): [("Tstar", "TCDZ")],
+    ("Tstarup", False): [("Tstarup", "TCDZ")],
+    ("Tflat", False): [("Tflat", "TCDZ")],
+    ("TCDZ", False): [("TCDZ", "TCDZ")],
+    ("TCDZ", True): [
+        (name, "TCDZ") for name in ("T3", "Tstar", "Tstarup", "Tflat", "TCDZ")
+    ],
+    ("T2prime", True): [("T2", "T2prime")],
+    ("T2inv", True): [("Park", "T2inv")],
+    ("Park", False): [("Park", "T2inv"), ("Park", "Park")],
+    ("Park", True): [("Park", "Park")],
+}
+
+
+@pytest.mark.parametrize("into", [False, True], ids=["from", "into"])
+@pytest.mark.parametrize("name", builtin_theories().names())
+def test_chain_enumerator_pairs(name, into):
+    pool = sensibility._map_pool(builtin_theories(), ())
+    chains = sensibility._chains(spec(name), pool, 3, into)
+    pairs = [(k.source.name, k.target.name) for k in chains]
+    assert pairs == _CHAIN_PAIRS.get((name, into), [])
+    for k in chains:
+        assert (k.target if into else k.source) is spec(name)
