@@ -16,6 +16,7 @@ from .errors import InvalidInput
 from .subtyping import (
     DEFAULT_CAP,
     DEFAULT_WIDTH,
+    Invalid,
     Proven,
     SubProof,
     Valid,
@@ -116,12 +117,6 @@ class Derivation:
     sub: SubProof | None = None
 
 
-@dataclass(frozen=True)
-class InvalidDerivation:
-    path: tuple[int, ...]
-    reason: str
-
-
 def _node_reason(t: TheorySpec, d: Derivation) -> str | None:
     g, m, a = d.conclusion.basis, d.conclusion.term, canonicalize(d.conclusion.ty)
     r = d.rule
@@ -192,14 +187,14 @@ def _node_reason(t: TheorySpec, d: Derivation) -> str | None:
     return None
 
 
-def check_derivation(t: TheorySpec, d: Derivation) -> Valid | InvalidDerivation:
+def check_derivation(t: TheorySpec, d: Derivation) -> Valid | Invalid:
     """Validate every node against the six schemata; Le via check_subproof."""
     stack: list[tuple[Derivation, tuple[int, ...]]] = [(d, ())]
     while stack:
         node, path = stack.pop()
         reason = _node_reason(t, node)
         if reason is not None:
-            return InvalidDerivation(path, reason)
+            return Invalid(path, reason)
         stack.extend((ch, path + (i,)) for i, ch in enumerate(node.children))
     return Valid()
 
@@ -405,18 +400,13 @@ def infer_bounded(
     return Found(d)
 
 
-@dataclass(frozen=True)
-class Preserved:
-    derivation: Derivation
-
-
 def subject_reduction_probe(
     t: TheorySpec,
     d: Derivation,
     fuel: int = DEFAULT_FUEL,
     inter_width: int = DEFAULT_WIDTH,
     cap: int = DEFAULT_CAP,
-) -> Preserved | NotFoundWithinFuel:
+) -> Found | NotFoundWithinFuel:
     """Contract the head redex of d's subject and re-search the same judgment."""
     ok = check_derivation(t, d)
     if ok != Valid():
@@ -424,12 +414,9 @@ def subject_reduction_probe(
     reduct = head_step(d.conclusion.term)
     if reduct is None:
         raise InvalidInput("subject has no head redex")
-    out = infer_bounded(
+    return infer_bounded(
         t, d.conclusion.basis, reduct, d.conclusion.ty, fuel, inter_width, cap
     )
-    if isinstance(out, Found):
-        return Preserved(out.derivation)
-    return out
 
 
 # -- admissible transformations -------------------------------------------------
@@ -585,14 +572,6 @@ def _collect_occurrences(m: Term, d: Derivation, x: str, acc: list[Derivation]) 
         _collect_occurrences(m.arg, d.children[1], x, acc)
         return
     raise InvalidInput(f"unknown rule {d.rule!r}")
-
-
-def _insert_binding(d: Derivation, x: str, ty: Ty) -> Derivation:
-    g = d.conclusion.basis.extend(x, ty)
-    concl = Judgment(g, d.conclusion.term, d.conclusion.ty)
-    return Derivation(
-        d.rule, concl, tuple(_insert_binding(ch, x, ty) for ch in d.children), d.sub
-    )
 
 
 def _rebuild_with_var(m: Term, d: Derivation, x: str, x_ty: Ty) -> Derivation:

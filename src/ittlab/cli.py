@@ -14,7 +14,13 @@ import sys
 from pathlib import Path
 
 from .assignment import DEFAULT_FUEL, Found, check_derivation, infer_bounded
-from .embedding import ConstantMap, Failed, Verified, verify_embedding
+from .embedding import (
+    ConstantMap,
+    Failed,
+    TransferCertificate,
+    Verified,
+    verify_embedding,
+)
 from .errors import IttError
 from .polarity import (
     PolarityPass,
@@ -26,14 +32,11 @@ from .polarity import (
 )
 from .sensibility import (
     DEFAULT_CHAIN_DEPTH,
-    EmbeddingFrom,
-    EmbeddingInto,
+    KnownNonSensible,
+    KnownSensible,
     NonSensible,
-    PolarityPass as _SensPolarityPass,
-    RegistryFact,
     Sensible,
-    Unknown,
-    UnsolvableTyped,
+    Witness,
     builtin_theories,
     evidence_summary,
     verdict,
@@ -295,23 +298,23 @@ def _cmd_embed(args) -> tuple[dict, int, list[str]]:
 
 
 def _evidence_json(e: object) -> dict:
-    if isinstance(e, _SensPolarityPass):
+    if isinstance(e, PolarityPass):
         return {"kind": "PolarityPass", "caveats": list(e.caveats)}
-    if isinstance(e, RegistryFact):
+    if isinstance(e, (KnownSensible, KnownNonSensible)):
         return {"kind": "RegistryFact", "citation": e.citation}
-    if isinstance(e, EmbeddingInto):
-        return {
-            "kind": "EmbeddingInto",
-            "target": e.target,
-            "target_evidence": _evidence_json(e.certificate.evidence),
-        }
-    if isinstance(e, EmbeddingFrom):
+    if isinstance(e, TransferCertificate):
+        if e.kind == "sensible":
+            return {
+                "kind": "EmbeddingInto",
+                "target": e.target_name,
+                "target_evidence": _evidence_json(e.evidence),
+            }
         return {
             "kind": "EmbeddingFrom",
-            "source": e.source,
-            "source_evidence": _evidence_json(e.certificate.evidence),
+            "source": e.source_name,
+            "source_evidence": _evidence_json(e.evidence),
         }
-    if isinstance(e, UnsolvableTyped):
+    if isinstance(e, Witness):
         return {
             "kind": "UnsolvableTyped",
             "term": print_term(e.term),
@@ -325,20 +328,18 @@ def _evidence_json(e: object) -> dict:
     return {"kind": type(e).__name__}
 
 
-def _verdict_certs(v) -> list[dict]:
-    certs: list[dict] = []
-    e = getattr(v, "evidence", None)
-    if isinstance(e, UnsolvableTyped):
-        certs.append(_derivation_cert(e.derivation))
-    if isinstance(e, (EmbeddingInto, EmbeddingFrom)):
-        emb = e.certificate.embedding
-        for _, proof in emb.checks:
-            if proof is not None:
-                certs.append({"kind": "subproof", "text": unparse_subproof(proof)})
-        inner = e.certificate.evidence
-        if isinstance(inner, UnsolvableTyped):
-            certs.append(_derivation_cert(inner.derivation))
-    return certs
+def _verdict_certs(e: object) -> list[dict]:
+    """The certificates inside evidence, outermost first."""
+    if isinstance(e, Witness):
+        return [_derivation_cert(e.derivation)]
+    if isinstance(e, TransferCertificate):
+        certs = [
+            {"kind": "subproof", "text": unparse_subproof(proof)}
+            for _, proof in e.embedding.checks
+            if proof is not None
+        ]
+        return certs + _verdict_certs(e.evidence)
+    return []
 
 
 def _read_pool(path: str):
@@ -389,7 +390,7 @@ def _cmd_sensibility(args) -> tuple[dict, int, list[str]]:
         payload = {"result": "NonSensible", "evidence": _evidence_json(v.evidence)}
         code = 1
         lines = [f"NonSensible ({payload['evidence']['kind']})"]
-        if isinstance(v.evidence, UnsolvableTyped):
+        if isinstance(v.evidence, Witness):
             lines.append(
                 f"  witness: {print_term(v.evidence.term)} : {print_ty(v.evidence.ty)}"
             )
@@ -397,7 +398,8 @@ def _cmd_sensibility(args) -> tuple[dict, int, list[str]]:
         payload = {"result": "Unknown", "tried": list(v.tried)}
         code = 2
         lines = ["Unknown; attempts:"] + [f"  {x}" for x in v.tried]
-    return _report("sensibility", inputs, payload, _verdict_certs(v)), code, lines
+    certs = _verdict_certs(getattr(v, "evidence", None))
+    return _report("sensibility", inputs, payload, certs), code, lines
 
 
 def _cmd_corpus(args) -> tuple[dict, int, list[str]]:
@@ -531,11 +533,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code, lines = _HANDLERS[args.command](args)
-    except IttError as e:
+    except (IttError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 3
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

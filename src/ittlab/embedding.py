@@ -91,11 +91,13 @@ class Failed:
 
 
 @dataclass(frozen=True)
-class UnknownWithin:
+class Undischarged:
+    """An obligation not provable inside the target universe; not a refutation."""
+
     obligation: str
 
 
-EmbeddingVerdict = Union[Verified, Failed, UnknownWithin]
+EmbeddingVerdict = Union[Verified, Failed, Undischarged]
 
 
 def _flag_gap(k: ConstantMap) -> frozenset:
@@ -154,7 +156,7 @@ def verify_embedding(
         if ctx.holds(image_l, image_r):
             checks.append((desc, ctx.proof(image_l, image_r)))
         else:
-            return UnknownWithin(desc)
+            return Undischarged(desc)
 
     for name, image in k.mapping:
         src_top = is_top_equiv(k.source, Const(name), inter_width, cap)
@@ -167,7 +169,7 @@ def verify_embedding(
         else:
             # One side provably collapses to U and the other is not known
             # to; the negative half is undecidable within this universe.
-            return UnknownWithin(desc)
+            return Undischarged(desc)
 
     return Verified(tuple(checks))
 
@@ -203,7 +205,7 @@ def transfer(
     evidence: object,
     inter_width: int = DEFAULT_WIDTH,
     cap: int = DEFAULT_CAP,
-) -> TransferCertificate | Failed | UnknownWithin:
+) -> TransferCertificate | Failed | Undischarged:
     """Verify k once and, if Verified, certify that evidence crosses it.
 
     Kind "sensible" carries the target's sensibility back to the source;

@@ -32,7 +32,6 @@ class FilterRep:
 
     universe: Universe
     generators: frozenset[Ty]
-    raw_was_filter: bool | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -91,7 +90,6 @@ def filter_apply(t: TheorySpec, f: FilterRep, g: FilterRep) -> FilterRep:
     if f.universe != g.universe:
         raise InvalidInput("filters must share a universe")
     u = f.universe
-    ctx = saturated_ctx(t, u)
     g_members = filter_members(t, g)
     f_members = filter_members(t, f)
     raw = {
@@ -99,10 +97,7 @@ def filter_apply(t: TheorySpec, f: FilterRep, g: FilterRep) -> FilterRep:
         for arr in u.members
         if isinstance(arr, Arrow) and arr.dom in g_members and arr in f_members
     }
-    closed = filter_up(t, u, raw)
-    top_members = frozenset(a for a in u.members if ctx.holds(TOP, a))
-    was_filter = filter_members(t, closed) == frozenset(raw) | top_members
-    return FilterRep(u, closed.generators, raw_was_filter=was_filter)
+    return filter_up(t, u, raw)
 
 
 _BASIS_BUDGET = 64  # cap on candidate bases tried per universe member

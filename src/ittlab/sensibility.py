@@ -4,7 +4,10 @@ A theory is sensible when every unsolvable term types only at types
 equivalent to U.  The pipeline combines three one-sided criteria: the
 syntactic polarity check (sufficient for sensibility of natural theories),
 verified embeddings (sensibility transfers backward, non-sensibility
-forward), and a bounded search for a typed unsolvable witness.
+forward), and a bounded search for a typed unsolvable witness.  Each
+criterion's own result is the verdict's evidence: a PolarityPass, a
+TransferCertificate, or a Witness; a registry status (KnownSensible,
+KnownNonSensible) is the evidence that crosses an embedding.
 """
 
 from __future__ import annotations
@@ -18,14 +21,13 @@ from .assignment import Basis, Derivation, Found, infer_bounded
 from .embedding import ConstantMap, TransferCertificate, compose_maps, transfer
 from .errors import InvalidInput
 from .polarity import PolarityPass, check_positive_polarity, completion
-from .subtyping import DEFAULT_CAP, Proven, is_top_equiv
+from .subtyping import DEFAULT_CAP, DEFAULT_WIDTH, Proven, is_top_equiv
 from .terms import FuelExhausted, Term, head_reduce, parse_term
 from .theory import TheorySpec, parse_theory, validate_natural
 from .types import TOP, Const, Ty, canonicalize, print_ty, ty_key
 from .sexpr import parse_constant_map
 
 DEFAULT_PROBE_FUEL = 500
-DEFAULT_PROBE_WIDTH = 2
 DEFAULT_CHAIN_DEPTH = 3
 
 
@@ -196,7 +198,7 @@ def _probe_targets(
 def probe_unsolvable_typing(
     t: TheorySpec,
     fuel: int = DEFAULT_PROBE_FUEL,
-    inter_width: int = DEFAULT_PROBE_WIDTH,
+    inter_width: int = DEFAULT_WIDTH,
     cap: int = DEFAULT_CAP,
     extra_pool: tuple[Term, ...] = (),
 ) -> Witness | NoneFound:
@@ -221,38 +223,13 @@ def probe_unsolvable_typing(
 
 
 @dataclass(frozen=True)
-class RegistryFact:
-    citation: str
-
-
-@dataclass(frozen=True)
-class EmbeddingInto:
-    target: str
-    certificate: TransferCertificate
-
-
-@dataclass(frozen=True)
-class EmbeddingFrom:
-    source: str
-    certificate: TransferCertificate
-
-
-@dataclass(frozen=True)
-class UnsolvableTyped:
-    term: Term
-    ty: Ty
-    derivation: Derivation
-    head_trace: FuelExhausted
-
-
-@dataclass(frozen=True)
 class Sensible:
-    evidence: object
+    evidence: PolarityPass | TransferCertificate
 
 
 @dataclass(frozen=True)
 class NonSensible:
-    evidence: object
+    evidence: Witness | TransferCertificate
 
 
 @dataclass(frozen=True)
@@ -270,11 +247,11 @@ def evidence_summary(v: SensibilityVerdict) -> dict | None:
     e = v.evidence
     if isinstance(e, PolarityPass):
         return {"kind": "PolarityPass", "detail": "caveats" if e.caveats else ""}
-    if isinstance(e, EmbeddingInto):
-        return {"kind": "EmbeddingInto", "detail": e.target}
-    if isinstance(e, EmbeddingFrom):
-        return {"kind": "EmbeddingFrom", "detail": e.source}
-    if isinstance(e, UnsolvableTyped):
+    if isinstance(e, TransferCertificate):
+        if e.kind == "sensible":
+            return {"kind": "EmbeddingInto", "detail": e.target_name}
+        return {"kind": "EmbeddingFrom", "detail": e.source_name}
+    if isinstance(e, Witness):
         return {"kind": "UnsolvableTyped", "detail": print_ty(e.ty)}
     return {"kind": type(e).__name__, "detail": ""}
 
@@ -312,12 +289,14 @@ def _polarity_pass(t: TheorySpec) -> PolarityPass | None:
     return pol
 
 
-def _sensible_status(spec: TheorySpec, reg: TheoryRegistry) -> object | None:
-    """Evidence that spec is known sensible, if any."""
-    for name, entry in reg.entries:
-        if isinstance(entry.status, KnownSensible) and _same_theory(entry.spec, spec):
-            return RegistryFact(entry.status.citation)
-    return _polarity_pass(spec)
+def _known(
+    spec: TheorySpec, reg: TheoryRegistry, status: type
+) -> KnownSensible | KnownNonSensible | None:
+    """The first registry status of the given class on a copy of spec."""
+    for _, entry in reg.entries:
+        if isinstance(entry.status, status) and _same_theory(entry.spec, spec):
+            return entry.status
+    return None
 
 
 def _map_pool(
@@ -384,7 +363,7 @@ def _chains(
 def verdict(
     t: TheorySpec,
     fuel: int = DEFAULT_PROBE_FUEL,
-    inter_width: int = DEFAULT_PROBE_WIDTH,
+    inter_width: int = DEFAULT_WIDTH,
     depth: int = DEFAULT_CHAIN_DEPTH,
     registry: TheoryRegistry | None = None,
     extra_maps: tuple[ConstantMap, ...] = (),
@@ -407,34 +386,27 @@ def verdict(
 
     pool = _map_pool(reg, extra_maps)
     for k in _chains(t, pool, depth, into=False):
-        target_evidence = _sensible_status(k.target, reg)
+        known = _known(k.target, reg, KnownSensible)
+        target_evidence = known or _polarity_pass(k.target)
         if target_evidence is None:
             tried.append(f"embedding into {k.target.name}: target not known sensible")
             continue
         r = transfer(k, "sensible", target_evidence, inter_width, cap)
         if isinstance(r, TransferCertificate):
-            return Sensible(EmbeddingInto(k.target.name, r))
+            return Sensible(r)
         tried.append(f"embedding into {k.target.name}: {type(r).__name__}")
 
     w = probe_unsolvable_typing(t, fuel, inter_width, cap, extra_pool)
     if isinstance(w, Witness):
-        return NonSensible(UnsolvableTyped(w.term, w.ty, w.derivation, w.head_trace))
+        return NonSensible(w)
     tried.append(f"unsolvable-typing probe: NoneFound at fuel {fuel}")
 
     for k in _chains(t, pool, depth, into=True):
-        source_evidence: object | None = None
-        for name, entry in reg.entries:
-            if isinstance(entry.status, KnownNonSensible) and _same_theory(
-                entry.spec, k.source
-            ):
-                source_evidence = RegistryFact(entry.status.citation)
-                break
+        source_evidence = _known(k.source, reg, KnownNonSensible)
         if source_evidence is None:
             sw = probe_unsolvable_typing(k.source, fuel, inter_width, cap)
             if isinstance(sw, Witness):
-                source_evidence = UnsolvableTyped(
-                    sw.term, sw.ty, sw.derivation, sw.head_trace
-                )
+                source_evidence = sw
         if source_evidence is None:
             tried.append(
                 f"embedding from {k.source.name}: source not known non-sensible"
@@ -442,7 +414,7 @@ def verdict(
             continue
         r = transfer(k, "nonsensible", source_evidence, inter_width, cap)
         if isinstance(r, TransferCertificate):
-            return NonSensible(EmbeddingFrom(k.source.name, r))
+            return NonSensible(r)
         tried.append(f"embedding from {k.source.name}: {type(r).__name__}")
 
     return Unknown(tuple(tried))

@@ -1,4 +1,4 @@
-"""Lambda terms: parsing, substitution, head reduction, solvability probing.
+"""Lambda terms: parsing, printing, substitution, head reduction.
 
 Terms obey Barendregt's convention: every parse freshens binders so that no
 binder shadows another binder or a free variable.  Equality (and hashing) is
@@ -265,14 +265,18 @@ def print_term(t: Term) -> str:
                 binders.append(body.binder)
                 body = body.body
             return f"\\{' '.join(binders)}.{print_term(body)}"
-        case App(fun, arg):
-            fs = print_term(fun)
-            if isinstance(fun, Abs):
-                fs = f"({fs})"
-            ars = print_term(arg)
-            if isinstance(arg, (App, Abs)):
-                ars = f"({ars})"
-            return f"{fs} {ars}"
+        case App(_, _):
+            # walk the application spine iteratively, as classify_shape does,
+            # so a long head-reduction trace cannot exhaust the stack
+            args: list[Term] = []
+            while isinstance(t, App):
+                args.append(t.arg)
+                t = t.fun
+            parts = [f"({print_term(t)})" if isinstance(t, Abs) else print_term(t)]
+            for a in reversed(args):
+                text = print_term(a)
+                parts.append(f"({text})" if isinstance(a, (App, Abs)) else text)
+            return " ".join(parts)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -385,7 +389,11 @@ class FuelExhausted:
 
 
 def head_reduce(m: Term, fuel: int) -> Reached | FuelExhausted:
-    """Run at most fuel head steps; Reached means a head normal form was hit."""
+    """Run at most fuel head steps; Reached means a head normal form was hit.
+
+    Reached proves m solvable.  FuelExhausted never asserts unsolvability:
+    head reduction of a solvable term can simply be longer than the budget.
+    """
     if fuel < 0:
         raise InvalidInput("fuel must be nonnegative")
     steps = 0
@@ -398,25 +406,3 @@ def head_reduce(m: Term, fuel: int) -> Reached | FuelExhausted:
         m = nxt
         steps += 1
     return FuelExhausted(m, fuel)
-
-
-@dataclass(frozen=True)
-class Solvable:
-    hnf: Term
-
-
-@dataclass(frozen=True)
-class UnknownAtFuel:
-    fuel: int
-
-
-def solvable_probe(m: Term, fuel: int) -> Solvable | UnknownAtFuel:
-    """Semi-decision: Solvable when head reduction terminates within fuel.
-
-    UnknownAtFuel never asserts unsolvability; head reduction of a solvable
-    term can simply be longer than the budget.
-    """
-    out = head_reduce(m, fuel)
-    if isinstance(out, Reached):
-        return Solvable(out.hnf)
-    return UnknownAtFuel(fuel)

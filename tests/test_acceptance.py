@@ -35,8 +35,6 @@ from ittlab.sensibility import (
     KnownSensible,
     NoneFound,
     NonSensible,
-    RegistryFact,
-    UnsolvableTyped,
     Witness,
     builtin_theories,
     evidence_summary,
@@ -144,7 +142,7 @@ def test_criterion_2_t4_witness(capsys):
 
         v = verdict(t4)
         assert isinstance(v, NonSensible)
-        assert isinstance(v.evidence, UnsolvableTyped)
+        assert isinstance(v.evidence, Witness)
         assert v.evidence.ty == parse_ty("c3")
 
 
@@ -223,8 +221,8 @@ def test_criterion_5_embedding_suite(capsys):
                     assert check_subproof(k.target, proof) == Valid(), key
 
         reg = builtin_theories()
-        tcdz_fact = RegistryFact(reg.lookup("TCDZ").status.citation)
-        assert isinstance(reg.lookup("TCDZ").status, KnownSensible)
+        tcdz_fact = reg.lookup("TCDZ").status
+        assert isinstance(tcdz_fact, KnownSensible)
         t2prime_fact = check_positive_polarity(
             completion(validate_natural(spec("T2prime")).axioms)
         )

@@ -8,10 +8,8 @@ from ittlab.assignment import (
     Basis,
     Derivation,
     Found,
-    InvalidDerivation,
     Judgment,
     NotFoundWithinFuel,
-    Preserved,
     basis_join,
     check_derivation,
     expand_derivation,
@@ -30,7 +28,14 @@ from ittlab.filters import (
     filter_up,
     interpret_term_bounded,
 )
-from ittlab.subtyping import Proven, SubProof, Valid, build_universe, is_top_equiv
+from ittlab.subtyping import (
+    Invalid,
+    Proven,
+    SubProof,
+    Valid,
+    build_universe,
+    is_top_equiv,
+)
 from ittlab.terms import Abs, App, Var, alpha_eq, parse_term, substitute
 from ittlab.theory import parse_theory
 from ittlab.types import TOP, Arrow, Inter, canonicalize, parse_ty
@@ -80,11 +85,11 @@ class TestCheckDerivation:
         g = Basis.of(x=parse_ty("a"))
         d = Derivation("Ax", Judgment(g, Var("x"), parse_ty("b")))
         out = check_derivation(T1, d)
-        assert isinstance(out, InvalidDerivation) and out.path == ()
+        assert isinstance(out, Invalid) and out.path == ()
 
     def test_topu_must_conclude_top(self):
         d = Derivation("TopU", Judgment(Basis(), Var("x"), parse_ty("a")))
-        assert isinstance(check_derivation(T1, d), InvalidDerivation)
+        assert isinstance(check_derivation(T1, d), Invalid)
 
     def test_arri_basis_must_extend(self):
         body = Derivation("Ax", Judgment(Basis.of(x=parse_ty("b")), Var("x"), parse_ty("b")))
@@ -92,7 +97,7 @@ class TestCheckDerivation:
             "ArrI", Judgment(Basis(), parse_term(r"\x.x"), parse_ty("a -> a")), (body,)
         )
         out = check_derivation(T1, lam)
-        assert isinstance(out, InvalidDerivation)
+        assert isinstance(out, Invalid)
 
     def test_arre_domain_mismatch_path(self):
         g = Basis.of(f=parse_ty("a -> a"), y=parse_ty("b"))
@@ -100,7 +105,7 @@ class TestCheckDerivation:
         dy = Derivation("Ax", Judgment(g, Var("y"), parse_ty("b")))
         d = Derivation("ArrE", Judgment(g, App(Var("f"), Var("y")), parse_ty("a")), (df, dy))
         out = check_derivation(T1, d)
-        assert isinstance(out, InvalidDerivation) and out.path == ()
+        assert isinstance(out, Invalid) and out.path == ()
 
     def test_capi_concludes_meet(self):
         g = Basis.of(x=parse_ty("a & b"))
@@ -113,7 +118,7 @@ class TestCheckDerivation:
         cap = Derivation("CapI", Judgment(g, Var("x"), parse_ty("a & b")), (d1, d2))
         assert check_derivation(T1, cap) == Valid()
         bad = Derivation("CapI", Judgment(g, Var("x"), parse_ty("a")), (d1, d2))
-        assert isinstance(check_derivation(T1, bad), InvalidDerivation)
+        assert isinstance(check_derivation(T1, bad), Invalid)
 
     def test_le_requires_valid_certificate(self):
         g = Basis.of(x=parse_ty("a"))
@@ -121,7 +126,7 @@ class TestCheckDerivation:
         bad = Derivation("Le", Judgment(g, Var("x"), parse_ty("b")), (ax,),
                          SubProof("Axiom", (parse_ty("a"), parse_ty("b"))))
         out = check_derivation(T1, bad)
-        assert isinstance(out, InvalidDerivation) and "certificate" in out.reason
+        assert isinstance(out, Invalid) and "certificate" in out.reason
 
     def test_nested_error_path(self):
         g = Basis.of(x=parse_ty("a"))
@@ -132,7 +137,7 @@ class TestCheckDerivation:
             (bad_leaf,),
         )
         out = check_derivation(T1, lam)
-        assert isinstance(out, InvalidDerivation) and out.path == (0,)
+        assert isinstance(out, Invalid) and out.path == (0,)
 
 
 class TestInferBounded:
@@ -224,13 +229,13 @@ class TestSubjectReduction:
         g = Basis.of(y=parse_ty("c1"))
         d = Derivation("TopU", Judgment(g, parse_term(r"(\x.x) y"), TOP))
         probe = subject_reduction_probe(T0, d, fuel=10)
-        assert isinstance(probe, Preserved)
+        assert isinstance(probe, Found)
         assert probe.derivation.rule == "TopU"
 
     def test_park_omega_preserved(self):
         out = infer_bounded(PARK, Basis(), OMEGA, parse_ty("c"), fuel=5000)
         probe = subject_reduction_probe(PARK, out.derivation, fuel=5000)
-        assert isinstance(probe, Preserved)
+        assert isinstance(probe, Found)
         assert check_derivation(PARK, probe.derivation) == Valid()
 
     def test_requires_head_redex(self):

@@ -59,6 +59,15 @@ class TestReduce:
         assert main(["reduce", "x", "--fuel", "-1"]) == 3
         assert "fuel must be nonnegative" in capsys.readouterr().err
 
+    def test_long_spine_prints_without_recursion(self, capsys):
+        # each step of this term grows the application spine by one
+        code, report = run_json(
+            capsys, "reduce", r"(\x. x x x) (\x. x x x)", "--fuel", "1500"
+        )
+        assert code == 2
+        assert report["verdict"]["result"] == "FuelExhausted"
+        assert report["verdict"]["steps"] == 1500
+
 
 class TestSubtype:
     def test_proven_with_revalidating_certificate(self, capsys):
@@ -77,6 +86,11 @@ class TestSubtype:
 
     def test_malformed_query(self, capsys):
         assert main(["subtype", "T0", "c0 < c1"]) == 3
+
+    def test_deeply_nested_query_is_a_usage_error(self, capsys):
+        query = "c0 -> " * 3000 + "c0 <= U"
+        assert main(["subtype", "T0", query]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCheck:
@@ -191,6 +205,20 @@ class TestSensibility:
         )
         assert code == 0
         assert report["verdict"]["evidence"]["kind"] == "EmbeddingInto"
+
+    def test_embedding_from_a_registry_fact(self, capsys):
+        # at fuel 1 T2inv's own probe finds nothing; Park's status crosses
+        code, report = run_json(capsys, "sensibility", "T2inv", "--fuel", "1")
+        assert code == 1
+        evidence = report["verdict"]["evidence"]
+        assert evidence["kind"] == "EmbeddingFrom"
+        assert evidence["source"] == "Park"
+        assert evidence["source_evidence"]["kind"] == "RegistryFact"
+        subproofs = [c for c in report["certificates"] if c["kind"] == "subproof"]
+        assert subproofs and len(subproofs) == len(report["certificates"])
+        for cert in subproofs:
+            proof = parse_subproof(cert["text"])
+            assert check_subproof(spec("T2inv"), proof) == Valid()
 
     def test_certificates_revalidate(self, capsys):
         code, report = run_json(capsys, "sensibility", "T4")

@@ -8,12 +8,10 @@ import pytest
 
 from ittlab import embedding, sensibility
 from ittlab.assignment import check_derivation
-from ittlab.embedding import Verified
+from ittlab.embedding import TransferCertificate, Verified
 from ittlab.errors import InvalidInput
 from ittlab.sensibility import (
     UNSOLVABLE_POOL,
-    EmbeddingFrom,
-    EmbeddingInto,
     KnownNonSensible,
     KnownSensible,
     NoneFound,
@@ -21,7 +19,6 @@ from ittlab.sensibility import (
     Open,
     Sensible,
     Unknown,
-    UnsolvableTyped,
     Witness,
     builtin_theories,
     evidence_summary,
@@ -132,7 +129,7 @@ class TestVerdicts:
         v = verdict(spec("T4"))
         assert isinstance(v, NonSensible)
         e = v.evidence
-        assert isinstance(e, UnsolvableTyped)
+        assert isinstance(e, Witness)
         assert check_derivation(spec("T4"), e.derivation) == Valid()
         assert isinstance(e.head_trace, FuelExhausted)
 
@@ -140,9 +137,9 @@ class TestVerdicts:
         v = verdict(spec("T3"))
         assert isinstance(v, Sensible)
         e = v.evidence
-        assert isinstance(e, EmbeddingInto) and e.target == "TCDZ"
-        assert e.certificate.kind == "sensible"
-        for _, proof in e.certificate.embedding.checks:
+        assert isinstance(e, TransferCertificate) and e.target_name == "TCDZ"
+        assert e.kind == "sensible"
+        for _, proof in e.embedding.checks:
             if proof is not None:
                 assert check_subproof(spec("TCDZ"), proof) == Valid()
 
@@ -156,8 +153,9 @@ class TestVerdicts:
         mystery = dataclasses.replace(spec("T3"), name="Mystery")
         v = verdict(mystery)
         assert isinstance(v, Sensible)
-        assert isinstance(v.evidence, EmbeddingInto)
-        assert v.evidence.target == "TCDZ"
+        assert isinstance(v.evidence, TransferCertificate)
+        assert v.evidence.kind == "sensible"
+        assert v.evidence.target_name == "TCDZ"
 
     def test_unknown_reports_what_was_tried(self):
         v = verdict(spec("T0"))
@@ -173,7 +171,7 @@ class TestVerdicts:
         clone = dataclasses.replace(spec("Park"), name="ParkClone")
         v = verdict(clone)
         assert isinstance(v, NonSensible)
-        assert isinstance(v.evidence, UnsolvableTyped)
+        assert isinstance(v.evidence, Witness)
         assert print_ty(v.evidence.ty) == "c"
 
     def test_embedding_from_a_known_nonsensible_source(self):
@@ -181,10 +179,11 @@ class TestVerdicts:
         # verdict comes from the registered embedding of Park
         v = verdict(spec("T2inv"), fuel=1)
         assert isinstance(v, NonSensible)
-        assert isinstance(v.evidence, EmbeddingFrom)
-        assert v.evidence.source == "Park"
-        assert v.evidence.certificate.kind == "nonsensible"
-        assert isinstance(v.evidence.certificate.embedding, Verified)
+        assert isinstance(v.evidence, TransferCertificate)
+        assert v.evidence.source_name == "Park"
+        assert v.evidence.kind == "nonsensible"
+        assert isinstance(v.evidence.embedding, Verified)
+        assert v.evidence.evidence == builtin_theories().lookup("Park").status
 
     def test_each_embedding_is_verified_once(self, monkeypatch):
         calls = []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ittlab.assignment import Basis, check_derivation, infer_bounded, Found
 from ittlab.errors import ParseError
+from ittlab.sensibility import builtin_theories
 from ittlab.sexpr import (
     parse_basis,
     parse_constant_map,
@@ -96,6 +97,15 @@ class TestDerivationText:
         assert check_derivation(T4, d) == Valid()
         again = parse_derivation(unparse_derivation(d))
         assert again == d
+
+    def test_golden_file_is_what_search_finds(self):
+        # the same query scripts/regen_goldens.py writes the file from
+        t4 = builtin_theories().lookup("T4").spec
+        omega = parse_term(r"(\x. x x) (\x. x x)")
+        r = infer_bounded(t4, Basis.of(), omega, parse_ty("c3"), fuel=500)
+        assert isinstance(r, Found)
+        text = corpus_text("derivations", "omega2omega2_c3.drv")
+        assert unparse_derivation(r.derivation) + "\n" == text
 
     def test_inferred_derivation_round_trip(self):
         r = infer_bounded(T0, Basis(), parse_term(r"\x.x"), parse_ty("c1 -> c0"), fuel=200)
