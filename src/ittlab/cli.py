@@ -2,7 +2,8 @@
 
 Exit codes: 0 affirmative (Proven, Valid, Found, Pass, Sensible, all goldens
 match), 1 definitive negative, 2 inconclusive within budget, 3 usage or
-input errors.
+input errors, 4 internal error: a certificate about to be emitted failed to
+re-check.
 """
 
 from __future__ import annotations
@@ -93,12 +94,19 @@ def _report(command: str, inputs: list[dict], verdict_payload: dict,
     }
 
 
+class _CertificateFailed(Exception):
+    """A certificate the engine produced does not re-check: an internal error."""
+
+
 def _subproof_cert(t: TheorySpec, proof) -> dict:
-    assert check_subproof(t, proof) == Valid()
+    if not isinstance(check_subproof(t, proof), Valid):
+        raise _CertificateFailed
     return {"kind": "subproof", "text": unparse_subproof(proof)}
 
 
-def _derivation_cert(d) -> dict:
+def _derivation_cert(t: TheorySpec, d) -> dict:
+    if not isinstance(check_derivation(t, d), Valid):
+        raise _CertificateFailed
     return {"kind": "derivation", "text": unparse_derivation(d)}
 
 
@@ -210,7 +218,7 @@ def _cmd_infer(args) -> tuple[dict, int, list[str]]:
     r = infer_bounded(t, g, m, a, args.fuel, args.width)
     if isinstance(r, Found):
         payload = {"result": "Found"}
-        certs = [_derivation_cert(r.derivation)]
+        certs = [_derivation_cert(t, r.derivation)]
         lines = [f"Found: {print_term(m)} : {print_ty(a)}", certs[0]["text"]]
         return _report("infer", inputs, payload, certs), 0, lines
     payload = {"result": "NotFoundWithinFuel", "fuel": r.fuel}
@@ -328,17 +336,26 @@ def _evidence_json(e: object) -> dict:
     return {"kind": type(e).__name__}
 
 
-def _verdict_certs(e: object) -> list[dict]:
-    """The certificates inside evidence, outermost first."""
+def _verdict_certs(
+    e: object, about: TheorySpec, theories: dict[str, TheorySpec]
+) -> list[dict]:
+    """The certificates inside evidence about a theory, outermost first.
+
+    An embedding's checks are proofs in its target; the evidence that crossed
+    it is about the target of a sensible transfer and the source of a
+    nonsensible one.
+    """
     if isinstance(e, Witness):
-        return [_derivation_cert(e.derivation)]
+        return [_derivation_cert(about, e.derivation)]
     if isinstance(e, TransferCertificate):
+        target = theories[e.target_name]
         certs = [
-            {"kind": "subproof", "text": unparse_subproof(proof)}
+            _subproof_cert(target, proof)
             for _, proof in e.embedding.checks
             if proof is not None
         ]
-        return certs + _verdict_certs(e.evidence)
+        other = target if e.kind == "sensible" else theories[e.source_name]
+        return certs + _verdict_certs(e.evidence, other, theories)
     return []
 
 
@@ -398,7 +415,12 @@ def _cmd_sensibility(args) -> tuple[dict, int, list[str]]:
         payload = {"result": "Unknown", "tried": list(v.tried)}
         code = 2
         lines = ["Unknown; attempts:"] + [f"  {x}" for x in v.tried]
-    certs = _verdict_certs(getattr(v, "evidence", None))
+    # the theories an embedding can end at, by name; t itself wins a clash
+    theories = {e.spec.name: e.spec for _, e in builtin_theories().entries}
+    for k in maps:
+        theories.update({k.source.name: k.source, k.target.name: k.target})
+    theories[t.name] = t
+    certs = _verdict_certs(getattr(v, "evidence", None), t, theories)
     return _report("sensibility", inputs, payload, certs), code, lines
 
 
@@ -539,6 +561,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 3
+    except _CertificateFailed:
+        print("error: internal: certificate failed to re-check", file=sys.stderr)
+        return 4
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

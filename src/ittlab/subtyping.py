@@ -11,11 +11,11 @@ asserted.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import InvalidInput, UniverseTooLarge
 from .theory import RuleFlag, TheorySpec
@@ -93,155 +93,192 @@ class UnknownWithin:
 SubtypeVerdict = Union[Proven, UnknownWithin]
 
 Pair = tuple[Ty, Ty]
+IdPair = tuple[int, int]
+
+
+def _bits(row: int) -> Iterator[int]:
+    """Positions of the set bits of row, ascending."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 class SubtypeCtx:
-    """Worklist saturation over one universe; reusable across queries.
+    """Worklist saturation over one universe, run on construction; reusable
+    across queries.
 
-    Every fact records the rule and premise facts that first produced it.
-    Premises always predate their consequence, so justifications form a DAG
-    and proofs rebuild without search.
+    Members get dense ids in ty_key order, and each row of the relation is
+    one int bitset: bit b of succ[a], and bit a of its transpose pred[b], says
+    a <= b.  Every fact records the rule and premise facts that first
+    produced it, keyed by id pair.  Premises always predate their consequence,
+    so justifications form a DAG and proofs rebuild without search.  A pair
+    outside the universe has no id and is never recorded.
     """
 
     def __init__(self, theory: TheorySpec, universe: Universe):
         self.theory = theory
         self.universe = universe
         self.members = sorted(universe.members, key=ty_key)
-        self.facts: set[Pair] = set()
-        self.just: dict[Pair, tuple[str, tuple[Pair, ...]]] = {}
-        self.queue: deque[Pair] = deque()
-        self.succs: dict[Ty, set[Ty]] = defaultdict(set)
-        self.preds: dict[Ty, set[Ty]] = defaultdict(set)
-        self.arrows = [m for m in self.members if isinstance(m, Arrow)]
-        self.arrows_by_dom: dict[Ty, list[Arrow]] = defaultdict(list)
-        self.arrows_by_cod: dict[Ty, list[Arrow]] = defaultdict(list)
-        for m in self.arrows:
-            self.arrows_by_dom[m.dom].append(m)
-            self.arrows_by_cod[m.cod].append(m)
-        self.inters = [m for m in self.members if isinstance(m, Inter)]
-        self.part_to_inters: dict[Ty, list[Ty]] = defaultdict(list)
-        for z in self.inters:
-            for p in inter_parts(z):
-                self.part_to_inters[p].append(z)
-        self._saturated = False
+        self.idx: dict[Ty, int] = {m: i for i, m in enumerate(self.members)}
+        n = len(self.members)
+        self.succ = [0] * n
+        self.pred = [0] * n
+        self.just: dict[IdPair, tuple[str, tuple[IdPair, ...]]] = {}
+        self.queue: deque[IdPair] = deque()
+        # build_universe's members include every arrow's domain and codomain
+        # and every intersection's parts, so all of them have ids
+        self.dom: dict[int, int] = {}
+        self.cod: dict[int, int] = {}
+        self.arrows_by_dom: list[list[int]] = [[] for _ in range(n)]
+        self.arrows_by_cod: list[list[int]] = [[] for _ in range(n)]
+        # per intersection: its part ids in inter_parts order, and their mask
+        self.parts: dict[int, tuple[int, ...]] = {}
+        self.mask: dict[int, int] = {}
+        self.part_to_inters: list[list[int]] = [[] for _ in range(n)]
+        for i, m in enumerate(self.members):
+            if isinstance(m, Arrow):
+                d, c = self.idx[m.dom], self.idx[m.cod]
+                self.dom[i], self.cod[i] = d, c
+                self.arrows_by_dom[d].append(i)
+                self.arrows_by_cod[c].append(i)
+            elif isinstance(m, Inter):
+                parts = tuple(self.idx[p] for p in inter_parts(m))
+                self.parts[i] = parts
+                self.mask[i] = sum(1 << p for p in parts)
+                for p in parts:
+                    self.part_to_inters[p].append(i)
         self._seed()
+        flags = theory.flags
+        arrow_rule = RuleFlag.ARROW in flags
+        top_le = RuleFlag.TOP_LE in flags
+        top = self.idx[TOP]
+        while self.queue:
+            fact = self.queue.popleft()
+            x, y = fact
+            if arrow_rule:
+                self._fire_arrow_rule(fact)
+            if top_le and x == top and y in self.cod:
+                self._add(top, self.cod[y], "TopLe", (fact,))
+            self._fire_arr_cong(fact)
+            self._fire_glb(fact)
+            self._fire_trans(fact)
 
-    def _add(self, fact: Pair, rule: str, premises: tuple[Pair, ...]) -> None:
-        if fact in self.facts:
+    def _add(self, a: int, b: int, rule: str, premises: tuple[IdPair, ...]) -> None:
+        if self.succ[a] >> b & 1:
             return
-        a, b = fact
-        if a not in self.universe.members or b not in self.universe.members:
-            return
-        self.facts.add(fact)
-        self.just[fact] = (rule, premises)
-        self.queue.append(fact)
-        self.succs[a].add(b)
-        self.preds[b].add(a)
+        self.succ[a] |= 1 << b
+        self.pred[b] |= 1 << a
+        self.just[a, b] = (rule, premises)
+        self.queue.append((a, b))
+
+    def _add_types(self, a: Ty, b: Ty, rule: str) -> None:
+        i, j = self.idx.get(a), self.idx.get(b)
+        if i is not None and j is not None:
+            self._add(i, j, rule, ())
 
     def _seed(self) -> None:
         flags = self.theory.flags
-        for m in self.members:
-            self._add((m, m), "Refl", ())
+        n = len(self.members)
+        top = self.idx[TOP]
+        for m in range(n):
+            self._add(m, m, "Refl", ())
         for lhs, rhs in self.theory.le_axiom_pairs():
-            self._add((canonicalize(lhs), canonicalize(rhs)), "Axiom", ())
-        for z in self.inters:
-            parts = inter_parts(z)
-            self._add((z, parts[0]), "IncL", ())
+            self._add_types(canonicalize(lhs), canonicalize(rhs), "Axiom")
+        for z, parts in self.parts.items():
+            self._add(z, parts[0], "IncL", ())
             for p in parts[1:]:
-                self._add((z, p), "IncR", ())
-        for m in self.members:
-            self._add((m, TOP), "Utop", ())
+                self._add(z, p, "IncR", ())
+        for m in range(n):
+            self._add(m, top, "Utop", ())
         if RuleFlag.ARROW_TOP in flags:
-            for m in self.arrows:
-                if m.cod == TOP:
-                    self._add((TOP, m), "ArrowTop", ())
+            for m, c in self.cod.items():
+                if c == top:
+                    self._add(top, m, "ArrowTop", ())
         if RuleFlag.ARROW_CAP in flags:
-            for z in self.inters:
-                parts = inter_parts(z)
+            for z in self.parts:
+                z_ty = self.members[z]
+                parts = inter_parts(z_ty)
                 if all(isinstance(p, Arrow) for p in parts):
                     doms = {p.dom for p in parts}
                     if len(doms) == 1:
                         rhs = canonicalize(
                             Arrow(parts[0].dom, make_inter([p.cod for p in parts]))
                         )
-                        self._add((z, rhs), "ArrowCap", ())
-                        self._add((rhs, z), "ArrowCap", ())
+                        self._add_types(z_ty, rhs, "ArrowCap")
+                        self._add_types(rhs, z_ty, "ArrowCap")
 
-    def saturate(self) -> None:
-        if self._saturated:
-            return
-        arrow_rule = RuleFlag.ARROW in self.theory.flags
-        top_le = RuleFlag.TOP_LE in self.theory.flags
-        while self.queue:
-            fact = self.queue.popleft()
-            if arrow_rule:
-                self._fire_arrow_rule(fact)
-            if top_le:
-                x, y = fact
-                if x == TOP and isinstance(y, Arrow):
-                    self._add((TOP, y.cod), "TopLe", (fact,))
-            self._fire_arr_cong(fact)
-            self._fire_glb(fact)
-            self._fire_trans(fact)
-        self._saturated = True
-
-    def _fire_arrow_rule(self, fact: Pair) -> None:
+    def _fire_arrow_rule(self, fact: IdPair) -> None:
         x, y = fact
+        succ, dom, cod = self.succ, self.dom, self.cod
         # fact as the domain premise B' <= B of (->), with B' = x, B = y
-        for f in self.arrows_by_dom.get(y, ()):
-            for g in self.arrows_by_dom.get(x, ()):
-                cods = (f.cod, g.cod)
-                if cods in self.facts:
-                    self._add((f, g), "ArrowRule", (fact, cods))
+        for f in self.arrows_by_dom[y]:
+            row = succ[cod[f]]
+            for g in self.arrows_by_dom[x]:
+                if row >> cod[g] & 1:
+                    self._add(f, g, "ArrowRule", (fact, (cod[f], cod[g])))
         # fact as the codomain premise A <= A', with A = x, A' = y
-        for f in self.arrows_by_cod.get(x, ()):
-            for g in self.arrows_by_cod.get(y, ()):
-                doms = (g.dom, f.dom)
-                if doms in self.facts:
-                    self._add((f, g), "ArrowRule", (doms, fact))
+        for f in self.arrows_by_cod[x]:
+            for g in self.arrows_by_cod[y]:
+                if succ[dom[g]] >> dom[f] & 1:
+                    self._add(f, g, "ArrowRule", ((dom[g], dom[f]), fact))
 
-    def _fire_arr_cong(self, fact: Pair) -> None:
+    def _fire_arr_cong(self, fact: IdPair) -> None:
         x, y = fact
-        if (y, x) not in self.facts:
+        succ, dom, cod = self.succ, self.dom, self.cod
+        if not succ[y] >> x & 1:
             return
         # x ~ y as the domains of congruent arrows
-        for f in self.arrows_by_dom.get(x, ()):
-            for g in self.arrows_by_dom.get(y, ()):
-                if (f.cod, g.cod) in self.facts and (g.cod, f.cod) in self.facts:
-                    prems = ((y, x), (x, y), (f.cod, g.cod), (g.cod, f.cod))
-                    self._add((f, g), "ArrCong", prems)
-                    self._add((g, f), "ArrCong", tuple(reversed(prems)))
+        for f in self.arrows_by_dom[x]:
+            for g in self.arrows_by_dom[y]:
+                cf, cg = cod[f], cod[g]
+                if succ[cf] >> cg & 1 and succ[cg] >> cf & 1:
+                    prems = ((y, x), (x, y), (cf, cg), (cg, cf))
+                    self._add(f, g, "ArrCong", prems)
+                    self._add(g, f, "ArrCong", tuple(reversed(prems)))
         # x ~ y as the codomains
-        for f in self.arrows_by_cod.get(x, ()):
-            for g in self.arrows_by_cod.get(y, ()):
-                if (g.dom, f.dom) in self.facts and (f.dom, g.dom) in self.facts:
-                    prems = ((g.dom, f.dom), (f.dom, g.dom), (x, y), (y, x))
-                    self._add((f, g), "ArrCong", prems)
-                    self._add((g, f), "ArrCong", tuple(reversed(prems)))
+        for f in self.arrows_by_cod[x]:
+            for g in self.arrows_by_cod[y]:
+                df, dg = dom[f], dom[g]
+                if succ[dg] >> df & 1 and succ[df] >> dg & 1:
+                    prems = ((dg, df), (df, dg), (x, y), (y, x))
+                    self._add(f, g, "ArrCong", prems)
+                    self._add(g, f, "ArrCong", tuple(reversed(prems)))
 
-    def _fire_glb(self, fact: Pair) -> None:
+    def _fire_glb(self, fact: IdPair) -> None:
         x, y = fact
-        for z in self.part_to_inters.get(y, ()):
-            parts = inter_parts(z)
-            if all((x, p) in self.facts for p in parts):
-                self._add((x, z), "Glb", tuple((x, p) for p in parts))
+        succ = self.succ
+        for z in self.part_to_inters[y]:
+            mask = self.mask[z]
+            if succ[x] & mask == mask and not succ[x] >> z & 1:
+                self._add(x, z, "Glb", tuple((x, p) for p in self.parts[z]))
 
-    def _fire_trans(self, fact: Pair) -> None:
+    def _fire_trans(self, fact: IdPair) -> None:
+        """Row-OR on delta rows: x gains the successors of y it lacks, and the
+        predecessors of x that lack y gain it, each in ascending id order."""
         x, y = fact
-        for z in list(self.succs[y]):
-            self._add((x, z), "Trans", (fact, (y, z)))
-        for w in list(self.preds[x]):
-            self._add((w, y), "Trans", ((w, x), fact))
+        for z in _bits(self.succ[y] & ~self.succ[x]):
+            self._add(x, z, "Trans", (fact, (y, z)))
+        for w in _bits(self.pred[x] & ~self.pred[y]):
+            self._add(w, y, "Trans", ((w, x), fact))
+
+    @property
+    def facts(self) -> set[Pair]:
+        """Every saturated pair, as types."""
+        ms = self.members
+        return {(ms[a], ms[b]) for a, row in enumerate(self.succ) for b in _bits(row)}
 
     def holds(self, a: Ty, b: Ty) -> bool:
-        assert self._saturated
-        return (canonicalize(a), canonicalize(b)) in self.facts
+        i = self.idx.get(canonicalize(a))
+        j = self.idx.get(canonicalize(b))
+        return i is not None and j is not None and bool(self.succ[i] >> j & 1)
 
     def proof(self, a: Ty, b: Ty) -> SubProof:
-        root = (canonicalize(a), canonicalize(b))
-        if root not in self.facts:
+        root = (self.idx.get(canonicalize(a)), self.idx.get(canonicalize(b)))
+        if root not in self.just:
             raise InvalidInput("no saturated fact for the requested pair")
-        memo: dict[Pair, SubProof] = {}
+        ms = self.members
+        memo: dict[IdPair, SubProof] = {}
         stack = [root]
         while stack:
             fact = stack[-1]
@@ -253,16 +290,15 @@ class SubtypeCtx:
             if missing:
                 stack.extend(missing)
             else:
-                memo[fact] = SubProof(rule, fact, tuple(memo[p] for p in prems))
+                conclusion = (ms[fact[0]], ms[fact[1]])
+                memo[fact] = SubProof(rule, conclusion, tuple(memo[p] for p in prems))
                 stack.pop()
         return memo[root]
 
 
 @lru_cache(maxsize=256)
 def saturated_ctx(theory: TheorySpec, universe: Universe) -> SubtypeCtx:
-    ctx = SubtypeCtx(theory, universe)
-    ctx.saturate()
-    return ctx
+    return SubtypeCtx(theory, universe)
 
 
 def derive_le(

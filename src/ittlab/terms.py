@@ -388,14 +388,47 @@ class FuelExhausted:
     steps: int
 
 
+def _same_named(a: Term, b: Term) -> bool:
+    """Structural equality including binder names; == is alpha-equivalence.
+
+    Walks application spines in a loop and skips shared subterms, so
+    comparing a reduct with an earlier term costs little next to head_step.
+    """
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        while a is not b:
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, Var):
+                if a.name != b.name:
+                    return False
+                break
+            if isinstance(a, Abs):
+                if a.binder != b.binder:
+                    return False
+                a, b = a.body, b.body
+            else:
+                if a.arg is not b.arg:
+                    stack.append((a.arg, b.arg))
+                a, b = a.fun, b.fun
+    return True
+
+
 def head_reduce(m: Term, fuel: int) -> Reached | FuelExhausted:
     """Run at most fuel head steps; Reached means a head normal form was hit.
 
     Reached proves m solvable.  FuelExhausted never asserts unsolvability:
     head reduction of a solvable term can simply be longer than the budget.
+
+    head_step is a function of the named term, so once a term repeats by
+    name the reduction is periodic and the term at step fuel is found by
+    stepping the remainder of fuel modulo the period.  Repeats are found by
+    Brent's cycle detection, which keeps one saved term.
     """
     if fuel < 0:
         raise InvalidInput("fuel must be nonnegative")
+    saved, saved_at, power = m, 0, 1
     steps = 0
     while steps <= fuel:
         nxt = head_step(m)
@@ -405,4 +438,10 @@ def head_reduce(m: Term, fuel: int) -> Reached | FuelExhausted:
             break
         m = nxt
         steps += 1
+        if _same_named(m, saved):
+            for _ in range((fuel - steps) % (steps - saved_at)):
+                m = head_step(m)
+            break
+        if steps - saved_at == power:
+            saved, saved_at, power = m, steps, 2 * power
     return FuelExhausted(m, fuel)

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ittlab import cli
 from ittlab.assignment import check_derivation
 from ittlab.cli import main
 from ittlab.sensibility import builtin_theories
 from ittlab.sexpr import parse_derivation, parse_subproof
-from ittlab.subtyping import Valid, check_subproof
+from ittlab.subtyping import Invalid, Valid, check_subproof
 
 
 def spec(name):
@@ -268,6 +269,24 @@ class TestDeterminismAndErrors:
 
     def test_missing_file_exits_3(self, capsys):
         assert main(["check", "T4", "/no/such/file.drv"]) == 3
+
+    @pytest.mark.parametrize(
+        "checker, argv",
+        [
+            ("check_subproof", ["subtype", "T0", "c0 -> c0 <= c1 -> c0"]),
+            ("check_subproof", ["embed", "T3", "TCDZ", corpus_path("maps", "t3_to_tcdz.map")]),
+            ("check_subproof", ["sensibility", "T3"]),
+            ("check_subproof", ["sensibility", "T2inv", "--fuel", "1"]),
+            ("check_derivation", ["infer", "T0", r"\x.x", "c1 -> c0"]),
+            ("check_derivation", ["sensibility", "T4"]),
+        ],
+    )
+    def test_certificate_failing_its_recheck_exits_4(self, capsys, monkeypatch, checker, argv):
+        monkeypatch.setattr(cli, checker, lambda *args: Invalid((), "forced"))
+        assert main(argv) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: internal: certificate failed to re-check\n"
 
 
 def _json_run(argv):

@@ -1,6 +1,14 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ittlab
 from ittlab.errors import InvalidInput, UniverseTooLarge
 from ittlab.probes import (
     CounterexampleFound,
@@ -8,6 +16,7 @@ from ittlab.probes import (
     beta_soundness_probe,
     set_condition_probe,
 )
+from ittlab.sensibility import builtin_theories
 from ittlab.subtyping import (
     Invalid,
     Proven,
@@ -32,6 +41,7 @@ from ittlab.types import (
     inter_parts,
     make_inter,
     parse_ty,
+    print_ty,
     ty_key,
 )
 
@@ -385,3 +395,66 @@ def test_probes_reject_bad_depth():
         beta_soundness_probe(T1, 0)
     with pytest.raises(InvalidInput):
         set_condition_probe(T1, 0)
+
+
+# -- the fixed point and its certificates, pinned ------------------------------
+
+FINGERPRINTS = Path(__file__).parent / "data" / "saturation_fingerprints.json"
+
+
+def saturation_fingerprint(t: TheorySpec, width: int) -> dict:
+    """Fact count and sha256 of the sorted printed facts of t's own universe
+    (axiom sides and U, no seeds) at the given intersection width."""
+    ctx = saturated_ctx(t, build_universe(t, [], width))
+    lines = sorted(f"{print_ty(a)} <= {print_ty(b)}" for a, b in ctx.facts)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return {"facts": len(lines), "sha256": digest}
+
+
+def test_fixed_point_matches_recorded_fingerprints():
+    reg = builtin_theories()
+    got = {
+        name: {str(w): saturation_fingerprint(reg.lookup(name).spec, w) for w in (1, 2, 3)}
+        for name in reg.names()
+    }
+    assert got == json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
+
+
+CERTIFIED_PAIRS = (
+    ("T4", "c0 -> c3", "c0"),
+    ("T4", "(c0 -> c1) & (c0 -> c2)", "c0 -> c1 & c2"),
+    ("EP", "c3 & c2", "c5 & c2"),
+    ("EP", "c3", "c1 -> c3"),
+    ("EP", "c3", "c2 -> c3"),
+    ("TCDZ", "c4 & c3", "c3 -> U"),
+    ("TCDZ", "U -> c3", "c4 & c3"),
+    ("TCDZ", "c4 -> c3", "c4 -> c4"),
+    ("Park", "c", "(c -> c) -> c"),
+    ("Park", "(c -> c) -> c", "c"),
+    ("Park", "c", "U -> U"),
+)
+
+_PRINT_CERTIFICATES = """
+import json
+import sys
+from ittlab.sensibility import builtin_theories
+from ittlab.subtyping import derive_le
+from ittlab.types import parse_ty
+for name, a, b in json.loads(sys.argv[1]):
+    t = builtin_theories().lookup(name).spec
+    print(repr(derive_le(t, parse_ty(a), parse_ty(b)).proof))
+"""
+
+
+def test_certificates_do_not_depend_on_the_hash_seed():
+    src = str(Path(ittlab.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _PRINT_CERTIFICATES, json.dumps(CERTIFIED_PAIRS)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outs.append(run.stdout)
+    assert outs[0].count("\n") == len(CERTIFIED_PAIRS)
+    assert outs[0] == outs[1]

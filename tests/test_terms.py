@@ -253,3 +253,54 @@ def test_head_reduce_identity_is_already_hnf():
 def test_head_reduce_hnf_with_diverging_argument():
     t = parse_term("\\x.x ((\\x.x x)(\\x.x x))")
     assert head_reduce(t, 1) == Reached(t, 0)
+
+
+# -- the cycle shortcut in head_reduce against plain stepping -------------------
+
+
+def plain_head_reduce(m, fuel):
+    """Reference for head_reduce: one head_step per unit of fuel, no shortcut.
+    Returns the printed outcome, so binder names count."""
+    steps = 0
+    while True:
+        nxt = head_step(m)
+        if nxt is None:
+            return "Reached", print_term(m), steps
+        if steps == fuel:
+            return "FuelExhausted", print_term(m), fuel
+        m, steps = nxt, steps + 1
+
+
+def printed(out):
+    if isinstance(out, Reached):
+        return "Reached", print_term(out.hnf), out.steps
+    return "FuelExhausted", print_term(out.last), out.steps
+
+
+OMEGA_SRC = r"(\x. x x) (\x. x x)"
+PERIOD_TWO_SRC = r"(\x. (\y. x x) z) (\x. (\y. x x) z)"
+CYCLE_FUELS = (0, 1, 2, 3, 7, 10_000)
+
+
+@pytest.mark.parametrize(
+    "src, fuel",
+    [(s, f) for s in (OMEGA_SRC, rf"({OMEGA_SRC}) (\y. y)", PERIOD_TWO_SRC) for f in CYCLE_FUELS]
+    + [(r"(\x. x x x) (\x. x x x)", f) for f in (0, 1, 2, 3, 7, 200)],
+)
+def test_head_reduce_matches_plain_stepping(src, fuel):
+    m = parse_term(src)
+    assert printed(head_reduce(m, fuel)) == plain_head_reduce(m, fuel)
+
+
+def test_period_two_term_repeats_by_alpha_before_by_name():
+    # Step 2 is alpha-equal to step 0 but renames x to x_1, so a shortcut
+    # that detected cycles by == would print the wrong last term.
+    m0 = parse_term(PERIOD_TWO_SRC)
+    m2 = head_step(head_step(m0))
+    assert m2 == m0 and print_term(m2) != print_term(m0)
+    assert printed(head_reduce(m0, 3)) == plain_head_reduce(m0, 3)
+
+
+@given(terms, st.integers(min_value=0, max_value=30))
+def test_head_reduce_matches_plain_stepping_on_random_terms(t, fuel):
+    assert printed(head_reduce(t, fuel)) == plain_head_reduce(t, fuel)
