@@ -224,9 +224,8 @@ class _Search:
         self.memo: dict = {}
         self.in_progress: set = set()
         self.cycle_events = 0
-        self.arrows = sorted(
-            (m for m in ctx.universe.members if isinstance(m, Arrow)), key=ty_key
-        )
+        # ctx.members is already in ty_key order
+        self.arrows = [m for m in ctx.members if isinstance(m, Arrow)]
 
     def _le_wrap(self, d: Derivation, a: Ty) -> Derivation:
         """Subsume d's type up to a (both canonical) when they differ."""
@@ -310,7 +309,7 @@ class _Search:
                     continue
                 joined_cod = canonicalize(Inter(f1.cod, f2.cod))
                 joined = Arrow(f1.dom, joined_cod)
-                if joined not in ctx.universe.members:
+                if joined not in ctx.idx:
                     continue
                 if not ctx.holds(joined_cod, a):
                     continue

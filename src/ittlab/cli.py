@@ -3,7 +3,8 @@
 Exit codes: 0 affirmative (Proven, Valid, Found, Pass, Sensible, all goldens
 match), 1 definitive negative, 2 inconclusive within budget, 3 usage or
 input errors, 4 internal error: a certificate about to be emitted failed to
-re-check.
+re-check, or an unexpected exception escaped (a bug, reported with its
+traceback).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .assignment import DEFAULT_FUEL, Found, check_derivation, infer_bounded
@@ -563,6 +565,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except _CertificateFailed:
         print("error: internal: certificate failed to re-check", file=sys.stderr)
+        return 4
+    except Exception as e:  # exit 1 would read as a definitive negative
+        traceback.print_exc()
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

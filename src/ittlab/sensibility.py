@@ -334,7 +334,7 @@ def _chains(
 
     frontier = [rebase(k, t) for k in pool if _same_theory(near(k), t)]
     out: list[ConstantMap] = []
-    for _ in range(max(depth, 1)):
+    for _ in range(depth):
         out.extend(frontier)
         nxt = []
         for chain in frontier:
@@ -372,6 +372,8 @@ def verdict(
 ) -> SensibilityVerdict:
     """Polarity, then embeddings into known-sensible targets, then witness
     search plus embeddings from known-nonsensible sources, else Unknown."""
+    if depth < 1:
+        raise InvalidInput("chain depth must be >= 1")
     reg = registry if registry is not None else builtin_theories()
     tried: list[str] = []
 

@@ -1,7 +1,11 @@
 """Intersection type syntax and canonical forms.
 
-Structural equality on Ty is plain dataclass equality.  Engines compare types
-via canonicalize, which quotients by associativity, commutativity and
+Types are hash-consed (Filliatre & Conchon, "Type-safe modular hash-consing",
+2006): every constructor looks its fields up in one weak-valued intern table,
+so structurally equal types are one object and equality is identity.  Each
+node stores its hash, computed once as the hash of its field tuple, its
+ty_key, and, once asked for, its canonical form.  Engines compare types via
+canonicalize, which quotients by associativity, commutativity and
 idempotence of & plus neutrality of U; anything theory-specific is the
 subtype engine's business, never equality's.
 """
@@ -9,34 +13,152 @@ subtype engine's business, never equality's.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+from dataclasses import FrozenInstanceError
 from typing import Iterator, Union
+from weakref import ref
+
+from _weakref import _remove_dead_weakref
 
 from .errors import ParseError
 
 Ty = Union["Const", "Top", "Arrow", "Inter"]
 
+# (class, field identities) -> weak reference to the one live node with those
+# fields.  A node holds its fields alive, so while its entry is live the ids
+# in its key cannot be reused.  Const keys hold the name itself, since equal
+# strings need not be one object.
+_INTERNED: dict[tuple, "_Entry"] = {}
+_INTERN_LOCK = threading.Lock()
+# _canon of a node that is its own canonical form; storing the node itself
+# would make it a reference cycle and keep it out of reach of the weak table
+_IS_CANONICAL = object()
 
-@dataclass(frozen=True)
-class Const:
+
+class _Entry(ref):
+    """A weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(dead: _Entry) -> None:
+    # removes the entry only if it still holds a dead reference; a node
+    # interned under the same key since then keeps its entry
+    _remove_dead_weakref(_INTERNED, dead.key)
+
+
+def _intern(cls: type, key: tuple, fields: tuple, ty_key: tuple) -> "_Node":
+    """The live node under key, made from fields if there is none.  The
+    constructors look key up unlocked first; a miss is settled here, under
+    the lock, so two threads never make two nodes with one key."""
+    with _INTERN_LOCK:
+        entry = _INTERNED.get(key)
+        node = entry() if entry is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+            _set_hash(node, hash(fields))
+            _set_key(node, ty_key)
+            _set_canon(node, None)
+            entry = _Entry(node, _forget)
+            entry.key = key
+            _INTERNED[key] = entry
+    return node
+
+
+def _check_ty(value: object) -> None:
+    if not isinstance(value, _Node):
+        raise TypeError(f"not a type: {value!r}")
+
+
+class _Node:
+    """Shared behaviour of the four interned, immutable type constructors."""
+
+    __slots__ = ("_hash", "_key", "_canon", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # hands back the interned node
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# the memo slots are written through their descriptors, past the __setattr__
+# that keeps types immutable
+_set_hash = _Node._hash.__set__
+_set_key = _Node._key.__set__
+_set_canon = _Node._canon.__set__
+
+
+class Const(_Node):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     name: str
 
+    def __new__(cls, name: str) -> "Const":
+        entry = _INTERNED.get((cls, name))
+        node = entry() if entry is not None else None
+        if node is not None:
+            return node
+        if not isinstance(name, str):
+            raise TypeError(f"constant name must be a string: {name!r}")
+        return _intern(cls, (cls, name), (name,), (0, name))
 
-@dataclass(frozen=True)
-class Top:
-    pass
+
+class Top(_Node):
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __new__(cls) -> "Top":
+        return _intern(cls, (cls,), (), (1,))
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(_Node):
+    __slots__ = ("dom", "cod")
+    __match_args__ = ("dom", "cod")
     dom: Ty
     cod: Ty
 
+    def __new__(cls, dom: Ty, cod: Ty) -> "Arrow":
+        key = (cls, id(dom), id(cod))
+        entry = _INTERNED.get(key)
+        node = entry() if entry is not None else None
+        if node is not None:
+            return node
+        _check_ty(dom)
+        _check_ty(cod)
+        return _intern(cls, key, (dom, cod), (2, dom._key, cod._key))
 
-@dataclass(frozen=True)
-class Inter:
+
+class Inter(_Node):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
     left: Ty
     right: Ty
+
+    def __new__(cls, left: Ty, right: Ty) -> "Inter":
+        key = (cls, id(left), id(right))
+        entry = _INTERNED.get(key)
+        node = entry() if entry is not None else None
+        if node is not None:
+            return node
+        _check_ty(left)
+        _check_ty(right)
+        return _intern(cls, key, (left, right), (3, left._key, right._key))
 
 
 TOP = Top()
@@ -49,16 +171,7 @@ def is_reserved(name: str) -> bool:
 
 def ty_key(t: Ty) -> tuple:
     """Total order on types: constants, then U, then arrows, then intersections."""
-    match t:
-        case Const(name):
-            return (0, name)
-        case Top():
-            return (1,)
-        case Arrow(dom, cod):
-            return (2, ty_key(dom), ty_key(cod))
-        case Inter(left, right):
-            return (3, ty_key(left), ty_key(right))
-    raise TypeError(f"not a type: {t!r}")
+    return t._key
 
 
 def inter_parts(t: Ty) -> tuple[Ty, ...]:
@@ -90,18 +203,27 @@ def make_inter(parts: list[Ty] | tuple[Ty, ...]) -> Ty:
 
 
 def canonicalize(a: Ty) -> Ty:
-    """ACI-normal form: flatten &, drop U, dedupe, sort parts, recurse under ->."""
+    """ACI-normal form: flatten &, drop U, dedupe, sort parts, recurse under ->.
+
+    Memoised on the node, and canonicalize(canonicalize(a)) is canonicalize(a).
+    """
+    c = a._canon
+    if c is _IS_CANONICAL:
+        return a
+    if c is not None:
+        return c
     match a:
         case Const(_) | Top():
-            return a
+            c = a
         case Arrow(dom, cod):
-            return Arrow(canonicalize(dom), canonicalize(cod))
+            c = Arrow(canonicalize(dom), canonicalize(cod))
         case Inter(_, _):
-            parts = sorted(
-                {canonicalize(p) for p in inter_parts(a)}, key=ty_key
-            )
-            return make_inter(parts)
-    raise TypeError(f"not a type: {a!r}")
+            parts = sorted({canonicalize(p) for p in inter_parts(a)}, key=ty_key)
+            c = make_inter(parts)
+    _set_canon(c, _IS_CANONICAL)
+    if c is not a:
+        _set_canon(a, c)
+    return c
 
 
 def ty_size(t: Ty) -> int:

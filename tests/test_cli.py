@@ -221,6 +221,12 @@ class TestSensibility:
             proof = parse_subproof(cert["text"])
             assert check_subproof(spec("T2inv"), proof) == Valid()
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_chain_depth_below_one_is_a_usage_error(self, capsys, depth):
+        # depth 0 and -1 used to run silently at depth 1
+        assert main(["sensibility", "T3", "--depth", depth]) == 3
+        assert "chain depth must be >= 1" in capsys.readouterr().err
+
     def test_certificates_revalidate(self, capsys):
         code, report = run_json(capsys, "sensibility", "T4")
         assert code == 1
@@ -287,6 +293,17 @@ class TestDeterminismAndErrors:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "error: internal: certificate failed to re-check\n"
+
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        # exit 1 would claim a definitive negative
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "subtype", broken)
+        assert main(["subtype", "T0", "c0 <= c0"]) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith("error: internal: RuntimeError: boom\n")
 
 
 def _json_run(argv):

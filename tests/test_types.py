@@ -1,6 +1,14 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ittlab import types
 from ittlab.errors import ParseError
 from ittlab.types import (
     TOP,
@@ -84,6 +92,8 @@ def test_canonicalize_orders_constants_before_arrows():
 def test_canonicalize_is_idempotent(t):
     ct = canonicalize(t)
     assert canonicalize(ct) == ct
+    assert canonicalize(ct) is ct
+    assert canonicalize(t) is ct
 
 
 @given(tys)
@@ -131,3 +141,123 @@ def test_map_consts():
     t = parse_ty("a -> a & b")
     out = map_consts(t, lambda n: TOP if n == "b" else Const(n.upper()))
     assert out == Arrow(Const("A"), Inter(Const("A"), TOP))
+
+
+# -- hash-consing ---------------------------------------------------------------
+
+
+def _rebuild(t):
+    """A structural copy made through the constructors, field by field."""
+    match t:
+        case Const(name):
+            return Const(name)
+        case Arrow(dom, cod):
+            return Arrow(_rebuild(dom), _rebuild(cod))
+        case Inter(left, right):
+            return Inter(_rebuild(left), _rebuild(right))
+    return t
+
+
+@pytest.mark.parametrize(
+    "src", ["a", "U", "a -> b", "a & b -> c & U", "(a -> b) -> a & a", "foo -> bar & foo"]
+)
+def test_parse_is_interned(src):
+    assert parse_ty(src) is parse_ty(src)
+
+
+def test_constants_intern_by_name_not_by_string_object():
+    literal = "foo"
+    built = "".join(["fo", "o"])
+    assert built is not literal
+    assert Const(built) is Const(literal)
+
+
+@given(tys)
+def test_structurally_equal_types_are_one_node(t):
+    assert _rebuild(t) is t
+
+
+@given(tys)
+def test_hash_is_the_hash_of_the_fields(t):
+    fields = tuple(getattr(t, f) for f in t.__match_args__)
+    assert hash(t) == hash(fields)
+
+
+def test_repr_is_dataclass_style():
+    assert repr(parse_ty("a -> U & b")) == (
+        "Arrow(dom=Const(name='a'), cod=Inter(left=Top(), right=Const(name='b')))"
+    )
+
+
+def test_types_are_immutable():
+    t = Arrow(a, b)
+    with pytest.raises(AttributeError):
+        t.dom = c
+    with pytest.raises(AttributeError):
+        del t.cod
+    assert t.dom is a
+
+
+def test_fields_must_be_types():
+    with pytest.raises(TypeError):
+        Arrow("a", b)
+    with pytest.raises(TypeError):
+        Const(1)
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize("src", ["a", "U", "a -> b", "(a -> b) & c -> a & U"])
+def test_copy_and_pickle_return_the_interned_node(clone, src):
+    t = parse_ty(src)
+    assert clone(t) is t
+
+
+def test_intern_table_forgets_dropped_types():
+    gc.collect()
+    before = len(types._INTERNED)
+    made = [canonicalize(Arrow(Const(f"k{i}"), Inter(Const("k"), Const(f"k{i}"))))
+            for i in range(10_000)]
+    assert len(types._INTERNED) > before
+    del made
+    gc.collect()
+    assert len(types._INTERNED) == before
+
+
+def test_canonical_memo_makes_no_reference_cycle():
+    # with the cycle collector off, only reference counting can free a node
+    gc.disable()
+    try:
+        raw = parse_ty("(z1 & z0) -> z0 & z0")
+        canon = canonicalize(raw)
+        assert canon is not raw and canonicalize(canon) is canon
+        refs = [weakref.ref(raw), weakref.ref(canon), weakref.ref(canon.dom)]
+        del raw, canon
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_concurrent_construction_yields_one_node():
+    # more threads than cores, switching as often as the interpreter allows
+    names = [f"race{i}" for i in range(3_000)]
+    results: list[list] = [[] for _ in range(4)]
+
+    def build(out):
+        out.extend(Arrow(Const(n), Inter(Const(n), TOP)) for n in names)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for nodes in zip(*results, strict=True):
+        assert all(n is nodes[0] for n in nodes)
