@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import InvalidInput
 from .subtyping import (
-    DEFAULT_CAP,
     DEFAULT_WIDTH,
     Invalid,
     Proven,
@@ -378,7 +377,6 @@ def infer_bounded(
     target: Ty,
     fuel: int = DEFAULT_FUEL,
     inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
 ) -> Found | NotFoundWithinFuel:
     """Goal-directed, memoised, fuel-bounded search for g |- m : target.
 
@@ -387,7 +385,7 @@ def infer_bounded(
     """
     if fuel < 0:
         raise InvalidInput("fuel must be nonnegative")
-    universe = build_universe(t, [target, *g.types()], inter_width, cap)
+    universe = build_universe(t, [target, *g.types()], inter_width)
     ctx = saturated_ctx(t, universe)
     search = _Search(t, ctx, fuel)
     try:
@@ -404,7 +402,6 @@ def subject_reduction_probe(
     d: Derivation,
     fuel: int = DEFAULT_FUEL,
     inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
 ) -> Found | NotFoundWithinFuel:
     """Contract the head redex of d's subject and re-search the same judgment."""
     ok = check_derivation(t, d)
@@ -414,7 +411,7 @@ def subject_reduction_probe(
     if reduct is None:
         raise InvalidInput("subject has no head redex")
     return infer_bounded(
-        t, d.conclusion.basis, reduct, d.conclusion.ty, fuel, inter_width, cap
+        t, d.conclusion.basis, reduct, d.conclusion.ty, fuel, inter_width
     )
 
 

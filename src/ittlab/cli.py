@@ -1,10 +1,10 @@
 """Command-line front end emitting versioned, deterministic JSON reports.
 
 Exit codes: 0 affirmative (Proven, Valid, Found, Pass, Sensible, all goldens
-match), 1 definitive negative, 2 inconclusive within budget, 3 usage or
-input errors, 4 internal error: a certificate about to be emitted failed to
-re-check, or an unexpected exception escaped (a bug, reported with its
-traceback).
+match), 1 definitive negative, 2 inconclusive within budget (a type universe
+past its member bound included), 3 usage or input errors, 4 internal error:
+a certificate about to be emitted failed to re-check, or an unexpected
+exception escaped (a bug, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .embedding import (
     Verified,
     verify_embedding,
 )
-from .errors import IttError
+from .errors import IttError, UniverseTooLarge
 from .polarity import (
     PolarityPass,
     StagingFailure,
@@ -307,25 +307,34 @@ def _cmd_embed(args) -> tuple[dict, int, list[str]]:
     return _report("embed", inputs, payload, []), 2, lines
 
 
-def _evidence_json(e: object) -> dict:
+def _evidence_json(e: object, about: TheorySpec) -> tuple[dict, list[dict]]:
+    """The JSON of evidence about a theory, and its re-checked certificates,
+    outermost first.
+
+    An embedding's checks are proofs in its target; the evidence that crossed
+    it is about the target of a sensible transfer and the source of a
+    nonsensible one.
+    """
     if isinstance(e, PolarityPass):
-        return {"kind": "PolarityPass", "caveats": list(e.caveats)}
+        return {"kind": "PolarityPass", "caveats": list(e.caveats)}, []
     if isinstance(e, (KnownSensible, KnownNonSensible)):
-        return {"kind": "RegistryFact", "citation": e.citation}
+        return {"kind": "RegistryFact", "citation": e.citation}, []
     if isinstance(e, TransferCertificate):
+        k = e.map
+        certs = [
+            _subproof_cert(k.target, proof)
+            for _, proof in e.embedding.checks
+            if proof is not None
+        ]
         if e.kind == "sensible":
-            return {
-                "kind": "EmbeddingInto",
-                "target": e.target_name,
-                "target_evidence": _evidence_json(e.evidence),
-            }
-        return {
-            "kind": "EmbeddingFrom",
-            "source": e.source_name,
-            "source_evidence": _evidence_json(e.evidence),
-        }
+            kind, side, other = "EmbeddingInto", "target", k.target
+        else:
+            kind, side, other = "EmbeddingFrom", "source", k.source
+        inner, inner_certs = _evidence_json(e.evidence, other)
+        payload = {"kind": kind, side: other.name, f"{side}_evidence": inner}
+        return payload, certs + inner_certs
     if isinstance(e, Witness):
-        return {
+        payload = {
             "kind": "UnsolvableTyped",
             "term": print_term(e.term),
             "ty": print_ty(e.ty),
@@ -335,30 +344,8 @@ def _evidence_json(e: object) -> dict:
                 "last": print_term(e.head_trace.last),
             },
         }
-    return {"kind": type(e).__name__}
-
-
-def _verdict_certs(
-    e: object, about: TheorySpec, theories: dict[str, TheorySpec]
-) -> list[dict]:
-    """The certificates inside evidence about a theory, outermost first.
-
-    An embedding's checks are proofs in its target; the evidence that crossed
-    it is about the target of a sensible transfer and the source of a
-    nonsensible one.
-    """
-    if isinstance(e, Witness):
-        return [_derivation_cert(about, e.derivation)]
-    if isinstance(e, TransferCertificate):
-        target = theories[e.target_name]
-        certs = [
-            _subproof_cert(target, proof)
-            for _, proof in e.embedding.checks
-            if proof is not None
-        ]
-        other = target if e.kind == "sensible" else theories[e.source_name]
-        return certs + _verdict_certs(e.evidence, other, theories)
-    return []
+        return payload, [_derivation_cert(about, e.derivation)]
+    return {"kind": type(e).__name__}, []
 
 
 def _read_pool(path: str):
@@ -401,12 +388,15 @@ def _cmd_sensibility(args) -> tuple[dict, int, list[str]]:
         extra_maps=maps,
         extra_pool=extra_pool,
     )
+    certs: list[dict] = []
     if isinstance(v, Sensible):
-        payload = {"result": "Sensible", "evidence": _evidence_json(v.evidence)}
+        evidence, certs = _evidence_json(v.evidence, t)
+        payload = {"result": "Sensible", "evidence": evidence}
         code = 0
         lines = [f"Sensible ({payload['evidence']['kind']})"]
     elif isinstance(v, NonSensible):
-        payload = {"result": "NonSensible", "evidence": _evidence_json(v.evidence)}
+        evidence, certs = _evidence_json(v.evidence, t)
+        payload = {"result": "NonSensible", "evidence": evidence}
         code = 1
         lines = [f"NonSensible ({payload['evidence']['kind']})"]
         if isinstance(v.evidence, Witness):
@@ -417,12 +407,6 @@ def _cmd_sensibility(args) -> tuple[dict, int, list[str]]:
         payload = {"result": "Unknown", "tried": list(v.tried)}
         code = 2
         lines = ["Unknown; attempts:"] + [f"  {x}" for x in v.tried]
-    # the theories an embedding can end at, by name; t itself wins a clash
-    theories = {e.spec.name: e.spec for _, e in builtin_theories().entries}
-    for k in maps:
-        theories.update({k.source.name: k.source, k.target.name: k.target})
-    theories[t.name] = t
-    certs = _verdict_certs(getattr(v, "evidence", None), t, theories)
     return _report("sensibility", inputs, payload, certs), code, lines
 
 
@@ -557,6 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code, lines = _HANDLERS[args.command](args)
+    except UniverseTooLarge as e:  # a blown budget is an honest "unknown"
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return 2
     except (IttError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

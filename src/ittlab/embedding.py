@@ -13,7 +13,6 @@ from typing import Mapping, Union
 
 from .errors import InvalidInput, PreconditionFailed
 from .subtyping import (
-    DEFAULT_CAP,
     DEFAULT_WIDTH,
     Proven,
     SubProof,
@@ -105,9 +104,7 @@ def _flag_gap(k: ConstantMap) -> frozenset:
 
 
 def verify_embedding(
-    k: ConstantMap,
-    inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
+    k: ConstantMap, inter_width: int = DEFAULT_WIDTH
 ) -> EmbeddingVerdict:
     """Discharge the embedding obligations inside one target universe.
 
@@ -149,7 +146,7 @@ def verify_embedding(
     for name, image in k.mapping:
         seeds.append(image)
 
-    universe = build_universe(k.target, seeds, inter_width, cap)
+    universe = build_universe(k.target, seeds, inter_width)
     ctx = saturated_ctx(k.target, universe)
 
     for desc, image_l, image_r in mapped_axioms:
@@ -159,7 +156,7 @@ def verify_embedding(
             return Undischarged(desc)
 
     for name, image in k.mapping:
-        src_top = is_top_equiv(k.source, Const(name), inter_width, cap)
+        src_top = is_top_equiv(k.source, Const(name), inter_width)
         tgt_top = ctx.holds(TOP, image)
         desc = f"top preservation: {name} |-> {print_ty(image)}"
         if isinstance(src_top, Proven) and tgt_top:
@@ -184,11 +181,14 @@ def compose_maps(k1: ConstantMap, k2: ConstantMap) -> ConstantMap:
 
 @dataclass(frozen=True)
 class TransferCertificate:
-    """Bundled embedding checks plus the evidence that crossed the map."""
+    """Bundled embedding checks plus the evidence that crossed the map.
+
+    The checks are proofs in map.target; the evidence is about map.target
+    for kind "sensible" and about map.source for kind "nonsensible".
+    """
 
     kind: str
-    source_name: str
-    target_name: str
+    map: ConstantMap
     embedding: Verified
     evidence: object
 
@@ -204,7 +204,6 @@ def transfer(
     kind: str,
     evidence: object,
     inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
 ) -> TransferCertificate | Failed | Undischarged:
     """Verify k once and, if Verified, certify that evidence crosses it.
 
@@ -216,36 +215,30 @@ def transfer(
         raise InvalidInput(f"unknown transfer kind {kind!r}")
     if evidence is None:
         raise PreconditionFailed(f"{_EVIDENCE[kind]} is required")
-    verdict = verify_embedding(k, inter_width, cap)
+    verdict = verify_embedding(k, inter_width)
     if not isinstance(verdict, Verified):
         return verdict
-    return TransferCertificate(kind, k.source.name, k.target.name, verdict, evidence)
+    return TransferCertificate(kind, k, verdict, evidence)
 
 
 def _transfer_or_raise(
-    k: ConstantMap, kind: str, evidence: object, inter_width: int, cap: int
+    k: ConstantMap, kind: str, evidence: object, inter_width: int
 ) -> TransferCertificate:
-    cert = transfer(k, kind, evidence, inter_width, cap)
+    cert = transfer(k, kind, evidence, inter_width)
     if not isinstance(cert, TransferCertificate):
         raise PreconditionFailed(f"embedding not verified: {cert}")
     return cert
 
 
 def transfer_sensible(
-    k: ConstantMap,
-    target_evidence: object,
-    inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
+    k: ConstantMap, target_evidence: object, inter_width: int = DEFAULT_WIDTH
 ) -> TransferCertificate:
     """Target sensible plus verified embedding yields source sensible."""
-    return _transfer_or_raise(k, "sensible", target_evidence, inter_width, cap)
+    return _transfer_or_raise(k, "sensible", target_evidence, inter_width)
 
 
 def transfer_nonsensible(
-    k: ConstantMap,
-    source_evidence: object,
-    inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
+    k: ConstantMap, source_evidence: object, inter_width: int = DEFAULT_WIDTH
 ) -> TransferCertificate:
     """Source non-sensible plus verified embedding yields target non-sensible."""
-    return _transfer_or_raise(k, "nonsensible", source_evidence, inter_width, cap)
+    return _transfer_or_raise(k, "nonsensible", source_evidence, inter_width)

@@ -26,7 +26,7 @@ class NaturalShapeViolation(IttError):
 
 
 class UniverseTooLarge(IttError):
-    """The finite type universe exceeded its configured cap."""
+    """The finite type universe exceeded its member bound, subtyping.DEFAULT_CAP."""
 
 
 class UndefinedConstant(IttError):

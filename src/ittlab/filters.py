@@ -14,7 +14,6 @@ from itertools import combinations
 
 from .errors import InvalidInput
 from .subtyping import (
-    DEFAULT_CAP,
     DEFAULT_WIDTH,
     SubtypeCtx,
     Universe,
@@ -123,7 +122,6 @@ def interpret_term_bounded(
     env: dict[str, FilterRep],
     fuel: int = 2_000,
     inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
 ) -> FilterRep:
     """Bounded denotation: the filter of types derivable for m under bases
     drawn from the environment filters.  Fuel bounds each individual search."""
@@ -136,7 +134,7 @@ def interpret_term_bounded(
     universes = {env[x].universe for x in fv}
     if len(universes) > 1:
         raise InvalidInput("environment filters must share a universe")
-    u = universes.pop() if universes else build_universe(t, [], inter_width, cap)
+    u = universes.pop() if universes else build_universe(t, [], inter_width)
     ctx = saturated_ctx(t, u)
 
     per_var = [_basis_candidates(ctx, env[x]) for x in fv]
@@ -151,7 +149,7 @@ def interpret_term_bounded(
             found.add(a)
             continue
         for b in bases:
-            out = infer_bounded(t, b, m, a, fuel, inter_width, cap)
+            out = infer_bounded(t, b, m, a, fuel, inter_width)
             if isinstance(out, Found):
                 found.add(a)
                 break

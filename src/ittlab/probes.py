@@ -15,7 +15,7 @@ from itertools import combinations, product
 from typing import Iterator, Union
 
 from .errors import InvalidInput
-from .subtyping import DEFAULT_CAP, DEFAULT_WIDTH, build_universe, saturated_ctx
+from .subtyping import DEFAULT_WIDTH, build_universe, saturated_ctx
 from .theory import TheorySpec
 from .types import (
     inter_parts,
@@ -79,7 +79,6 @@ def beta_soundness_probe(
     t: TheorySpec,
     depth: int = 3,
     inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
 ) -> ProbeVerdict:
     """Search for Proven instances of (B1->A1)&..&(Bk->Ak) <= B -> A, with A
     not provably ~ U, that no subset J justifies via B <= meet(Bj) and
@@ -104,7 +103,7 @@ def beta_soundness_probe(
         for js in _nonempty_subsets(combo):
             seeds.add(canonicalize(make_inter([x.dom for x in js])))
             seeds.add(canonicalize(make_inter([x.cod for x in js])))
-    universe = build_universe(t, sorted(seeds, key=ty_key), inter_width=1, cap=cap)
+    universe = build_universe(t, sorted(seeds, key=ty_key), inter_width=1)
     ctx = saturated_ctx(t, universe)
 
     for ty, combo in lhs_list:
@@ -141,7 +140,6 @@ def set_condition_probe(
     t: TheorySpec,
     depth: int = 3,
     inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
 ) -> ProbeVerdict:
     """Search for Proven instances of A1&..&Ak <= B1->..->Bn->C, with C not
     provably ~ U, lacking a j and D with Aj ~ B1->..->Bn->D, D not ~ U and
@@ -179,7 +177,7 @@ def set_condition_probe(
     for c in cs:
         for d in pool:
             seeds.add(canonicalize(Inter(c, d)))
-    universe = build_universe(t, sorted(seeds, key=ty_key), inter_width=1, cap=cap)
+    universe = build_universe(t, sorted(seeds, key=ty_key), inter_width=1)
     ctx = saturated_ctx(t, universe)
 
     for ty, parts in lhs_list:

@@ -21,7 +21,7 @@ from .assignment import Basis, Derivation, Found, infer_bounded
 from .embedding import ConstantMap, TransferCertificate, compose_maps, transfer
 from .errors import InvalidInput
 from .polarity import PolarityPass, check_positive_polarity, completion
-from .subtyping import DEFAULT_CAP, DEFAULT_WIDTH, Proven, is_top_equiv
+from .subtyping import DEFAULT_WIDTH, Proven, is_top_equiv
 from .terms import FuelExhausted, Term, head_reduce, parse_term
 from .theory import TheorySpec, parse_theory, validate_natural
 from .types import TOP, Const, Ty, canonicalize, print_ty, ty_key
@@ -176,9 +176,7 @@ class NoneFound:
     inter_width: int
 
 
-def _probe_targets(
-    t: TheorySpec, inter_width: int, cap: int
-) -> tuple[Ty, ...]:
+def _probe_targets(t: TheorySpec, inter_width: int) -> tuple[Ty, ...]:
     """Constants and axiom sides not provably equivalent to U."""
     raw: list[Ty] = [Const(c) for c in sorted(t.constants)]
     for lhs, rhs in t.le_axiom_pairs():
@@ -189,7 +187,7 @@ def _probe_targets(
         if ty in seen or ty == TOP:
             continue
         seen.add(ty)
-        if isinstance(is_top_equiv(t, ty, inter_width, cap), Proven):
+        if isinstance(is_top_equiv(t, ty, inter_width), Proven):
             continue
         out.append(ty)
     return tuple(out)
@@ -199,7 +197,6 @@ def probe_unsolvable_typing(
     t: TheorySpec,
     fuel: int = DEFAULT_PROBE_FUEL,
     inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
     extra_pool: tuple[Term, ...] = (),
 ) -> Witness | NoneFound:
     """Search the unsolvable pool for a typing at a non-U type.
@@ -207,11 +204,11 @@ def probe_unsolvable_typing(
     A Found derivation only counts with a fuel-exhausted head trace, so a
     solvable term slipped into extra_pool cannot fake a witness.
     """
-    targets = _probe_targets(t, inter_width, cap)
+    targets = _probe_targets(t, inter_width)
     empty = Basis.of()
     for term in UNSOLVABLE_POOL + tuple(extra_pool):
         for ty in targets:
-            r = infer_bounded(t, empty, term, ty, fuel, inter_width, cap)
+            r = infer_bounded(t, empty, term, ty, fuel, inter_width)
             if isinstance(r, Found):
                 trace = head_reduce(term, fuel)
                 if isinstance(trace, FuelExhausted):
@@ -249,8 +246,8 @@ def evidence_summary(v: SensibilityVerdict) -> dict | None:
         return {"kind": "PolarityPass", "detail": "caveats" if e.caveats else ""}
     if isinstance(e, TransferCertificate):
         if e.kind == "sensible":
-            return {"kind": "EmbeddingInto", "detail": e.target_name}
-        return {"kind": "EmbeddingFrom", "detail": e.source_name}
+            return {"kind": "EmbeddingInto", "detail": e.map.target.name}
+        return {"kind": "EmbeddingFrom", "detail": e.map.source.name}
     if isinstance(e, Witness):
         return {"kind": "UnsolvableTyped", "detail": print_ty(e.ty)}
     return {"kind": type(e).__name__, "detail": ""}
@@ -350,10 +347,10 @@ def _chains(
                 else:
                     nxt.append(compose_maps(chain, link))
         frontier = nxt
-    seen: set[tuple[str, tuple[tuple[str, Ty], ...]]] = set()
+    seen: set[tuple[TheorySpec, tuple[tuple[str, Ty], ...]]] = set()
     unique = []
     for k in out:
-        key = (far(k).name, k.mapping)
+        key = (far(k), k.mapping)
         if key not in seen:
             seen.add(key)
             unique.append(k)
@@ -365,16 +362,14 @@ def verdict(
     fuel: int = DEFAULT_PROBE_FUEL,
     inter_width: int = DEFAULT_WIDTH,
     depth: int = DEFAULT_CHAIN_DEPTH,
-    registry: TheoryRegistry | None = None,
     extra_maps: tuple[ConstantMap, ...] = (),
     extra_pool: tuple[Term, ...] = (),
-    cap: int = DEFAULT_CAP,
 ) -> SensibilityVerdict:
     """Polarity, then embeddings into known-sensible targets, then witness
     search plus embeddings from known-nonsensible sources, else Unknown."""
     if depth < 1:
         raise InvalidInput("chain depth must be >= 1")
-    reg = registry if registry is not None else builtin_theories()
+    reg = builtin_theories()
     tried: list[str] = []
 
     pol = _polarity_pass(t)
@@ -393,12 +388,12 @@ def verdict(
         if target_evidence is None:
             tried.append(f"embedding into {k.target.name}: target not known sensible")
             continue
-        r = transfer(k, "sensible", target_evidence, inter_width, cap)
+        r = transfer(k, "sensible", target_evidence, inter_width)
         if isinstance(r, TransferCertificate):
             return Sensible(r)
         tried.append(f"embedding into {k.target.name}: {type(r).__name__}")
 
-    w = probe_unsolvable_typing(t, fuel, inter_width, cap, extra_pool)
+    w = probe_unsolvable_typing(t, fuel, inter_width, extra_pool)
     if isinstance(w, Witness):
         return NonSensible(w)
     tried.append(f"unsolvable-typing probe: NoneFound at fuel {fuel}")
@@ -406,7 +401,7 @@ def verdict(
     for k in _chains(t, pool, depth, into=True):
         source_evidence = _known(k.source, reg, KnownNonSensible)
         if source_evidence is None:
-            sw = probe_unsolvable_typing(k.source, fuel, inter_width, cap)
+            sw = probe_unsolvable_typing(k.source, fuel, inter_width)
             if isinstance(sw, Witness):
                 source_evidence = sw
         if source_evidence is None:
@@ -414,7 +409,7 @@ def verdict(
                 f"embedding from {k.source.name}: source not known non-sensible"
             )
             continue
-        r = transfer(k, "nonsensible", source_evidence, inter_width, cap)
+        r = transfer(k, "nonsensible", source_evidence, inter_width)
         if isinstance(r, TransferCertificate):
             return NonSensible(r)
         tried.append(f"embedding from {k.source.name}: {type(r).__name__}")

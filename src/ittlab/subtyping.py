@@ -48,7 +48,10 @@ def build_universe(
     cap: int = DEFAULT_CAP,
 ) -> Universe:
     """Subterm closure of seeds plus axiom sides plus U, widened by all
-    canonical intersections of 2..inter_width distinct closure members."""
+    canonical intersections of 2..inter_width distinct closure members.
+
+    The one place the member bound is enforced: past cap members it raises
+    UniverseTooLarge.  Every query runs at DEFAULT_CAP."""
     if inter_width < 1:
         raise InvalidInput("inter_width must be >= 1")
     base: set[Ty] = {TOP}
@@ -302,13 +305,9 @@ def saturated_ctx(theory: TheorySpec, universe: Universe) -> SubtypeCtx:
 
 
 def derive_le(
-    t: TheorySpec,
-    a: Ty,
-    b: Ty,
-    inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
+    t: TheorySpec, a: Ty, b: Ty, inter_width: int = DEFAULT_WIDTH
 ) -> SubtypeVerdict:
-    universe = build_universe(t, [a, b], inter_width, cap)
+    universe = build_universe(t, [a, b], inter_width)
     ctx = saturated_ctx(t, universe)
     if ctx.holds(a, b):
         return Proven(ctx.proof(a, b))
@@ -316,14 +315,10 @@ def derive_le(
 
 
 def derive_equiv(
-    t: TheorySpec,
-    a: Ty,
-    b: Ty,
-    inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
+    t: TheorySpec, a: Ty, b: Ty, inter_width: int = DEFAULT_WIDTH
 ) -> tuple[SubtypeVerdict, SubtypeVerdict]:
     """Both directions over one shared universe."""
-    universe = build_universe(t, [a, b], inter_width, cap)
+    universe = build_universe(t, [a, b], inter_width)
     ctx = saturated_ctx(t, universe)
     out = []
     for lo, hi in ((a, b), (b, a)):
@@ -335,10 +330,10 @@ def derive_equiv(
 
 
 def is_top_equiv(
-    t: TheorySpec, a: Ty, inter_width: int = DEFAULT_WIDTH, cap: int = DEFAULT_CAP
+    t: TheorySpec, a: Ty, inter_width: int = DEFAULT_WIDTH
 ) -> SubtypeVerdict:
     """A <= U always holds, so A ~ U reduces to U <= A."""
-    return derive_le(t, TOP, a, inter_width, cap)
+    return derive_le(t, TOP, a, inter_width)
 
 
 # -- certificate checking --------------------------------------------------

@@ -235,12 +235,12 @@ def test_criterion_5_embedding_suite(capsys):
             ("T2", "T2prime", t2prime_fact),
         ]:
             cert = transfer_sensible(maps[(src, tgt)], evidence)
-            assert cert.kind == "sensible" and cert.source_name == src
+            assert cert.kind == "sensible" and cert.map.source.name == src
 
         park_witness = probe_unsolvable_typing(spec("Park"))
         assert isinstance(park_witness, Witness)
         cert = transfer_nonsensible(maps[("Park", "T2inv")], park_witness)
-        assert cert.kind == "nonsensible" and cert.target_name == "T2inv"
+        assert cert.kind == "nonsensible" and cert.map.target.name == "T2inv"
 
 
 def test_criterion_6_probe_clean_sweep(capsys):

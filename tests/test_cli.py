@@ -221,6 +221,22 @@ class TestSensibility:
             proof = parse_subproof(cert["text"])
             assert check_subproof(spec("T2inv"), proof) == Valid()
 
+    def test_map_into_a_user_theory_named_like_a_builtin(self, capsys, tmp_path):
+        # the verdict rests on the registered T3 -> TCDZ map, so its proofs
+        # re-check in the built-in TCDZ, not in the axiom-free user TCDZ
+        fake = tmp_path / "fake.itt"
+        fake.write_text(
+            "theory TCDZ\nconstants c3 c4\nflags arrow arrow-U arrow-cap U-leq\n"
+        )
+        code, report = run_json(
+            capsys, "sensibility", "T3",
+            "--map-into", str(fake), corpus_path("maps", "t3_to_tcdz.map"),
+        )
+        assert code == 0
+        assert report["verdict"]["evidence"]["kind"] == "EmbeddingInto"
+        for cert in report["certificates"]:
+            assert check_subproof(spec("TCDZ"), parse_subproof(cert["text"])) == Valid()
+
     @pytest.mark.parametrize("depth", ["0", "-1"])
     def test_chain_depth_below_one_is_a_usage_error(self, capsys, depth):
         # depth 0 and -1 used to run silently at depth 1
@@ -250,6 +266,10 @@ class TestCorpus:
         assert code == 0
         assert "all golden verdicts match" in out
         assert len([l for l in out.splitlines() if "[ok]" in l]) == 21
+
+
+# 70 leaves: at width 3 its universe passes the member bound
+_WIDE = " -> ".join(["c0", "c1"] * 35)
 
 
 class TestDeterminismAndErrors:
@@ -293,6 +313,21 @@ class TestDeterminismAndErrors:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "error: internal: certificate failed to re-check\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["subtype", "T0", f"{_WIDE} <= U", "--width", "3"],
+            ["infer", "T0", r"\x.x", _WIDE, "--width", "3"],
+        ],
+        ids=["subtype", "infer"],
+    )
+    def test_blown_member_bound_exits_2(self, capsys, argv):
+        # a spent budget is inconclusive, not a usage error
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "inconclusive: universe exceeded 20000 members\n"
 
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
         # exit 1 would claim a definitive negative

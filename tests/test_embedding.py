@@ -165,7 +165,7 @@ class TestTransfer:
         k = corpus_map("T3", "TCDZ")
         cert = transfer_sensible(k, target_evidence="registry: CDZ 1987")
         assert cert == TransferCertificate(
-            "sensible", "T3", "TCDZ", cert.embedding, "registry: CDZ 1987"
+            "sensible", k, cert.embedding, "registry: CDZ 1987"
         )
         assert isinstance(cert.embedding, Verified)
 
@@ -173,7 +173,7 @@ class TestTransfer:
         k = corpus_map("Park", "T2inv")
         cert = transfer_nonsensible(k, source_evidence="unsolvable typed at c")
         assert cert.kind == "nonsensible"
-        assert (cert.source_name, cert.target_name) == ("Park", "T2inv")
+        assert (cert.map.source.name, cert.map.target.name) == ("Park", "T2inv")
 
     def test_evidence_required(self):
         k = corpus_map("T3", "TCDZ")
@@ -198,4 +198,4 @@ class TestTransfer:
             k = ConstantMap.of(park, extended, {"c": Const("zz")})
             cert = transfer_nonsensible(k, source_evidence="Park witness")
             assert cert.kind == "nonsensible"
-            assert cert.target_name == extended.name, name
+            assert cert.map.target.name == extended.name, name

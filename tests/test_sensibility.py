@@ -8,7 +8,7 @@ import pytest
 
 from ittlab import embedding, sensibility
 from ittlab.assignment import check_derivation
-from ittlab.embedding import TransferCertificate, Verified
+from ittlab.embedding import ConstantMap, TransferCertificate, Verified
 from ittlab.errors import InvalidInput
 from ittlab.sensibility import (
     UNSOLVABLE_POOL,
@@ -28,6 +28,7 @@ from ittlab.sensibility import (
 )
 from ittlab.subtyping import Valid, check_subproof
 from ittlab.terms import FuelExhausted, alpha_eq, head_reduce, parse_term
+from ittlab.theory import parse_theory
 from ittlab.types import Const, print_ty
 
 OMEGA = parse_term(r"(\x. x x) (\x. x x)")
@@ -137,7 +138,7 @@ class TestVerdicts:
         v = verdict(spec("T3"))
         assert isinstance(v, Sensible)
         e = v.evidence
-        assert isinstance(e, TransferCertificate) and e.target_name == "TCDZ"
+        assert isinstance(e, TransferCertificate) and e.map.target.name == "TCDZ"
         assert e.kind == "sensible"
         for _, proof in e.embedding.checks:
             if proof is not None:
@@ -155,7 +156,7 @@ class TestVerdicts:
         assert isinstance(v, Sensible)
         assert isinstance(v.evidence, TransferCertificate)
         assert v.evidence.kind == "sensible"
-        assert v.evidence.target_name == "TCDZ"
+        assert v.evidence.map.target.name == "TCDZ"
 
     def test_unknown_reports_what_was_tried(self):
         v = verdict(spec("T0"))
@@ -180,10 +181,25 @@ class TestVerdicts:
         v = verdict(spec("T2inv"), fuel=1)
         assert isinstance(v, NonSensible)
         assert isinstance(v.evidence, TransferCertificate)
-        assert v.evidence.source_name == "Park"
+        assert v.evidence.map.source.name == "Park"
         assert v.evidence.kind == "nonsensible"
         assert isinstance(v.evidence.embedding, Verified)
         assert v.evidence.evidence == builtin_theories().lookup("Park").status
+
+    def test_same_named_targets_are_each_tried(self):
+        # two extra targets named Foo: an axiom-free one that nothing shows
+        # sensible, then a renamed TCDZ; the second must not be dropped as a
+        # duplicate of the first
+        x = parse_theory("theory X\nconstants a\n")
+        hollow = parse_theory(
+            "theory Foo\nconstants c3 c4\nflags arrow arrow-U arrow-cap U-leq\n"
+        )
+        foo = dataclasses.replace(spec("TCDZ"), name="Foo")
+        maps = tuple(ConstantMap.of(x, k, {"a": Const("c3")}) for k in (hollow, foo))
+        v = verdict(x, extra_maps=maps)
+        assert isinstance(v, Sensible)
+        assert isinstance(v.evidence, TransferCertificate)
+        assert v.evidence.map.target is foo
 
     def test_each_embedding_is_verified_once(self, monkeypatch):
         calls = []

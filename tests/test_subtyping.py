@@ -331,9 +331,9 @@ def test_arrow_congruence_always_on(setup):
 def test_width_monotone(setup):
     t, seeds, _ = setup
     a, b = seeds
-    v1 = derive_le(t, a, b, inter_width=1, cap=4000)
+    v1 = derive_le(t, a, b, inter_width=1)
     if isinstance(v1, Proven):
-        assert isinstance(derive_le(t, a, b, inter_width=2, cap=4000), Proven)
+        assert isinstance(derive_le(t, a, b, inter_width=2), Proven)
 
 
 def test_inter_commutes_and_associates():
