@@ -19,10 +19,9 @@ from .subtyping import (
     Proven,
     SubProof,
     Valid,
-    build_universe,
     check_subproof,
+    context_for,
     derive_le,
-    saturated_ctx,
 )
 from .terms import (
     Abs,
@@ -53,7 +52,10 @@ DEFAULT_FUEL = 10_000
 
 @dataclass(frozen=True)
 class Basis:
-    """Finite map from variables to canonical types, at most one binding each."""
+    """Finite map from variables to canonical types, at most one binding each.
+
+    The hash is computed once, since a basis keys every memo lookup of the
+    search."""
 
     bindings: tuple[tuple[str, Ty], ...] = ()
 
@@ -65,6 +67,15 @@ class Basis:
             seen.add(x)
         norm = tuple(sorted((x, canonicalize(a)) for x, a in self.bindings))
         object.__setattr__(self, "bindings", norm)
+        object.__setattr__(self, "_hash", hash(norm))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the bindings: the stored hash is only valid in the
+        # process that computed it
+        return Basis, (self.bindings,)
 
     @staticmethod
     def of(mapping: dict[str, Ty] | None = None, **kw: Ty) -> "Basis":
@@ -385,8 +396,7 @@ def infer_bounded(
     """
     if fuel < 0:
         raise InvalidInput("fuel must be nonnegative")
-    universe = build_universe(t, [target, *g.types()], inter_width)
-    ctx = saturated_ctx(t, universe)
+    ctx = context_for(t, (target, *g.types()), inter_width)
     search = _Search(t, ctx, fuel)
     try:
         d = search.goal(g, m, target)

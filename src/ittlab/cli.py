@@ -2,9 +2,10 @@
 
 Exit codes: 0 affirmative (Proven, Valid, Found, Pass, Sensible, all goldens
 match), 1 definitive negative, 2 inconclusive within budget (a type universe
-past its member bound included), 3 usage or input errors, 4 internal error:
-a certificate about to be emitted failed to re-check, or an unexpected
-exception escaped (a bug, reported with its traceback).
+past its member bound included, whose --json report reads UniverseTooLarge
+with the bound), 3 usage or input errors, 4 internal error: a certificate
+about to be emitted failed to re-check, or an unexpected exception escaped (a
+bug, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -543,6 +544,11 @@ def main(argv: list[str] | None = None) -> int:
         report, code, lines = _HANDLERS[args.command](args)
     except UniverseTooLarge as e:  # a blown budget is an honest "unknown"
         print(f"inconclusive: {e}", file=sys.stderr)
+        if args.json:
+            # the handler's inputs were not returned, so the report names none
+            payload = {"result": "UniverseTooLarge", "member_bound": e.bound}
+            report = _report(args.command, [], payload, [])
+            print(json.dumps(report, indent=2, sort_keys=True))
         return 2
     except (IttError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,9 +16,8 @@ from .subtyping import (
     DEFAULT_WIDTH,
     Proven,
     SubProof,
-    build_universe,
+    context_for,
     is_top_equiv,
-    saturated_ctx,
 )
 from .theory import TheorySpec
 from .types import TOP, Const, Ty, canonicalize, constants_of, map_consts, print_ty
@@ -146,8 +145,7 @@ def verify_embedding(
     for name, image in k.mapping:
         seeds.append(image)
 
-    universe = build_universe(k.target, seeds, inter_width)
-    ctx = saturated_ctx(k.target, universe)
+    ctx = context_for(k.target, seeds, inter_width)
 
     for desc, image_l, image_r in mapped_axioms:
         if ctx.holds(image_l, image_r):

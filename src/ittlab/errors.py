@@ -28,6 +28,10 @@ class NaturalShapeViolation(IttError):
 class UniverseTooLarge(IttError):
     """The finite type universe exceeded its member bound, subtyping.DEFAULT_CAP."""
 
+    def __init__(self, bound: int):
+        self.bound = bound
+        super().__init__(f"universe exceeded {bound} members")
+
 
 class UndefinedConstant(IttError):
     """A constant was looked up in an axiom set that does not define it."""

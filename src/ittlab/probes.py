@@ -15,7 +15,7 @@ from itertools import combinations, product
 from typing import Iterator, Union
 
 from .errors import InvalidInput
-from .subtyping import DEFAULT_WIDTH, build_universe, saturated_ctx
+from .subtyping import DEFAULT_WIDTH, context_for
 from .theory import TheorySpec
 from .types import (
     inter_parts,
@@ -75,6 +75,27 @@ def _nonempty_subsets(items: tuple) -> Iterator[tuple]:
         yield from combinations(items, k)
 
 
+def _arrow_meets(
+    arrows: list[Arrow], size_cap: int, inter_width: int
+) -> list[tuple[Ty, tuple[Arrow, ...]]]:
+    """Each arrow alone, and the canonical meet of each 2..inter_width of them
+    whose size is at most size_cap, with its arrows, in ty_key order.
+
+    The arrows are distinct canonical non-U types, so the meet of k of them
+    keeps all k and has their sizes plus k-1 & nodes; every arrow has size
+    >= 3, which bounds each member of a fitting combination.  So a
+    combination's size is known before its Inter is built."""
+    out: list[tuple[Ty, tuple[Arrow, ...]]] = [(ar, (ar,)) for ar in arrows]
+    for k in range(2, inter_width + 1):
+        room = size_cap - (k - 1)
+        fitting = [ar for ar in arrows if ty_size(ar) <= room - 3 * (k - 1)]
+        for combo in combinations(fitting, k):
+            if sum(ty_size(ar) for ar in combo) <= room:
+                out.append((canonicalize(make_inter(combo)), combo))
+    out.sort(key=lambda pair: ty_key(pair[0]))
+    return out
+
+
 def beta_soundness_probe(
     t: TheorySpec,
     depth: int = 3,
@@ -88,14 +109,7 @@ def beta_soundness_probe(
         raise InvalidInput("depth must be >= 1")
     pool = _types_up_to(t.constants, depth)
     arrows = [Arrow(b, a) for b in pool for a in pool]
-    size_cap = 2 * depth + 1
-    lhs_list: list[tuple[Ty, tuple[Arrow, ...]]] = [(ar, (ar,)) for ar in arrows]
-    for k in range(2, inter_width + 1):
-        for combo in combinations(arrows, k):
-            ty = canonicalize(make_inter(combo))
-            if isinstance(ty, Inter) and ty_size(ty) <= size_cap:
-                lhs_list.append((ty, combo))
-    lhs_list.sort(key=lambda pair: ty_key(pair[0]))
+    lhs_list = _arrow_meets(arrows, 2 * depth + 1, inter_width)
 
     seeds: set[Ty] = set(pool) | set(arrows)
     for ty, combo in lhs_list:
@@ -103,8 +117,7 @@ def beta_soundness_probe(
         for js in _nonempty_subsets(combo):
             seeds.add(canonicalize(make_inter([x.dom for x in js])))
             seeds.add(canonicalize(make_inter([x.cod for x in js])))
-    universe = build_universe(t, sorted(seeds, key=ty_key), inter_width=1)
-    ctx = saturated_ctx(t, universe)
+    ctx = context_for(t, seeds, inter_width=1)
 
     for ty, combo in lhs_list:
         for rhs in arrows:
@@ -177,8 +190,7 @@ def set_condition_probe(
     for c in cs:
         for d in pool:
             seeds.add(canonicalize(Inter(c, d)))
-    universe = build_universe(t, sorted(seeds, key=ty_key), inter_width=1)
-    ctx = saturated_ctx(t, universe)
+    ctx = context_for(t, seeds, inter_width=1)
 
     for ty, parts in lhs_list:
         for bs in b_seqs:

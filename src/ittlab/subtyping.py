@@ -7,6 +7,15 @@ Verdicts are three-valued by design: Proven carries a replayable certificate,
 UnknownWithin only says the pair was not reached inside this universe.  Trans
 can pass through types outside any finite universe, so refutation is never
 asserted.
+
+Saturated contexts are cached per (theory, universe) by the saturated_ctx
+LRU.  Queries reach them through context_for, which indexes each context by
+the theory, the set of canonical seeds and the width that built its
+universe, so a repeated seed set skips build_universe.  A hit still goes
+through saturated_ctx, so the LRU evicts and saturates exactly as if every
+query built its universe, and every answer is the same.  The index holds its
+contexts weakly, so it keeps no context alive: after
+saturated_ctx.cache_clear() the next query saturates afresh.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
+from weakref import WeakValueDictionary
 
 from .errors import InvalidInput, UniverseTooLarge
 from .theory import RuleFlag, TheorySpec
@@ -43,7 +53,7 @@ class Universe:
 
 def build_universe(
     t: TheorySpec,
-    seeds: list[Ty] | tuple[Ty, ...],
+    seeds: Iterable[Ty],
     inter_width: int = DEFAULT_WIDTH,
     cap: int = DEFAULT_CAP,
 ) -> Universe:
@@ -69,9 +79,9 @@ def build_universe(
         for combo in combinations(pool, k):
             members.add(canonicalize(make_inter(combo)))
             if len(members) > cap:
-                raise UniverseTooLarge(f"universe exceeded {cap} members")
+                raise UniverseTooLarge(cap)
     if len(members) > cap:
-        raise UniverseTooLarge(f"universe exceeded {cap} members")
+        raise UniverseTooLarge(cap)
     return Universe(frozenset(members), inter_width)
 
 
@@ -304,28 +314,55 @@ def saturated_ctx(theory: TheorySpec, universe: Universe) -> SubtypeCtx:
     return SubtypeCtx(theory, universe)
 
 
+# (theory, canonical seeds, width) -> the context saturated_ctx holds for the
+# universe those seeds build.  The values are weak: an entry dies with its
+# context, once the LRU has evicted or cleared it and no caller holds it.
+_BY_SEEDS: WeakValueDictionary[tuple, SubtypeCtx] = WeakValueDictionary()
+
+
+def context_for(
+    t: TheorySpec, seeds: Iterable[Ty], inter_width: int = DEFAULT_WIDTH
+) -> SubtypeCtx:
+    """The saturated context of build_universe(t, seeds, inter_width).
+
+    The universe is a function of the theory, the set of canonical seeds and
+    the width, so a seed set seen before finds its context without building
+    the universe again.  A hit still passes the context's universe through
+    saturated_ctx, so the LRU sees the same sequence of keys, and evicts and
+    saturates exactly as it would if every query built its universe."""
+    canon = frozenset(canonicalize(s) for s in seeds)
+    key = (t, canon, inter_width)
+    known = _BY_SEEDS.get(key)
+    if known is None:
+        universe = build_universe(t, canon, inter_width)
+    else:
+        universe = known.universe
+    ctx = saturated_ctx(t, universe)
+    if ctx is not known:
+        _BY_SEEDS[key] = ctx
+    return ctx
+
+
 def derive_le(
     t: TheorySpec, a: Ty, b: Ty, inter_width: int = DEFAULT_WIDTH
 ) -> SubtypeVerdict:
-    universe = build_universe(t, [a, b], inter_width)
-    ctx = saturated_ctx(t, universe)
+    ctx = context_for(t, (a, b), inter_width)
     if ctx.holds(a, b):
         return Proven(ctx.proof(a, b))
-    return UnknownWithin(len(universe.members), inter_width)
+    return UnknownWithin(len(ctx.members), inter_width)
 
 
 def derive_equiv(
     t: TheorySpec, a: Ty, b: Ty, inter_width: int = DEFAULT_WIDTH
 ) -> tuple[SubtypeVerdict, SubtypeVerdict]:
     """Both directions over one shared universe."""
-    universe = build_universe(t, [a, b], inter_width)
-    ctx = saturated_ctx(t, universe)
+    ctx = context_for(t, (a, b), inter_width)
     out = []
     for lo, hi in ((a, b), (b, a)):
         if ctx.holds(lo, hi):
             out.append(Proven(ctx.proof(lo, hi)))
         else:
-            out.append(UnknownWithin(len(universe.members), inter_width))
+            out.append(UnknownWithin(len(ctx.members), inter_width))
     return out[0], out[1]
 
 

@@ -3,7 +3,8 @@
 Terms obey Barendregt's convention: every parse freshens binders so that no
 binder shadows another binder or a free variable.  Equality (and hashing) is
 alpha-equivalence, implemented by comparing canonical de Bruijn skeletons, so
-the freshening is unobservable to clients.
+the freshening is unobservable to clients.  A term computes its skeleton, its
+free variables and its hash once, when first asked.
 """
 
 from __future__ import annotations
@@ -27,13 +28,22 @@ class _TermBase:
     def _free(self) -> frozenset[str]:
         return _free_vars(self)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._canon)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _TermBase):
             return NotImplemented
         return self._canon == other._canon
 
     def __hash__(self) -> int:
-        return hash(self._canon)
+        return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the fields alone: a string's hash
+        # differs between processes, so the memoised _hash must not travel
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __str__(self) -> str:
         return print_term(self)

@@ -4,8 +4,8 @@ Types are hash-consed (Filliatre & Conchon, "Type-safe modular hash-consing",
 2006): every constructor looks its fields up in one weak-valued intern table,
 so structurally equal types are one object and equality is identity.  Each
 node stores its hash, computed once as the hash of its field tuple, its
-ty_key, and, once asked for, its canonical form.  Engines compare types via
-canonicalize, which quotients by associativity, commutativity and
+ty_key, its size, and, once asked for, its canonical form.  Engines compare
+types via canonicalize, which quotients by associativity, commutativity and
 idempotence of & plus neutrality of U; anything theory-specific is the
 subtype engine's business, never equality's.
 """
@@ -47,7 +47,9 @@ def _forget(dead: _Entry) -> None:
     _remove_dead_weakref(_INTERNED, dead.key)
 
 
-def _intern(cls: type, key: tuple, fields: tuple, ty_key: tuple) -> "_Node":
+def _intern(
+    cls: type, key: tuple, fields: tuple, ty_key: tuple, size: int
+) -> "_Node":
     """The live node under key, made from fields if there is none.  The
     constructors look key up unlocked first; a miss is settled here, under
     the lock, so two threads never make two nodes with one key."""
@@ -60,6 +62,7 @@ def _intern(cls: type, key: tuple, fields: tuple, ty_key: tuple) -> "_Node":
                 object.__setattr__(node, name, value)
             _set_hash(node, hash(fields))
             _set_key(node, ty_key)
+            _set_size(node, size)
             _set_canon(node, None)
             entry = _Entry(node, _forget)
             entry.key = key
@@ -75,7 +78,7 @@ def _check_ty(value: object) -> None:
 class _Node:
     """Shared behaviour of the four interned, immutable type constructors."""
 
-    __slots__ = ("_hash", "_key", "_canon", "__weakref__")
+    __slots__ = ("_hash", "_key", "_size", "_canon", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __hash__(self) -> int:
@@ -101,6 +104,7 @@ class _Node:
 # that keeps types immutable
 _set_hash = _Node._hash.__set__
 _set_key = _Node._key.__set__
+_set_size = _Node._size.__set__
 _set_canon = _Node._canon.__set__
 
 
@@ -116,7 +120,7 @@ class Const(_Node):
             return node
         if not isinstance(name, str):
             raise TypeError(f"constant name must be a string: {name!r}")
-        return _intern(cls, (cls, name), (name,), (0, name))
+        return _intern(cls, (cls, name), (name,), (0, name), 1)
 
 
 class Top(_Node):
@@ -124,7 +128,7 @@ class Top(_Node):
     __match_args__ = ()
 
     def __new__(cls) -> "Top":
-        return _intern(cls, (cls,), (), (1,))
+        return _intern(cls, (cls,), (), (1,), 1)
 
 
 class Arrow(_Node):
@@ -141,7 +145,9 @@ class Arrow(_Node):
             return node
         _check_ty(dom)
         _check_ty(cod)
-        return _intern(cls, key, (dom, cod), (2, dom._key, cod._key))
+        return _intern(
+            cls, key, (dom, cod), (2, dom._key, cod._key), 1 + dom._size + cod._size
+        )
 
 
 class Inter(_Node):
@@ -158,7 +164,10 @@ class Inter(_Node):
             return node
         _check_ty(left)
         _check_ty(right)
-        return _intern(cls, key, (left, right), (3, left._key, right._key))
+        return _intern(
+            cls, key, (left, right), (3, left._key, right._key),
+            1 + left._size + right._size,
+        )
 
 
 TOP = Top()
@@ -227,14 +236,8 @@ def canonicalize(a: Ty) -> Ty:
 
 
 def ty_size(t: Ty) -> int:
-    match t:
-        case Const(_) | Top():
-            return 1
-        case Arrow(dom, cod):
-            return 1 + ty_size(dom) + ty_size(cod)
-        case Inter(left, right):
-            return 1 + ty_size(left) + ty_size(right)
-    raise TypeError(f"not a type: {t!r}")
+    """Number of nodes; stored on the node when it is interned."""
+    return t._size
 
 
 def subterms(t: Ty) -> Iterator[Ty]:

@@ -1,9 +1,15 @@
 """Derivation checking, bounded inference, expansion, and filters."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ittlab
 from ittlab.assignment import (
     Basis,
     Derivation,
@@ -437,3 +443,46 @@ class TestFilters:
     def test_interpret_requires_covering_env(self):
         with pytest.raises(InvalidInput):
             interpret_term_bounded(T1, Var("x"), {})
+
+
+# -- memoised hashes across processes --------------------------------------------
+
+_MAKE = r"""
+from ittlab.assignment import Basis
+from ittlab.terms import parse_term
+from ittlab.types import parse_ty
+term = parse_term(r"\x. \y. x (y z) (\w. w)")
+basis = Basis.of(z=parse_ty("c0 -> c1"), f=parse_ty("c1 & c0"))
+"""
+
+_DUMP = _MAKE + """
+import pickle
+hash(term), hash(basis)  # the memoised hashes are now set
+print(pickle.dumps((term, basis)).hex())
+"""
+
+_LOAD = _MAKE + """
+import pickle
+import sys
+loaded_term, loaded_basis = pickle.loads(bytes.fromhex(sys.stdin.read()))
+assert loaded_term == term and loaded_basis == basis
+assert hash(loaded_term) == hash(term) and hash(loaded_basis) == hash(basis)
+memo = {term: 1, basis: 2, (basis, term): 3}
+print(memo[loaded_term], memo[loaded_basis], memo[loaded_basis, loaded_term])
+"""
+
+
+def test_pickled_terms_and_bases_hash_as_fresh_ones_under_another_hash_seed():
+    # string hashes differ between processes, so a hash stored on the object
+    # must not be pickled with it
+    src = str(Path(ittlab.__file__).resolve().parents[1])
+
+    def run(code, seed, stdin=""):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-c", code], input=stdin, env=env,
+            capture_output=True, text=True, timeout=300, check=True,
+        ).stdout
+
+    dumped = run(_DUMP, "0")
+    assert run(_LOAD, "4242", dumped).split() == ["1", "2", "3"]

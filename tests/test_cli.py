@@ -270,6 +270,10 @@ class TestCorpus:
 
 # 70 leaves: at width 3 its universe passes the member bound
 _WIDE = " -> ".join(["c0", "c1"] * 35)
+_BLOWN = [
+    ["subtype", "T0", f"{_WIDE} <= U", "--width", "3"],
+    ["infer", "T0", r"\x.x", _WIDE, "--width", "3"],
+]
 
 
 class TestDeterminismAndErrors:
@@ -314,20 +318,21 @@ class TestDeterminismAndErrors:
         assert out.out == ""
         assert out.err == "error: internal: certificate failed to re-check\n"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["subtype", "T0", f"{_WIDE} <= U", "--width", "3"],
-            ["infer", "T0", r"\x.x", _WIDE, "--width", "3"],
-        ],
-        ids=["subtype", "infer"],
-    )
+    @pytest.mark.parametrize("argv", _BLOWN, ids=["subtype", "infer"])
     def test_blown_member_bound_exits_2(self, capsys, argv):
         # a spent budget is inconclusive, not a usage error
         assert main(argv) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "inconclusive: universe exceeded 20000 members\n"
+
+    @pytest.mark.parametrize("argv", _BLOWN, ids=["subtype", "infer"])
+    def test_blown_member_bound_under_json_prints_a_report(self, capsys, argv):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["command"] == argv[0]
+        assert report["verdict"] == {"result": "UniverseTooLarge", "member_bound": 20000}
+        assert report["certificates"] == []
 
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
         # exit 1 would claim a definitive negative

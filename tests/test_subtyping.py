@@ -1,18 +1,25 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ittlab
+from ittlab import subtyping
+from ittlab.assignment import Basis, infer_bounded
 from ittlab.errors import InvalidInput, UniverseTooLarge
 from ittlab.probes import (
     CounterexampleFound,
     NoCounterexampleUpTo,
+    _arrow_meets,
+    _types_up_to,
     beta_soundness_probe,
     set_condition_probe,
 )
@@ -26,11 +33,13 @@ from ittlab.subtyping import (
     Valid,
     build_universe,
     check_subproof,
+    context_for,
     derive_equiv,
     derive_le,
     is_top_equiv,
     saturated_ctx,
 )
+from ittlab.terms import parse_term
 from ittlab.theory import AxiomDecl, RuleFlag, TheorySpec, parse_theory
 from ittlab.types import (
     TOP,
@@ -43,6 +52,7 @@ from ittlab.types import (
     parse_ty,
     print_ty,
     ty_key,
+    ty_size,
 )
 
 T0 = parse_theory("theory T0; constants c0 c1; axiom c0 -> c0 <= c1 -> c0")
@@ -152,6 +162,97 @@ def test_is_top_equiv():
     t = parse_theory("constants a; flags arrow-U")
     assert isinstance(is_top_equiv(t, parse_ty("a -> U")), Proven)
     assert isinstance(is_top_equiv(T1, Const("c0")), UnknownWithin)
+
+
+# -- the seed index ------------------------------------------------------------
+
+
+def test_seed_index_entries_die_with_the_cache(monkeypatch):
+    a, b = parse_ty("c0 -> c0"), parse_ty("c1 -> c0")
+    earlier = weakref.ref(context_for(T0, (a, b)))
+    built = []
+    real = subtyping.build_universe
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subtyping, "build_universe", counting)
+    derive_le(T0, a, b)
+    assert built == []  # the seed set is indexed
+    saturated_ctx.cache_clear()
+    gc.collect()
+    assert earlier() is None
+    derive_le(T0, a, b)
+    assert len(built) == 1
+
+
+def test_seed_sets_with_one_universe_share_one_context():
+    f = parse_ty("c0 -> c1")
+    saturated_ctx.cache_clear()
+    ctx = context_for(T1, (f, Const("c0")))
+    assert context_for(T1, (f, Const("c1"))) is ctx
+    assert context_for(T1, (f,)) is ctx
+    assert saturated_ctx.cache_info().misses == 1
+
+
+def test_seed_index_keys_theory_and_width():
+    seeds = (Const("c0"), Const("c1"))
+    for t in (T0, T1):
+        for width in (1, 2):
+            ctx = context_for(t, seeds, width)
+            assert ctx.theory == t
+            assert ctx.universe == build_universe(t, seeds, width)
+
+
+def test_saturations_count_distinct_universes():
+    reg = builtin_theories()
+    t4, park = reg.lookup("T4").spec, reg.lookup("Park").spec
+    f = parse_ty("c0 -> c1")
+    calls = [
+        ("le", T0, parse_ty("c0 -> c0"), parse_ty("c1 -> c0")),
+        ("infer", t4, Basis.of(), parse_term(r"(\x. x x) (\x. x x)"), parse_ty("c3")),
+        ("le", t4, f, Const("c0")),
+        ("le", t4, f, Const("c1")),  # another seed set, the same universe
+        ("infer", t4, Basis.of(x=f), parse_term("x"), Const("c0")),
+        ("le", t4, Const("c1"), f),  # a repeated seed set
+        ("infer", park, Basis.of(), parse_term(r"\x. x"), parse_ty("c")),
+        ("le", T0, parse_ty("c1 -> c0"), parse_ty("c0 -> c0")),
+        ("infer", t4, Basis.of(), parse_term(r"\y. y"), parse_ty("c3")),
+        ("le", park, Const("c"), parse_ty("c -> c")),
+    ]
+    saturated_ctx.cache_clear()
+    universes = set()
+    for kind, t, *args in calls:
+        if kind == "le":
+            derive_le(t, *args)
+            seeds = args
+        else:
+            g, m, a = args
+            infer_bounded(t, g, m, a, fuel=200)
+            seeds = [a, *g.types()]
+        universes.add((t, build_universe(t, seeds)))
+    assert saturated_ctx.cache_info().misses == len(universes) < len(calls)
+
+
+def test_index_hits_keep_their_context_recent():
+    # More universes pass than the cache holds.  A context asked for at every
+    # step stays recent, so it is saturated once, as when every query builds
+    # its universe.
+    t = parse_theory("constants c0 c1")
+    hot = (Const("c0"), Const("c1"))
+    atoms = ("c0", "c1", "U")
+    chains = [parse_ty(f"{a} -> {b} -> {c}") for a, b, c in product(atoms, repeat=3)]
+    maxsize = saturated_ctx.cache_info().maxsize
+    cold = list(combinations(chains, 2))[: maxsize + 40]
+    assert len(cold) > maxsize
+    # a pair's universe holds its two chains and no other, so all differ
+    assert len({build_universe(t, pair, 1) for pair in [hot, *cold]}) == 1 + len(cold)
+    saturated_ctx.cache_clear()
+    for pair in cold:
+        derive_le(t, *hot, 1)
+        derive_le(t, *pair, 1)
+    assert saturated_ctx.cache_info().misses == 1 + len(cold)
 
 
 # -- checker -----------------------------------------------------------------
@@ -383,6 +484,26 @@ def test_set_probe_t0_counterexample():
     v = set_condition_probe(T0, 3)
     assert isinstance(v, CounterexampleFound)
     assert v.lhs == parse_ty("c0 -> c0") and v.rhs == parse_ty("c1 -> c0")
+
+
+def test_beta_probe_left_sides_match_the_plain_enumeration():
+    # the left sides are enumerated without building over-size meets; they
+    # must be exactly those the plain enumeration keeps, in the same order
+    pool = _types_up_to(T0.constants, 3)
+    for arrows, width, caps in (
+        ([Arrow(b, a) for b in pool for a in pool], 2, (5, 7)),
+        ([Arrow(b, a) for b in pool[:8] for a in pool[:8]], 3, (7, 9, 11, 13)),
+    ):
+        meets = [(ar, (ar,)) for ar in arrows]
+        for k in range(2, width + 1):
+            for combo in combinations(arrows, k):
+                ty = canonicalize(make_inter(combo))
+                if isinstance(ty, Inter):
+                    meets.append((ty, combo))
+        meets.sort(key=lambda pair: ty_key(pair[0]))
+        for cap in caps:
+            want = [(ty, c) for ty, c in meets if len(c) == 1 or ty_size(ty) <= cap]
+            assert _arrow_meets(arrows, cap, width) == want
 
 
 def test_probes_deterministic():
