@@ -19,6 +19,7 @@ from .subtyping import (
     Proven,
     SubProof,
     Valid,
+    bits,
     check_subproof,
     context_for,
     derive_le,
@@ -234,8 +235,6 @@ class _Search:
         self.memo: dict = {}
         self.in_progress: set = set()
         self.cycle_events = 0
-        # ctx.members is already in ty_key order
-        self.arrows = [m for m in ctx.members if isinstance(m, Arrow)]
 
     def _le_wrap(self, d: Derivation, a: Ty) -> Derivation:
         """Subsume d's type up to a (both canonical) when they differ."""
@@ -301,8 +300,15 @@ class _Search:
 
     def _solve_app(self, g: Basis, m: App, a: Ty) -> Derivation | None:
         ctx = self.ctx
-        singles = [f for f in self.arrows if ctx.holds(f.cod, a)]
-        for f in singles:
+        ms = ctx.members
+        below_a = ctx.col(a)
+        # the arrows whose codomain is below a, in id (= ty_key) order
+        singles = 0
+        for c, fs in ctx.arrows_to.items():
+            if below_a >> c & 1:
+                singles |= fs
+        for i in bits(singles):
+            f = ms[i]
             df = self.goal(g, m.fun, f)
             if df is None:
                 continue
@@ -313,71 +319,59 @@ class _Search:
             return self._le_wrap(app, a)
         # pair fallback: a common-domain pair of arrows whose &-codomain fits,
         # usable when the &-arrow itself is a universe member (ArrowCap wraps it)
-        for i, f1 in enumerate(self.arrows):
-            for f2 in self.arrows[i + 1:]:
-                if f1.dom != f2.dom:
-                    continue
-                joined_cod = canonicalize(Inter(f1.cod, f2.cod))
-                joined = Arrow(f1.dom, joined_cod)
-                if joined not in ctx.idx:
-                    continue
-                if not ctx.holds(joined_cod, a):
-                    continue
-                if not ctx.holds(canonicalize(Inter(f1, f2)), joined):
-                    continue
-                d1 = self.goal(g, m.fun, f1)
-                if d1 is None:
-                    continue
-                d2 = self.goal(g, m.fun, f2)
-                if d2 is None:
-                    continue
-                cap = Derivation(
-                    "CapI",
-                    Judgment(g, m.fun, canonicalize(Inter(f1, f2))),
-                    (d1, d2),
-                )
-                fn = Derivation(
-                    "Le",
-                    Judgment(g, m.fun, joined),
-                    (cap,),
-                    ctx.proof(canonicalize(Inter(f1, f2)), joined),
-                )
-                dx = self.goal(g, m.arg, f1.dom)
-                if dx is None:
-                    continue
-                app = Derivation("ArrE", Judgment(g, m, joined_cod), (fn, dx))
-                return self._le_wrap(app, a)
+        for i1, i2, meet, joined in ctx.arrow_pairs:
+            if joined is None or not below_a >> ctx.cod[joined] & 1:
+                continue
+            f1, f2, meet_ty, joined_ty = ms[i1], ms[i2], ms[meet], ms[joined]
+            d1 = self.goal(g, m.fun, f1)
+            if d1 is None:
+                continue
+            d2 = self.goal(g, m.fun, f2)
+            if d2 is None:
+                continue
+            cap = Derivation("CapI", Judgment(g, m.fun, meet_ty), (d1, d2))
+            fn = Derivation(
+                "Le",
+                Judgment(g, m.fun, joined_ty),
+                (cap,),
+                ctx.proof(meet_ty, joined_ty),
+            )
+            dx = self.goal(g, m.arg, f1.dom)
+            if dx is None:
+                continue
+            app = Derivation("ArrE", Judgment(g, m, joined_ty.cod), (fn, dx))
+            return self._le_wrap(app, a)
         return None
 
     def _solve_abs(self, g: Basis, m: Abs, a: Ty) -> Derivation | None:
         ctx = self.ctx
+        ms = ctx.members
         x, body = m.binder, m.body
         if g.get(x) is not None:
             nx = fresh_name(x, set(g.names()) | free_vars(body))
             body = substitute(body, x, Var(nx))
             x = nx
             m = Abs(x, body)
-        candidates = [f for f in self.arrows if ctx.holds(f, a)]
-        for f in candidates:
+        below_a = ctx.col(a)
+        for i in bits(below_a & ctx.arrow_mask):
+            f = ms[i]
             db = self.goal(g.extend(x, f.dom), body, f.cod)
             if db is None:
                 continue
             arr = Derivation("ArrI", Judgment(g, m, f), (db,))
             return self._le_wrap(arr, a)
         # pair fallback: an & of two arrows sitting below the target
-        for i, f1 in enumerate(self.arrows):
-            for f2 in self.arrows[i + 1:]:
-                joined = canonicalize(Inter(f1, f2))
-                if not ctx.holds(joined, a):
-                    continue
-                d1 = self.goal(g, m, f1)
-                if d1 is None:
-                    continue
-                d2 = self.goal(g, m, f2)
-                if d2 is None:
-                    continue
-                cap = Derivation("CapI", Judgment(g, m, joined), (d1, d2))
-                return self._le_wrap(cap, a)
+        for i1, i2, meet, _ in ctx.arrow_pairs:
+            if not below_a >> meet & 1:
+                continue
+            d1 = self.goal(g, m, ms[i1])
+            if d1 is None:
+                continue
+            d2 = self.goal(g, m, ms[i2])
+            if d2 is None:
+                continue
+            cap = Derivation("CapI", Judgment(g, m, ms[meet]), (d1, d2))
+            return self._le_wrap(cap, a)
         return None
 
 

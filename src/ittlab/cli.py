@@ -77,9 +77,10 @@ def _inline_input(label: str, text: str) -> dict:
 
 
 def _load_theory(arg: str) -> tuple[TheorySpec, dict]:
-    """A path to an .itt file, or the name of a built-in theory."""
+    """A path to an .itt file, or the name of a built-in theory.  Only a
+    regular file counts as a path, so a directory never shadows a name."""
     p = Path(arg)
-    if p.exists():
+    if p.is_file():
         spec = parse_theory(p.read_text(encoding="utf-8"))
         return spec, _file_input(arg)
     entry = builtin_theories().lookup(arg)
@@ -118,7 +119,7 @@ def _derivation_cert(t: TheorySpec, d) -> dict:
 
 def _cmd_reduce(args) -> tuple[dict, int, list[str]]:
     p = Path(args.term)
-    if p.exists():
+    if p.is_file():
         src = p.read_text(encoding="utf-8")
         inputs = [_file_input(args.term)]
     else:

@@ -15,7 +15,7 @@ from itertools import combinations, product
 from typing import Iterator, Union
 
 from .errors import InvalidInput
-from .subtyping import DEFAULT_WIDTH, context_for
+from .subtyping import DEFAULT_WIDTH, bits, context_for
 from .theory import TheorySpec
 from .types import (
     inter_parts,
@@ -119,12 +119,15 @@ def beta_soundness_probe(
             seeds.add(canonicalize(make_inter([x.cod for x in js])))
     ctx = context_for(t, seeds, inter_width=1)
 
+    # the right sides whose codomain is not provably ~ U; arrows is in ty_key
+    # order, which is id order, so walking a row's bits visits them as a walk
+    # of arrows would
+    top_row = ctx.row(TOP)
+    idx = ctx.idx
+    rhs_mask = sum(1 << idx[rhs] for rhs in arrows if not top_row >> idx[rhs.cod] & 1)
     for ty, combo in lhs_list:
-        for rhs in arrows:
-            if not ctx.holds(ty, rhs):
-                continue
-            if ctx.holds(TOP, rhs.cod):
-                continue
+        for j in bits(ctx.row(ty) & rhs_mask):
+            rhs = ctx.members[j]
             witnessed = False
             for js in _nonempty_subsets(combo):
                 meet_b = canonicalize(make_inter([x.dom for x in js]))
@@ -192,22 +195,29 @@ def set_condition_probe(
             seeds.add(canonicalize(Inter(c, d)))
     ctx = context_for(t, seeds, inter_width=1)
 
+    # the right sides B1->..->Bn->C with C not provably ~ U: each one's id
+    # maps to its position in (bs, c) order, which a left side's hits are
+    # sorted back into; distinct chains are distinct members
+    top_row = ctx.row(TOP)
+    idx = ctx.idx
+    live = [c for c in cs if not top_row >> idx[c] & 1]
+    rhs_at: dict[int, tuple[int, tuple[Ty, ...], Ty]] = {}
+    for bs in b_seqs:
+        for c in live:
+            rhs_at[idx[_chain(bs, c)]] = (len(rhs_at), bs, c)
+    rhs_mask = sum(1 << j for j in rhs_at)
     for ty, parts in lhs_list:
-        for bs in b_seqs:
-            for c in cs:
-                rhs = _chain(bs, c)
-                if not ctx.holds(ty, rhs):
-                    continue
-                if ctx.holds(TOP, c):
-                    continue
-                if _set_witness(ctx, parts, bs, c, pool):
-                    continue
-                return CounterexampleFound(
-                    ty,
-                    rhs,
-                    f"{print_ty(ty)} <= {print_ty(rhs)} is derivable but no "
-                    f"part is equivalent to a chain ending in a suitable D",
-                )
+        hits = sorted(rhs_at[j] for j in bits(ctx.row(ty) & rhs_mask))
+        for _, bs, c in hits:
+            if _set_witness(ctx, parts, bs, c, pool):
+                continue
+            rhs = _chain(bs, c)
+            return CounterexampleFound(
+                ty,
+                rhs,
+                f"{print_ty(ty)} <= {print_ty(rhs)} is derivable but no "
+                f"part is equivalent to a chain ending in a suitable D",
+            )
     return NoCounterexampleUpTo(depth)
 
 

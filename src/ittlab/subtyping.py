@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Union
 from weakref import WeakValueDictionary
@@ -109,8 +109,8 @@ Pair = tuple[Ty, Ty]
 IdPair = tuple[int, int]
 
 
-def _bits(row: int) -> Iterator[int]:
-    """Positions of the set bits of row, ascending."""
+def bits(row: int) -> Iterator[int]:
+    """Positions of the set bits of row, ascending: the ids a row holds."""
     while row:
         low = row & -row
         yield low.bit_length() - 1
@@ -162,20 +162,7 @@ class SubtypeCtx:
                 for p in parts:
                     self.part_to_inters[p].append(i)
         self._seed()
-        flags = theory.flags
-        arrow_rule = RuleFlag.ARROW in flags
-        top_le = RuleFlag.TOP_LE in flags
-        top = self.idx[TOP]
-        while self.queue:
-            fact = self.queue.popleft()
-            x, y = fact
-            if arrow_rule:
-                self._fire_arrow_rule(fact)
-            if top_le and x == top and y in self.cod:
-                self._add(top, self.cod[y], "TopLe", (fact,))
-            self._fire_arr_cong(fact)
-            self._fire_glb(fact)
-            self._fire_trans(fact)
+        self._saturate()
 
     def _add(self, a: int, b: int, rule: str, premises: tuple[IdPair, ...]) -> None:
         if self.succ[a] >> b & 1:
@@ -221,70 +208,159 @@ class SubtypeCtx:
                         self._add_types(z_ty, rhs, "ArrowCap")
                         self._add_types(rhs, z_ty, "ArrowCap")
 
-    def _fire_arrow_rule(self, fact: IdPair) -> None:
-        x, y = fact
-        succ, dom, cod = self.succ, self.dom, self.cod
-        # fact as the domain premise B' <= B of (->), with B' = x, B = y
-        for f in self.arrows_by_dom[y]:
-            row = succ[cod[f]]
-            for g in self.arrows_by_dom[x]:
-                if row >> cod[g] & 1:
-                    self._add(f, g, "ArrowRule", (fact, (cod[f], cod[g])))
-        # fact as the codomain premise A <= A', with A = x, A' = y
-        for f in self.arrows_by_cod[x]:
-            for g in self.arrows_by_cod[y]:
-                if succ[dom[g]] >> dom[f] & 1:
-                    self._add(f, g, "ArrowRule", ((dom[g], dom[f]), fact))
+    def _saturate(self) -> None:
+        """The worklist loop: each fact popped fires, in this order, the (->)
+        rule, TopLe, arrow congruence, Glb and Trans.  Every firing is inlined
+        over local aliases; a new fact is recorded, justified and queued at
+        once, so the facts, their order and their justifications are those of
+        one _add per candidate."""
+        flags = self.theory.flags
+        arrow_rule = RuleFlag.ARROW in flags
+        top_le = RuleFlag.TOP_LE in flags
+        top = self.idx[TOP]
+        succ, pred, just = self.succ, self.pred, self.just
+        queue = self.queue
+        popleft, push = queue.popleft, queue.append
+        dom, cod = self.dom, self.cod
+        by_dom, by_cod = self.arrows_by_dom, self.arrows_by_cod
+        parts_of, mask_of, part_to_inters = self.parts, self.mask, self.part_to_inters
 
-    def _fire_arr_cong(self, fact: IdPair) -> None:
-        x, y = fact
-        succ, dom, cod = self.succ, self.dom, self.cod
-        if not succ[y] >> x & 1:
-            return
-        # x ~ y as the domains of congruent arrows
-        for f in self.arrows_by_dom[x]:
-            for g in self.arrows_by_dom[y]:
-                cf, cg = cod[f], cod[g]
-                if succ[cf] >> cg & 1 and succ[cg] >> cf & 1:
-                    prems = ((y, x), (x, y), (cf, cg), (cg, cf))
-                    self._add(f, g, "ArrCong", prems)
-                    self._add(g, f, "ArrCong", tuple(reversed(prems)))
-        # x ~ y as the codomains
-        for f in self.arrows_by_cod[x]:
-            for g in self.arrows_by_cod[y]:
-                df, dg = dom[f], dom[g]
-                if succ[dg] >> df & 1 and succ[df] >> dg & 1:
-                    prems = ((dg, df), (df, dg), (x, y), (y, x))
-                    self._add(f, g, "ArrCong", prems)
-                    self._add(g, f, "ArrCong", tuple(reversed(prems)))
+        def add(a: int, b: int, rule: str, premises: tuple[IdPair, ...]) -> None:
+            # the caller has checked that a <= b is new
+            succ[a] |= 1 << b
+            pred[b] |= 1 << a
+            just[a, b] = (rule, premises)
+            push((a, b))
 
-    def _fire_glb(self, fact: IdPair) -> None:
-        x, y = fact
-        succ = self.succ
-        for z in self.part_to_inters[y]:
-            mask = self.mask[z]
-            if succ[x] & mask == mask and not succ[x] >> z & 1:
-                self._add(x, z, "Glb", tuple((x, p) for p in self.parts[z]))
-
-    def _fire_trans(self, fact: IdPair) -> None:
-        """Row-OR on delta rows: x gains the successors of y it lacks, and the
-        predecessors of x that lack y gain it, each in ascending id order."""
-        x, y = fact
-        for z in _bits(self.succ[y] & ~self.succ[x]):
-            self._add(x, z, "Trans", (fact, (y, z)))
-        for w in _bits(self.pred[x] & ~self.pred[y]):
-            self._add(w, y, "Trans", ((w, x), fact))
+        while queue:
+            fact = popleft()
+            x, y = fact
+            if arrow_rule:
+                # fact as the domain premise B' <= B of (->), with B' = x, B = y
+                for f in by_dom[y]:
+                    row = succ[cod[f]]
+                    for g in by_dom[x]:
+                        if row >> cod[g] & 1 and not succ[f] >> g & 1:
+                            add(f, g, "ArrowRule", (fact, (cod[f], cod[g])))
+                # fact as the codomain premise A <= A', with A = x, A' = y
+                for f in by_cod[x]:
+                    for g in by_cod[y]:
+                        if succ[dom[g]] >> dom[f] & 1 and not succ[f] >> g & 1:
+                            add(f, g, "ArrowRule", ((dom[g], dom[f]), fact))
+            if top_le and x == top and y in cod:
+                c = cod[y]
+                if not succ[top] >> c & 1:
+                    add(top, c, "TopLe", (fact,))
+            if succ[y] >> x & 1:
+                # x ~ y as the domains of congruent arrows
+                for f in by_dom[x]:
+                    for g in by_dom[y]:
+                        cf, cg = cod[f], cod[g]
+                        if succ[cf] >> cg & 1 and succ[cg] >> cf & 1:
+                            prems = ((y, x), (x, y), (cf, cg), (cg, cf))
+                            if not succ[f] >> g & 1:
+                                add(f, g, "ArrCong", prems)
+                            if not succ[g] >> f & 1:
+                                add(g, f, "ArrCong", prems[::-1])
+                # x ~ y as the codomains
+                for f in by_cod[x]:
+                    for g in by_cod[y]:
+                        df, dg = dom[f], dom[g]
+                        if succ[dg] >> df & 1 and succ[df] >> dg & 1:
+                            prems = ((dg, df), (df, dg), (x, y), (y, x))
+                            if not succ[f] >> g & 1:
+                                add(f, g, "ArrCong", prems)
+                            if not succ[g] >> f & 1:
+                                add(g, f, "ArrCong", prems[::-1])
+            for z in part_to_inters[y]:
+                mask = mask_of[z]
+                row = succ[x]
+                if row & mask == mask and not row >> z & 1:
+                    add(x, z, "Glb", tuple((x, p) for p in parts_of[z]))
+            # Trans as row-ORs on the delta rows: x gains the successors of y
+            # it lacks, then the predecessors of x that lack y gain it, each
+            # in ascending id order.  No bit of a delta is set while it is
+            # spent, so each of its facts is new.
+            delta = succ[y] & ~succ[x]
+            if delta:
+                succ[x] |= delta
+                bit_x = 1 << x
+                for z in bits(delta):
+                    pred[z] |= bit_x
+                    just[x, z] = ("Trans", (fact, (y, z)))
+                    push((x, z))
+            delta = pred[x] & ~pred[y]
+            if delta:
+                pred[y] |= delta
+                bit_y = 1 << y
+                for w in bits(delta):
+                    succ[w] |= bit_y
+                    just[w, y] = ("Trans", ((w, x), fact))
+                    push((w, y))
 
     @property
     def facts(self) -> set[Pair]:
         """Every saturated pair, as types."""
         ms = self.members
-        return {(ms[a], ms[b]) for a, row in enumerate(self.succ) for b in _bits(row)}
+        return {(ms[a], ms[b]) for a, row in enumerate(self.succ) for b in bits(row)}
 
     def holds(self, a: Ty, b: Ty) -> bool:
         i = self.idx.get(canonicalize(a))
         j = self.idx.get(canonicalize(b))
         return i is not None and j is not None and bool(self.succ[i] >> j & 1)
+
+    # -- row queries: whole rows of the saturated relation, for callers that
+    # would otherwise ask holds once per member.  A type outside the
+    # universe has an empty row, as holds never relates it.
+
+    def row(self, a: Ty) -> int:
+        """The ids of the members b with a <= b, as a bitset."""
+        i = self.idx.get(canonicalize(a))
+        return 0 if i is None else self.succ[i]
+
+    def col(self, b: Ty) -> int:
+        """The ids of the members a with a <= b, as a bitset."""
+        j = self.idx.get(canonicalize(b))
+        return 0 if j is None else self.pred[j]
+
+    @cached_property
+    def arrow_mask(self) -> int:
+        """The ids of the arrow members."""
+        return sum(1 << f for f in self.dom)
+
+    @cached_property
+    def arrows_to(self) -> dict[int, int]:
+        """For each id that is an arrow member's codomain, the ids of the
+        arrow members with that codomain."""
+        out: dict[int, int] = {}
+        for c, fs in enumerate(self.arrows_by_cod):
+            if fs:
+                out[c] = sum(1 << f for f in fs)
+        return out
+
+    @cached_property
+    def arrow_pairs(self) -> list[tuple[int, int, int, int | None]]:
+        """(f1, f2, meet, joined) for every two arrow members f1 < f2 whose
+        canonical meet f1 & f2 is a member, in (f1, f2) order.  joined is the
+        id of B -> A1 & A2 when f1 = B -> A1 and f2 = B -> A2 share their
+        domain, that arrow is a member and f1 & f2 <= it; otherwise None."""
+        ms, idx, succ = self.members, self.idx, self.succ
+        arrows = sorted(self.dom)
+        out: list[tuple[int, int, int, int | None]] = []
+        for k, f1 in enumerate(arrows):
+            a1 = ms[f1]
+            for f2 in arrows[k + 1:]:
+                a2 = ms[f2]
+                meet = idx.get(canonicalize(Inter(a1, a2)))
+                if meet is None:
+                    continue
+                joined = None
+                if a1.dom == a2.dom:
+                    j = idx.get(Arrow(a1.dom, canonicalize(Inter(a1.cod, a2.cod))))
+                    if j is not None and succ[meet] >> j & 1:
+                        joined = j
+                out.append((f1, f2, meet, joined))
+        return out
 
     def proof(self, a: Ty, b: Ty) -> SubProof:
         root = (self.idx.get(canonicalize(a)), self.idx.get(canonicalize(b)))

@@ -60,6 +60,12 @@ class TestReduce:
         assert main(["reduce", "x", "--fuel", "-1"]) == 3
         assert "fuel must be nonnegative" in capsys.readouterr().err
 
+    def test_empty_term_is_a_parse_error_not_a_directory(self, capsys):
+        # Path("") is the current directory; it must not be read as a file
+        assert main(["reduce", ""]) == 3
+        err = capsys.readouterr().err
+        assert "empty term" in err and "directory" not in err
+
     def test_long_spine_prints_without_recursion(self, capsys):
         # each step of this term grows the application spine by one
         code, report = run_json(
@@ -296,6 +302,15 @@ class TestDeterminismAndErrors:
     def test_unknown_theory_exits_3(self, capsys):
         assert main(["polarity", "zzz"]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_directory_named_like_a_builtin_does_not_shadow_it(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        (tmp_path / "T1").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, report = run_json(capsys, "polarity", "T1")
+        assert code != 3
+        assert report["inputs"] == [{"kind": "builtin", "name": "T1"}]
 
     def test_missing_file_exits_3(self, capsys):
         assert main(["check", "T4", "/no/such/file.drv"]) == 3

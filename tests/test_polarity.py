@@ -39,6 +39,8 @@ def char_axioms(name):
 # brute-force oracle: unfold the raw equational definitions, tracking the
 # sign of each constant occurrence; Neg iff some defined constant can reach
 # itself in negative position.  Depth d is exact once d >= 2 * #constants.
+# walk is memoised on its arguments: without the memo it re-walks a definition
+# at every occurrence, exponentially in the fuel.
 
 
 def _flip(sign):
@@ -51,7 +53,15 @@ def oracle_is_negative(t, depth=10):
         if ax.kind == "eq" and isinstance(ax.lhs, Const):
             defs[ax.lhs.name] = ax.rhs
 
+    memo = {}
+
     def walk(start, ty, sign, fuel):
+        key = (start, ty, sign, fuel)
+        if key not in memo:
+            memo[key] = _walk(start, ty, sign, fuel)
+        return memo[key]
+
+    def _walk(start, ty, sign, fuel):
         match ty:
             case Top():
                 return False

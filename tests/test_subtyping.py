@@ -506,6 +506,61 @@ def test_beta_probe_left_sides_match_the_plain_enumeration():
             assert _arrow_meets(arrows, cap, width) == want
 
 
+PROBE_VERDICTS = Path(__file__).parent / "data" / "probe_verdicts.json"
+# Small theories whose first counterexample depends on the order in which a
+# probe visits its right sides, or on its ~ U filter.
+PROBE_ORDER_THEORIES = {
+    # two unjustified right sides for one left side
+    "TwoRhs": "theory TwoRhs; constants c0 c1 c2; "
+    "axiom c0 -> c0 <= c1 -> c0; axiom c0 -> c0 <= c2 -> c0",
+    # the first chain in (B1..Bn, C) order, U -> c0, is not the first by ty_key
+    "URhs": "theory URhs; constants c0 c1; axiom c1 <= U -> c0; axiom c1 <= c0 -> c0",
+    # c0 ~ U, so no chain may end in c0
+    "TopConst": "theory TopConst; constants c0 c1; axiom U <= c0",
+}
+# theories whose probes at depth 3, width 2 take a few seconds at most
+DEPTH3_PROBE_THEORIES = (
+    "T0", "T0le", "T1", "Park", "Tstar", "Tstarup", "Tflat", *PROBE_ORDER_THEORIES,
+)
+
+
+def probe_theories() -> dict[str, TheorySpec]:
+    reg = builtin_theories()
+    out = {name: reg.lookup(name).spec for name in reg.names()}
+    out.update((name, parse_theory(src)) for name, src in PROBE_ORDER_THEORIES.items())
+    return out
+
+
+def probe_cases() -> list[tuple[str, int, int]]:
+    """(theory, depth, width): every theory above at depths 1-2 and widths
+    1-3, and the depth-3 ones at depth 3, width 2."""
+    cases = [(name, d, w) for name in probe_theories() for d in (1, 2) for w in (1, 2, 3)]
+    cases += [(name, 3, 2) for name in DEPTH3_PROBE_THEORIES]
+    return cases
+
+
+def probe_verdicts() -> dict[str, str]:
+    """repr of both probes' verdicts, keyed by probe, theory, depth and width."""
+    theories = probe_theories()
+    out = {}
+    for name, d, w in probe_cases():
+        t = theories[name]
+        for probe in (beta_soundness_probe, set_condition_probe):
+            key = f"{probe.__name__} {name} depth={d} width={w}"
+            out[key] = repr(probe(t, d, w))
+    return out
+
+
+def test_probe_verdicts_match_recorded():
+    # the first counterexample each probe reports is pinned, so a probe that
+    # walks its right sides in another order, or drops a filter, fails here
+    got = probe_verdicts()
+    want = json.loads(PROBE_VERDICTS.read_text(encoding="utf-8"))
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
+
+
 def test_probes_deterministic():
     assert beta_soundness_probe(T0, 3) == beta_soundness_probe(T0, 3)
     assert set_condition_probe(T0, 3) == set_condition_probe(T0, 3)
@@ -532,13 +587,51 @@ def saturation_fingerprint(t: TheorySpec, width: int) -> dict:
     return {"facts": len(lines), "sha256": digest}
 
 
-def test_fixed_point_matches_recorded_fingerprints():
+def saturation_fingerprints() -> dict:
     reg = builtin_theories()
-    got = {
+    return {
         name: {str(w): saturation_fingerprint(reg.lookup(name).spec, w) for w in (1, 2, 3)}
         for name in reg.names()
     }
-    assert got == json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
+
+
+def test_fixed_point_matches_recorded_fingerprints():
+    assert saturation_fingerprints() == json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
+
+
+JUSTIFICATIONS = Path(__file__).parent / "data" / "justification_fingerprints.json"
+
+
+def justification_fingerprint(t: TheorySpec, width: int) -> str:
+    """sha256 of the sorted lines `a <= b : rule : premises` of the context's
+    justifications, each premise printed as a pair in its recorded order."""
+    ctx = saturated_ctx(t, build_universe(t, [], width))
+    ms = ctx.members
+
+    def pair(fact: tuple[int, int]) -> str:
+        return f"{print_ty(ms[fact[0]])} <= {print_ty(ms[fact[1]])}"
+
+    lines = sorted(
+        f"{pair(fact)} : {rule} : {', '.join(pair(p) for p in prems)}"
+        for fact, (rule, prems) in ctx.just.items()
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def justification_fingerprints() -> dict:
+    reg = builtin_theories()
+    return {
+        name: {str(w): justification_fingerprint(reg.lookup(name).spec, w) for w in (1, 2, 3)}
+        for name in reg.names()
+    }
+
+
+def test_justifications_match_recorded_fingerprints():
+    # the fact set alone would not notice a saturation that proves the same
+    # facts by other rules or premises
+    assert justification_fingerprints() == json.loads(
+        JUSTIFICATIONS.read_text(encoding="utf-8")
+    )
 
 
 CERTIFIED_PAIRS = (
