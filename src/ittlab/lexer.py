@@ -1,0 +1,77 @@
+"""The one lexer behind every text format: types, terms, bases, certificates
+and constant maps.
+
+A token is an identifier, one of the symbols `->`, `<=` and `|-`, or any
+other single non-space character.  Readers take tokens off one Tokens
+cursor and stop at the first token they cannot use, so a judgment is read
+as a basis, a term and a type in turn, with no substring scanned twice.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Callable, TypeVar
+
+from .errors import ParseError
+
+IDENT = "identifier"
+END = "end of input"
+_TOKEN = re.compile(r"([A-Za-z_$][A-Za-z0-9_'$]*)|->|<=|\|-|\S")
+
+T = TypeVar("T")
+
+
+class Tokens:
+    """A cursor over the tokens of src[start:stop], each (kind, text, offset)
+    with kind IDENT, END or the symbol itself; offsets index all of src."""
+
+    __slots__ = ("toks", "pos")
+
+    def __init__(self, src: str, start: int = 0, stop: int | None = None):
+        stop = len(src) if stop is None else stop
+        self.toks = [
+            (IDENT if m.lastindex else m[0], m[0], m.start())
+            for m in _TOKEN.finditer(src, start, stop)
+        ]
+        self.toks.append((END, "", stop))
+        self.pos = 0
+
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.toks[self.pos][0]
+
+    def at(self) -> int:
+        """The offset of the next token."""
+        return self.toks[self.pos][2]
+
+    def take(self, kind: str) -> str:
+        """Consume the next token, which must be of kind; return its text."""
+        got, text, at = self.toks[self.pos]
+        if got != kind:
+            raise ParseError(f"expected {kind!r}, got {text or END!r}", at)
+        self.pos += 1
+        return text
+
+    def end(self, what: str) -> None:
+        if self.peek() != END:
+            raise ParseError(f"trailing input after {what}", self.at())
+
+    def word(self) -> str:
+        """Consume the tokens up to a space or a parenthesis, joined."""
+        first, stop = self.pos, self.at()
+        while self.peek() not in ("(", ")", END) and self.at() == stop:
+            stop += len(self.take(self.peek()))
+        if self.pos == first:
+            raise ParseError("expected a rule name", stop)
+        return "".join(text for _, text, _ in self.toks[first:self.pos])
+
+
+def parse(tk: Tokens, read: Callable[[Tokens], T], what: str) -> T:
+    """What read makes of all of tk.  Input nested too deep for the
+    interpreter's stack is a ParseError, like any other bad input."""
+    try:
+        out = read(tk)
+    except RecursionError:
+        raise ParseError(f"{what} nested too deeply", tk.at()) from None
+    tk.end(what)
+    return out

@@ -2,179 +2,100 @@
 
 Subtyping certificates: `(rule (TY <= TY) premise*)`.
 Derivations: `(rule (GAMMA |- TERM : TY) child* [subproof])` with GAMMA
-written `x:TY, ...` (empty for a closed judgment).  Constant map files hold
-`name -> TY` lines with `#` comments.  Parsers accept arbitrary whitespace;
-unparsers emit a deterministic indented layout.
+written `x:TY, ...` (empty for a closed judgment), each x one identifier
+bound once.  Constant map files hold `name -> TY` lines with `#` comments,
+each name one identifier.  Every format is read off one lexer.Tokens cursor
+by the type and term readers, so parsers accept arbitrary whitespace and
+report offsets into the whole text; unparsers emit a deterministic indented
+layout.
 """
 
 from __future__ import annotations
 
 from .assignment import Basis, Derivation, Judgment
 from .errors import ParseError
+from .lexer import END, IDENT, Tokens, parse
 from .subtyping import SubProof
-from .terms import parse_term, print_term
-from .types import Ty, parse_ty, print_ty
+from .terms import freshen, print_term, read_term
+from .types import Ty, print_ty, read_ty
 
 _DERIVATION_RULES = {"Ax", "TopU", "ArrI", "ArrE", "CapI", "Le"}
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and not (
-            self.text[self.pos].isspace() or self.text[self.pos] in "()"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError("expected a rule name", start)
-        return self.text[start:self.pos]
-
-    def group(self) -> str:
-        """Consume a balanced (...) group, returning its inner text."""
-        self.expect("(")
-        depth = 1
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    inner = self.text[start:self.pos]
-                    self.pos += 1
-                    return inner
-            self.pos += 1
-        raise ParseError("unbalanced parenthesis", start)
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def _split_depth0(raw: str, sep: str, maxsplit: int = -1) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and raw.startswith(sep, i):
-            parts.append(raw[start:i])
-            start = i + len(sep)
-            i = start
-            if 0 <= maxsplit == len(parts):
-                break
-            continue
-        i += 1
-    parts.append(raw[start:])
-    return parts
+def _read_basis(tk: Tokens) -> Basis:
+    """Read `x:TY, ...`, possibly empty, off tk; each x is one identifier,
+    bound once."""
+    bindings: dict[str, Ty] = {}
+    if tk.peek() != IDENT:
+        return Basis()
+    while True:
+        at = tk.at()
+        x = tk.take(IDENT)
+        if x in bindings:
+            raise ParseError(f"variable {x!r} bound twice in basis", at)
+        tk.take(":")
+        bindings[x] = read_ty(tk)
+        if tk.peek() != ",":
+            return Basis(tuple(bindings.items()))
+        tk.take(",")
 
 
 def parse_basis(raw: str) -> Basis:
-    raw = raw.strip()
-    if not raw:
-        return Basis()
-    bindings = []
-    for item in _split_depth0(raw, ","):
-        pieces = _split_depth0(item, ":", maxsplit=1)
-        if len(pieces) != 2:
-            raise ParseError(f"bad basis entry {item.strip()!r}", 0)
-        bindings.append((pieces[0].strip(), parse_ty(pieces[1].strip())))
-    return Basis(tuple(bindings))
+    return parse(Tokens(raw), _read_basis, "basis")
 
 
-def _parse_judgment(raw: str) -> Judgment:
-    halves = _split_depth0(raw, "|-", maxsplit=1)
-    if len(halves) != 2:
-        raise ParseError("judgment needs one |-", 0)
-    pieces = _split_depth0(halves[1], ":", maxsplit=1)
-    if len(pieces) != 2:
-        raise ParseError("judgment needs TERM : TY", 0)
-    return Judgment(
-        parse_basis(halves[0]), parse_term(pieces[0].strip()), parse_ty(pieces[1].strip())
-    )
+def _read_node(tk: Tokens, read_rest):
+    """Read `(rule`, then what read_rest(tk, rule) makes of the rest."""
+    tk.take("(")
+    return read_rest(tk, tk.word())
 
 
-def _parse_subproof_node(sc: _Scanner) -> SubProof:
-    rule = sc.word()
-    concl_raw = sc.group()
-    sides = _split_depth0(concl_raw, "<=", maxsplit=1)
-    if len(sides) != 2:
-        raise ParseError("subproof conclusion needs TY <= TY", 0)
-    conclusion = (parse_ty(sides[0].strip()), parse_ty(sides[1].strip()))
+def _read_subproof(tk: Tokens, rule: str) -> SubProof:
+    tk.take("(")
+    lo = read_ty(tk)
+    tk.take("<=")
+    hi = read_ty(tk)
+    tk.take(")")
     premises = []
-    while sc.peek() == "(":
-        inner = _Scanner(sc.group())
-        premises.append(_parse_subproof_node(inner))
-        if not inner.done():
-            raise ParseError("trailing text in subproof node", inner.pos)
-    return SubProof(rule, conclusion, tuple(premises))
+    while tk.peek() == "(":
+        tk.take("(")
+        premises.append(_read_subproof(tk, tk.word()))
+    tk.take(")")
+    return SubProof(rule, (lo, hi), tuple(premises))
 
 
-def parse_subproof(text: str) -> SubProof:
-    sc = _Scanner(text)
-    inner = _Scanner(sc.group())
-    out = _parse_subproof_node(inner)
-    if not inner.done() or not sc.done():
-        raise ParseError("trailing text after subproof", sc.pos)
-    return out
-
-
-def _parse_derivation_node(sc: _Scanner) -> Derivation:
-    rule = sc.word()
+def _read_derivation(tk: Tokens, rule: str) -> Derivation:
     if rule not in _DERIVATION_RULES:
-        raise ParseError(f"unknown derivation rule {rule!r}", sc.pos)
-    conclusion = _parse_judgment(sc.group())
+        raise ParseError(f"unknown derivation rule {rule!r}", tk.at())
+    tk.take("(")
+    basis = _read_basis(tk)
+    tk.take("|-")
+    term = freshen(read_term(tk))
+    tk.take(":")
+    conclusion = Judgment(basis, term, read_ty(tk))
+    tk.take(")")
     children = []
     sub = None
-    while sc.peek() == "(":
-        inner = _Scanner(sc.group())
-        mark = inner.pos
-        head = inner.word()
-        inner.pos = mark
+    while tk.peek() == "(":
+        tk.take("(")
+        at = tk.at()
+        head = tk.word()
+        if sub is not None:
+            raise ParseError("a node's subproof must come last", at)
         if head in _DERIVATION_RULES:
-            if sub is not None:
-                raise ParseError("children after subproof", inner.pos)
-            children.append(_parse_derivation_node(inner))
+            children.append(_read_derivation(tk, head))
         else:
-            if sub is not None:
-                raise ParseError("two subproofs on one node", inner.pos)
-            sub = _parse_subproof_node(inner)
-        if not inner.done():
-            raise ParseError("trailing text in node", inner.pos)
+            sub = _read_subproof(tk, head)
+    tk.take(")")
     return Derivation(rule, conclusion, tuple(children), sub)
 
 
+def parse_subproof(text: str) -> SubProof:
+    return parse(Tokens(text), lambda tk: _read_node(tk, _read_subproof), "subproof")
+
+
 def parse_derivation(text: str) -> Derivation:
-    sc = _Scanner(text)
-    inner = _Scanner(sc.group())
-    out = _parse_derivation_node(inner)
-    if not inner.done() or not sc.done():
-        raise ParseError("trailing text after derivation", sc.pos)
-    return out
+    return parse(Tokens(text), lambda tk: _read_node(tk, _read_derivation), "derivation")
 
 
 def _unparse_basis(g: Basis) -> str:
@@ -204,15 +125,21 @@ def unparse_derivation(d: Derivation, indent: int = 0) -> str:
     return head + "\n" + "\n".join(parts) + ")"
 
 
+def _read_map_line(tk: Tokens) -> tuple[str, Ty]:
+    name = tk.take(IDENT)
+    tk.take("->")
+    return name, read_ty(tk)
+
+
 def parse_constant_map(text: str) -> dict[str, Ty]:
-    """Read `name -> TY` lines; later lines override earlier ones."""
+    """Read `name -> TY` lines, each name one identifier; `#` starts a
+    comment, and later lines override earlier ones."""
     out: dict[str, Ty] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        pieces = _split_depth0(line, "->", maxsplit=1)
-        if len(pieces) != 2 or not pieces[0].strip():
-            raise ParseError(f"bad map line {lineno}: {line!r}", lineno)
-        out[pieces[0].strip()] = parse_ty(pieces[1].strip())
+    start = 0
+    for lineno, line in enumerate(text.splitlines(keepends=True), 1):
+        tk = Tokens(text, start, start + len(line.partition("#")[0]))
+        if tk.peek() != END:
+            name, ty = parse(tk, _read_map_line, f"map line {lineno}")
+            out[name] = ty
+        start += len(line)
     return out

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Union
 
 from .errors import InvalidInput, ParseError
+from .lexer import IDENT, Tokens, parse
 
 Term = Union["Var", "Abs", "App"]
 
@@ -159,108 +160,58 @@ def freshen(t: Term, avoid: set[str] | None = None) -> Term:
     return go(t, {})
 
 
-_TERM_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+def read_term(tk: Tokens) -> Term:
+    """Read `t ::= ident | \\ ident+ . t | t t | (t)` off tk, up to the first
+    token that cannot start an atom.
+
+    Application associates left; an abstraction body extends as far right as
+    possible.  Binders are read as written, not freshened.
+    """
+    if tk.peek() == "\\":
+        return _read_lambda(tk)
+    out = _read_atom(tk)
+    while (kind := tk.peek()) == IDENT or kind == "(":
+        out = App(out, _read_atom(tk))
+    if kind == "\\":
+        out = App(out, _read_lambda(tk))
+    return out
 
 
-def _tokenize_term(src: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "\\().":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        m = _TERM_IDENT.match(src, i)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r} in term", i)
-        toks.append(("ident", m.group(0), i))
-        i = m.end()
-    return toks
+def _read_lambda(tk: Tokens) -> Term:
+    tk.take("\\")
+    binders = [_read_name(tk)]
+    while tk.peek() == IDENT:
+        binders.append(_read_name(tk))
+    tk.take(".")
+    body = read_term(tk)
+    for b in reversed(binders):
+        body = Abs(b, body)
+    return body
+
+
+def _read_atom(tk: Tokens) -> Term:
+    kind = tk.peek()
+    if kind == "(":
+        tk.take("(")
+        inner = read_term(tk)
+        tk.take(")")
+        return inner
+    if kind != IDENT:
+        raise ParseError("empty term", tk.at())
+    return Var(_read_name(tk))
+
+
+def _read_name(tk: Tokens) -> str:
+    at = tk.at()
+    name = tk.take(IDENT)
+    if "$" in name:
+        raise ParseError(f"reserved name {name!r}", at)
+    return name
 
 
 def parse_term(src: str) -> Term:
-    """Parse `t ::= ident | \\ ident+ . t | t t | (t)` with the usual conventions.
-
-    Application associates left; an abstraction body extends as far right as
-    possible.  Binders are freshened after parsing.
-    """
-    toks = _tokenize_term(src)
-    pos = 0
-
-    def peek() -> tuple[str, str, int] | None:
-        return toks[pos] if pos < len(toks) else None
-
-    def expect(kind: str) -> tuple[str, str, int]:
-        nonlocal pos
-        tok = peek()
-        if tok is None or tok[0] != kind:
-            at = tok[2] if tok else len(src)
-            raise ParseError(f"expected {kind!r}", at)
-        pos += 1
-        return tok
-
-    def parse_lambda() -> Term:
-        nonlocal pos
-        expect("\\")
-        binders = []
-        while True:
-            tok = peek()
-            if tok is not None and tok[0] == "ident":
-                binders.append(tok[1])
-                pos += 1
-            else:
-                break
-        if not binders:
-            at = peek()[2] if peek() else len(src)
-            raise ParseError("lambda needs at least one binder", at)
-        expect(".")
-        body = parse_app()
-        for b in reversed(binders):
-            body = Abs(b, body)
-        return body
-
-    def parse_atom() -> Term:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of term", len(src))
-        kind, text, at = tok
-        if kind == "ident":
-            pos += 1
-            return Var(text)
-        if kind == "(":
-            pos += 1
-            inner = parse_app()
-            expect(")")
-            return inner
-        raise ParseError(f"unexpected token {text!r}", at)
-
-    def parse_app() -> Term:
-        parts = []
-        while True:
-            tok = peek()
-            if tok is None or tok[0] in (")", "."):
-                break
-            if tok[0] == "\\":
-                parts.append(parse_lambda())
-                break
-            parts.append(parse_atom())
-        if not parts:
-            at = peek()[2] if peek() else len(src)
-            raise ParseError("empty term", at)
-        out = parts[0]
-        for p in parts[1:]:
-            out = App(out, p)
-        return out
-
-    term = parse_app()
-    if pos != len(toks):
-        raise ParseError("trailing input after term", toks[pos][2])
-    return freshen(term)
+    """The term that is all of src, with its binders freshened; see read_term."""
+    return parse(Tokens(src), lambda tk: freshen(read_term(tk)), "term")
 
 
 def print_term(t: Term) -> str:

@@ -12,7 +12,6 @@ subtype engine's business, never equality's.
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import FrozenInstanceError
 from typing import Iterator, Union
@@ -21,6 +20,7 @@ from weakref import ref
 from _weakref import _remove_dead_weakref
 
 from .errors import ParseError
+from .lexer import IDENT, Tokens, parse
 
 Ty = Union["Const", "Top", "Arrow", "Inter"]
 
@@ -270,89 +270,46 @@ def map_consts(t: Ty, fn) -> Ty:
     raise TypeError(f"not a type: {t!r}")
 
 
-_TY_IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_'$]*")
-
-
-def _tokenize_ty(src: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if src.startswith("->", i):
-            toks.append(("->", "->", i))
-            i += 2
-            continue
-        if ch in "&()":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        m = _TY_IDENT.match(src, i)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r} in type", i)
-        toks.append(("ident", m.group(0), i))
-        i = m.end()
-    return toks
-
-
-def parse_ty(src: str, allow_reserved: bool = False) -> Ty:
-    """Parse `T ::= U | ident | T -> T | T & T | (T)`.
+def read_ty(tk: Tokens, allow_reserved: bool = False) -> Ty:
+    """Read `T ::= U | ident | T -> T | T & T | (T)` off tk, up to the first
+    token that cannot extend it.
 
     & binds tighter than ->; -> associates right.  $-prefixed names are
     internal and rejected unless allow_reserved.
     """
-    toks = _tokenize_ty(src)
-    pos = 0
-
-    def peek() -> tuple[str, str, int] | None:
-        return toks[pos] if pos < len(toks) else None
-
-    def parse_atom() -> Ty:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of type", len(src))
-        kind, text, at = tok
-        if kind == "ident":
-            pos += 1
-            if text == "U":
-                return TOP
-            if is_reserved(text) and not allow_reserved:
-                raise ParseError(f"reserved name {text!r}", at)
-            return Const(text)
-        if kind == "(":
-            pos += 1
-            inner = parse_arrow()
-            tok = peek()
-            if tok is None or tok[0] != ")":
-                raise ParseError("expected ')'", tok[2] if tok else len(src))
-            pos += 1
-            return inner
-        raise ParseError(f"unexpected token {text!r}", at)
-
-    def parse_inter() -> Ty:
-        nonlocal pos
-        parts = [parse_atom()]
-        while (tok := peek()) is not None and tok[0] == "&":
-            pos += 1
-            parts.append(parse_atom())
-        return make_inter(parts) if len(parts) > 1 else parts[0]
-
-    def parse_arrow() -> Ty:
-        nonlocal pos
-        dom = parse_inter()
-        tok = peek()
-        if tok is not None and tok[0] == "->":
-            pos += 1
-            return Arrow(dom, parse_arrow())
+    dom = _read_inter(tk, allow_reserved)
+    if tk.peek() != "->":
         return dom
+    tk.take("->")
+    return Arrow(dom, read_ty(tk, allow_reserved))
 
-    out = parse_arrow()
-    if pos != len(toks):
-        raise ParseError("trailing input after type", toks[pos][2])
-    return out
+
+def _read_inter(tk: Tokens, allow_reserved: bool) -> Ty:
+    parts = [_read_atom(tk, allow_reserved)]
+    while tk.peek() == "&":
+        tk.take("&")
+        parts.append(_read_atom(tk, allow_reserved))
+    return make_inter(parts)
+
+
+def _read_atom(tk: Tokens, allow_reserved: bool) -> Ty:
+    if tk.peek() == "(":
+        tk.take("(")
+        inner = read_ty(tk, allow_reserved)
+        tk.take(")")
+        return inner
+    at = tk.at()
+    name = tk.take(IDENT)
+    if name == "U":
+        return TOP
+    if is_reserved(name) and not allow_reserved:
+        raise ParseError(f"reserved name {name!r}", at)
+    return Const(name)
+
+
+def parse_ty(src: str, allow_reserved: bool = False) -> Ty:
+    """The type that is all of src; see read_ty."""
+    return parse(Tokens(src), lambda tk: read_ty(tk, allow_reserved), "type")
 
 
 def print_ty(t: Ty) -> str:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ittlab.assignment import Basis, check_derivation, infer_bounded, Found
+from ittlab.assignment import Basis, Derivation, Judgment, check_derivation, infer_bounded, Found
 from ittlab.errors import ParseError
 from ittlab.sensibility import builtin_theories
 from ittlab.sexpr import (
+    _DERIVATION_RULES,
+    _unparse_basis,
     parse_basis,
     parse_constant_map,
     parse_derivation,
@@ -20,7 +22,9 @@ from ittlab.sexpr import (
 from ittlab.subtyping import Proven, SubProof, Valid, check_subproof, derive_le
 from ittlab.terms import parse_term
 from ittlab.theory import parse_theory
-from ittlab.types import TOP, parse_ty
+from ittlab.types import TOP, canonicalize, parse_ty
+from test_terms import names, terms
+from test_types import tys
 
 T0 = parse_theory("theory T0\nconstants c0 c1\naxiom c0 -> c0 <= c1 -> c0\n")
 T4 = parse_theory(
@@ -170,8 +174,11 @@ class TestConstantMapText:
 
 @st.composite
 def subproofs(draw, depth=2):
-    rule = draw(st.sampled_from(["Refl", "Trans", "Axiom", "ArrowLe", "IncL"]))
-    atoms = st.sampled_from([parse_ty("c0"), parse_ty("c1"), parse_ty("c0 -> c1"), TOP])
+    # a rule name is any word; the checker, not the reader, judges it
+    rule = draw(st.sampled_from(["Refl", "Trans", "Axiom", "ArrowLe", "IncL", "Foo-Bar"]))
+    atoms = st.sampled_from(
+        [parse_ty("c0"), parse_ty("c1"), parse_ty("c0 -> c1"), TOP, parse_ty("c0 & (c1 -> c0)")]
+    )
     concl = (draw(atoms), draw(atoms))
     kids = ()
     if depth > 0:
@@ -184,3 +191,37 @@ def subproofs(draw, depth=2):
 @given(subproofs())
 def test_subproof_text_round_trip(p):
     assert parse_subproof(unparse_subproof(p)) == p
+
+
+def test_deep_subproof_round_trip():
+    p = SubProof("Refl", (parse_ty("c0"), parse_ty("c0")))
+    for _ in range(199):
+        p = SubProof("Trans", (parse_ty("c0"), parse_ty("c0")), (p,))
+    text = unparse_subproof(p)
+    back = parse_subproof(text)
+    assert back == p
+    assert unparse_subproof(back) == text
+
+
+@given(st.dictionaries(names, tys, max_size=4))
+def test_basis_text_round_trip(bindings):
+    g = Basis.of(bindings)
+    assert parse_basis(_unparse_basis(g)) == g
+
+
+@st.composite
+def derivations(draw, depth=1):
+    basis = Basis.of(draw(st.dictionaries(names, tys, max_size=3)))
+    # the printer is inverse to the reader on canonical types
+    judgment = Judgment(basis, draw(terms), canonicalize(draw(tys)))
+    kids = ()
+    if depth > 0:
+        kids = tuple(draw(st.lists(derivations(depth=depth - 1), max_size=2)))
+    sub = draw(st.none() | subproofs(depth=1))
+    return Derivation(draw(st.sampled_from(sorted(_DERIVATION_RULES))), judgment, kids, sub)
+
+
+@given(derivations())
+def test_derivation_text_round_trip(d):
+    text = unparse_derivation(d)
+    assert parse_derivation(text) == d

@@ -38,7 +38,7 @@ def beta_reducts(t):
     return out
 
 
-names = st.sampled_from(["x", "y", "z", "u", "v", "w"])
+names = st.sampled_from(["x", "y", "z", "u", "v", "w", "x'", "y_1"])
 terms = st.recursive(
     st.builds(Var, names),
     lambda sub: st.one_of(st.builds(Abs, names, sub), st.builds(App, sub, sub)),

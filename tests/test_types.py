@@ -29,7 +29,9 @@ from ittlab.types import (
 
 a, b, c = Const("a"), Const("b"), Const("c")
 
-const_names = st.sampled_from(["a", "b", "c", "d"])
+# besides plain letters, names that use every identifier character the
+# lexer allows in a constant
+const_names = st.sampled_from(["a", "b", "c", "d", "c0'", "_e", "f$g"])
 tys = st.recursive(
     st.one_of(st.builds(Const, const_names), st.just(TOP)),
     lambda sub: st.one_of(st.builds(Arrow, sub, sub), st.builds(Inter, sub, sub)),
