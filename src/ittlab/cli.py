@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -25,7 +26,7 @@ from .embedding import (
     Verified,
     verify_embedding,
 )
-from .errors import IttError, UniverseTooLarge
+from .errors import IttError, ParseError, UniverseTooLarge
 from .polarity import (
     PolarityPass,
     StagingFailure,
@@ -63,28 +64,35 @@ TRACE_CAP = 50
 # -- inputs and reports --------------------------------------------------------
 
 
-def _file_input(path: str) -> dict:
-    data = Path(path).read_bytes()
-    return {
-        "kind": "file",
-        "path": path,
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
+class _Inputs:
+    """Reads a command's inputs and records each one for its report."""
 
+    def __init__(self) -> None:
+        self.read: list[dict] = []
 
-def _inline_input(label: str, text: str) -> dict:
-    return {"kind": "inline", "label": label, "text": text}
+    def file(self, path: str) -> str:
+        """The UTF-8 text of a file, recorded with the sha256 of its bytes."""
+        data = Path(path).read_bytes()
+        self.read.append(
+            {"kind": "file", "path": path, "sha256": hashlib.sha256(data).hexdigest()}
+        )
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason})", e.start) from None
 
+    def inline(self, label: str, text: str) -> str:
+        self.read.append({"kind": "inline", "label": label, "text": text})
+        return text
 
-def _load_theory(arg: str) -> tuple[TheorySpec, dict]:
-    """A path to an .itt file, or the name of a built-in theory.  Only a
-    regular file counts as a path, so a directory never shadows a name."""
-    p = Path(arg)
-    if p.is_file():
-        spec = parse_theory(p.read_text(encoding="utf-8"))
-        return spec, _file_input(arg)
-    entry = builtin_theories().lookup(arg)
-    return entry.spec, {"kind": "builtin", "name": entry.spec.name}
+    def theory(self, arg: str) -> TheorySpec:
+        """A path to an .itt file, or the name of a built-in theory.  Only a
+        regular file counts as a path, so a directory never shadows a name."""
+        if os.path.isfile(arg):
+            return parse_theory(self.file(arg))
+        spec = builtin_theories().lookup(arg).spec
+        self.read.append({"kind": "builtin", "name": spec.name})
+        return spec
 
 
 def _report(command: str, inputs: list[dict], verdict_payload: dict,
@@ -115,66 +123,54 @@ def _derivation_cert(t: TheorySpec, d) -> dict:
 
 
 # -- command handlers ------------------------------------------------------------
+# Each handler reads its inputs through the recorder and returns its verdict
+# payload, re-checked certificates, exit code and text lines.
+
+_Result = tuple[dict, list[dict], int, list[str]]
 
 
-def _cmd_reduce(args) -> tuple[dict, int, list[str]]:
-    p = Path(args.term)
-    if p.is_file():
-        src = p.read_text(encoding="utf-8")
-        inputs = [_file_input(args.term)]
+def _cmd_reduce(args, inputs: _Inputs) -> _Result:
+    if os.path.isfile(args.term):
+        m = parse_term(inputs.file(args.term))
     else:
-        src = args.term
-        inputs = [_inline_input("term", args.term)]
-    m = parse_term(src)
+        m = parse_term(inputs.inline("term", args.term))
     r = head_reduce(m, args.fuel)
     trace = [print_term(m)]
     cur = m
     while len(trace) <= min(args.fuel, TRACE_CAP):
-        nxt = head_step(cur)
-        if nxt is None:
+        cur = head_step(cur)
+        if cur is None:
             break
-        cur = nxt
         trace.append(print_term(cur))
     if isinstance(r, Reached):
-        payload = {
-            "result": "Reached",
-            "steps": r.steps,
-            "final": print_term(r.hnf),
-            "trace": trace,
-            "trace_truncated": r.steps > len(trace) - 1,
-        }
-        lines = [f"Reached head normal form in {r.steps} step(s): {print_term(r.hnf)}"]
-        code = 0
+        key, end, code = "final", print_term(r.hnf), 0
+        lines = [f"Reached head normal form in {r.steps} step(s): {end}"]
     else:
-        payload = {
-            "result": "FuelExhausted",
-            "steps": r.steps,
-            "last": print_term(r.last),
-            "trace": trace,
-            "trace_truncated": r.steps > len(trace) - 1,
-        }
-        lines = [f"FuelExhausted after {r.steps} step(s); last: {print_term(r.last)}"]
-        code = 2
-    for step in trace[1:]:
-        lines.append(f"  -> {step}")
-    return _report("reduce", inputs, payload, []), code, lines
+        key, end, code = "last", print_term(r.last), 2
+        lines = [f"FuelExhausted after {r.steps} step(s); last: {end}"]
+    payload = {
+        "result": type(r).__name__,
+        "steps": r.steps,
+        key: end,
+        "trace": trace,
+        "trace_truncated": r.steps > len(trace) - 1,
+    }
+    lines += [f"  -> {step}" for step in trace[1:]]
+    return payload, [], code, lines
 
 
-def _cmd_subtype(args) -> tuple[dict, int, list[str]]:
-    t, theory_input = _load_theory(args.theory)
-    halves = args.query.split("<=", 1)
+def _cmd_subtype(args, inputs: _Inputs) -> _Result:
+    t = inputs.theory(args.theory)
+    halves = inputs.inline("query", args.query).split("<=", 1)
     if len(halves) != 2:
         raise IttError(f"expected 'A <= B', got {args.query!r}")
     a, b = parse_ty(halves[0]), parse_ty(halves[1])
-    inputs = [theory_input, _inline_input("query", args.query)]
     v = derive_le(t, a, b, args.width)
     if isinstance(v, Proven):
         payload = {"result": "Proven", "lhs": print_ty(a), "rhs": print_ty(b)}
         certs = [_subproof_cert(t, v.proof)]
-        return _report("subtype", inputs, payload, certs), 0, [
-            f"Proven: {print_ty(a)} <= {print_ty(b)}",
-            certs[0]["text"],
-        ]
+        lines = [f"Proven: {print_ty(a)} <= {print_ty(b)}", certs[0]["text"]]
+        return payload, certs, 0, lines
     payload = {
         "result": "UnknownWithin",
         "lhs": print_ty(a),
@@ -186,13 +182,12 @@ def _cmd_subtype(args) -> tuple[dict, int, list[str]]:
         f"UnknownWithin: not derivable inside a universe of "
         f"{v.universe_size} types at width {v.inter_width}"
     ]
-    return _report("subtype", inputs, payload, []), 2, lines
+    return payload, [], 2, lines
 
 
-def _cmd_check(args) -> tuple[dict, int, list[str]]:
-    t, theory_input = _load_theory(args.theory)
-    d = parse_derivation(Path(args.derivation).read_text(encoding="utf-8"))
-    inputs = [theory_input, _file_input(args.derivation)]
+def _cmd_check(args, inputs: _Inputs) -> _Result:
+    t = inputs.theory(args.theory)
+    d = parse_derivation(inputs.file(args.derivation))
     r = check_derivation(t, d)
     if isinstance(r, Valid):
         c = d.conclusion
@@ -201,42 +196,31 @@ def _cmd_check(args) -> tuple[dict, int, list[str]]:
             "term": print_term(c.term),
             "ty": print_ty(c.ty),
         }
-        lines = [f"Valid: |- {print_term(c.term)} : {print_ty(c.ty)}"]
-        return _report("check", inputs, payload, []), 0, lines
+        return payload, [], 0, [f"Valid: |- {print_term(c.term)} : {print_ty(c.ty)}"]
     payload = {"result": "Invalid", "path": list(r.path), "reason": r.reason}
-    lines = [f"Invalid at node {list(r.path)}: {r.reason}"]
-    return _report("check", inputs, payload, []), 1, lines
+    return payload, [], 1, [f"Invalid at node {list(r.path)}: {r.reason}"]
 
 
-def _cmd_infer(args) -> tuple[dict, int, list[str]]:
-    t, theory_input = _load_theory(args.theory)
-    g = parse_basis(args.basis)
-    m = parse_term(args.term)
-    a = parse_ty(args.type)
-    inputs = [
-        theory_input,
-        _inline_input("basis", args.basis),
-        _inline_input("term", args.term),
-        _inline_input("type", args.type),
-    ]
+def _cmd_infer(args, inputs: _Inputs) -> _Result:
+    t = inputs.theory(args.theory)
+    g = parse_basis(inputs.inline("basis", args.basis))
+    m = parse_term(inputs.inline("term", args.term))
+    a = parse_ty(inputs.inline("type", args.type))
     r = infer_bounded(t, g, m, a, args.fuel, args.width)
     if isinstance(r, Found):
-        payload = {"result": "Found"}
         certs = [_derivation_cert(t, r.derivation)]
         lines = [f"Found: {print_term(m)} : {print_ty(a)}", certs[0]["text"]]
-        return _report("infer", inputs, payload, certs), 0, lines
+        return {"result": "Found"}, certs, 0, lines
     payload = {"result": "NotFoundWithinFuel", "fuel": r.fuel}
-    lines = [f"NotFoundWithinFuel: no derivation within fuel {r.fuel}"]
-    return _report("infer", inputs, payload, []), 2, lines
+    return payload, [], 2, [f"NotFoundWithinFuel: no derivation within fuel {r.fuel}"]
 
 
-def _cmd_polarity(args) -> tuple[dict, int, list[str]]:
-    t, theory_input = _load_theory(args.theory)
-    inputs = [theory_input]
+def _cmd_polarity(args, inputs: _Inputs) -> _Result:
+    t = inputs.theory(args.theory)
     if not t.natural:
         payload = {"applicable": False, "reason": "theory not marked natural"}
         lines = ["Not applicable: the polarity criterion needs a natural theory"]
-        return _report("polarity", inputs, payload, []), 2, lines
+        return payload, [], 2, lines
     axs = completion(validate_natural(t).axioms)
     pol = check_positive_polarity(axs)
     poset = equivalence_classes(axs)
@@ -278,15 +262,13 @@ def _cmd_polarity(args) -> tuple[dict, int, list[str]]:
             lines.append(
                 f"Stage {n}: solves {stage['solves']} with {stage['decorations']}"
             )
-    return _report("polarity", inputs, payload, []), code, lines
+    return payload, [], code, lines
 
 
-def _cmd_embed(args) -> tuple[dict, int, list[str]]:
-    src, src_input = _load_theory(args.source)
-    tgt, tgt_input = _load_theory(args.target)
-    mapping = parse_constant_map(Path(args.map).read_text(encoding="utf-8"))
-    k = ConstantMap.of(src, tgt, mapping)
-    inputs = [src_input, tgt_input, _file_input(args.map)]
+def _cmd_embed(args, inputs: _Inputs) -> _Result:
+    src = inputs.theory(args.source)
+    tgt = inputs.theory(args.target)
+    k = ConstantMap.of(src, tgt, parse_constant_map(inputs.file(args.map)))
     v = verify_embedding(k, args.width)
     if isinstance(v, Verified):
         payload = {
@@ -299,14 +281,12 @@ def _cmd_embed(args) -> tuple[dict, int, list[str]]:
         certs = [_subproof_cert(tgt, p) for _, p in v.checks if p is not None]
         lines = [f"Verified: {src.name} embeds into {tgt.name}"]
         lines += [f"  {c['obligation']}" for c in payload["checks"]]
-        return _report("embed", inputs, payload, certs), 0, lines
+        return payload, certs, 0, lines
     if isinstance(v, Failed):
         payload = {"result": "Failed", "obligation": v.obligation, "detail": v.detail}
-        lines = [f"Failed on {v.obligation}: {v.detail}"]
-        return _report("embed", inputs, payload, []), 1, lines
+        return payload, [], 1, [f"Failed on {v.obligation}: {v.detail}"]
     payload = {"result": "UnknownWithin", "obligation": v.obligation}
-    lines = [f"UnknownWithin: could not discharge {v.obligation}"]
-    return _report("embed", inputs, payload, []), 2, lines
+    return payload, [], 2, [f"UnknownWithin: could not discharge {v.obligation}"]
 
 
 def _evidence_json(e: object, about: TheorySpec) -> tuple[dict, list[dict]]:
@@ -350,74 +330,50 @@ def _evidence_json(e: object, about: TheorySpec) -> tuple[dict, list[dict]]:
     return {"kind": type(e).__name__}, []
 
 
-def _read_pool(path: str):
-    terms = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            terms.append(parse_term(line))
-    return tuple(terms)
-
-
-def _extra_maps(t: TheorySpec, pairs_into, pairs_from) -> tuple[ConstantMap, ...]:
-    out = []
-    for theory_arg, map_arg in pairs_into or []:
-        other, _ = _load_theory(theory_arg)
-        mapping = parse_constant_map(Path(map_arg).read_text(encoding="utf-8"))
-        out.append(ConstantMap.of(t, other, mapping))
-    for theory_arg, map_arg in pairs_from or []:
-        other, _ = _load_theory(theory_arg)
-        mapping = parse_constant_map(Path(map_arg).read_text(encoding="utf-8"))
-        out.append(ConstantMap.of(other, t, mapping))
-    return tuple(out)
-
-
-def _cmd_sensibility(args) -> tuple[dict, int, list[str]]:
-    t, theory_input = _load_theory(args.theory)
-    inputs = [theory_input]
-    extra_pool = ()
+def _cmd_sensibility(args, inputs: _Inputs) -> _Result:
+    t = inputs.theory(args.theory)
+    extra_pool = []
     if args.pool:
-        extra_pool = _read_pool(args.pool)
-        inputs.append(_file_input(args.pool))
-    maps = _extra_maps(t, args.map_into, args.map_from)
-    for theory_arg, map_arg in (args.map_into or []) + (args.map_from or []):
-        inputs.append(_file_input(map_arg))
+        for line in inputs.file(args.pool).splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line:
+                extra_pool.append(parse_term(line))
+    maps = []
+    for into, pairs in ((True, args.map_into), (False, args.map_from)):
+        for theory_arg, map_arg in pairs or []:
+            other = inputs.theory(theory_arg)
+            mapping = parse_constant_map(inputs.file(map_arg))
+            source, target = (t, other) if into else (other, t)
+            maps.append(ConstantMap.of(source, target, mapping))
     v = verdict(
         t,
         fuel=args.fuel,
         inter_width=args.width,
         depth=args.depth,
-        extra_maps=maps,
-        extra_pool=extra_pool,
+        extra_maps=tuple(maps),
+        extra_pool=tuple(extra_pool),
     )
-    certs: list[dict] = []
-    if isinstance(v, Sensible):
+    if isinstance(v, (Sensible, NonSensible)):
         evidence, certs = _evidence_json(v.evidence, t)
-        payload = {"result": "Sensible", "evidence": evidence}
-        code = 0
-        lines = [f"Sensible ({payload['evidence']['kind']})"]
-    elif isinstance(v, NonSensible):
-        evidence, certs = _evidence_json(v.evidence, t)
-        payload = {"result": "NonSensible", "evidence": evidence}
-        code = 1
-        lines = [f"NonSensible ({payload['evidence']['kind']})"]
+        result = type(v).__name__
+        lines = [f"{result} ({evidence['kind']})"]
         if isinstance(v.evidence, Witness):
             lines.append(
                 f"  witness: {print_term(v.evidence.term)} : {print_ty(v.evidence.ty)}"
             )
-    else:
-        payload = {"result": "Unknown", "tried": list(v.tried)}
-        code = 2
-        lines = ["Unknown; attempts:"] + [f"  {x}" for x in v.tried]
-    return _report("sensibility", inputs, payload, certs), code, lines
+        code = 0 if isinstance(v, Sensible) else 1
+        return {"result": result, "evidence": evidence}, certs, code, lines
+    lines = ["Unknown; attempts:"] + [f"  {x}" for x in v.tried]
+    return {"result": "Unknown", "tried": list(v.tried)}, [], 2, lines
 
 
-def _cmd_corpus(args) -> tuple[dict, int, list[str]]:
+def _cmd_corpus(args, inputs: _Inputs) -> _Result:
     reg = builtin_theories()
     if args.all or not args.names:
         names = list(reg.names())
     else:
         names = [reg.lookup(n).spec.name for n in args.names]
+    inputs.read.append({"kind": "builtin-corpus", "theories": names})
     golden = json.loads(
         (Path(__file__).parent / "corpus" / "verdicts.json").read_text(
             encoding="utf-8"
@@ -444,8 +400,7 @@ def _cmd_corpus(args) -> tuple[dict, int, list[str]]:
         mark = "ok" if r["match"] else "MISMATCH"
         lines.append(f"{name:10s} {r['verdict']:12s} [{mark}]")
     lines.append("all golden verdicts match" if all_match else "golden mismatch")
-    inputs = [{"kind": "builtin-corpus", "theories": names}]
-    return _report("corpus", inputs, payload, []), (0 if all_match else 1), lines
+    return payload, [], (0 if all_match else 1), lines
 
 
 # -- parser ----------------------------------------------------------------------
@@ -541,16 +496,13 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    inputs = _Inputs()
     try:
-        report, code, lines = _HANDLERS[args.command](args)
+        payload, certs, code, lines = _HANDLERS[args.command](args, inputs)
     except UniverseTooLarge as e:  # a blown budget is an honest "unknown"
         print(f"inconclusive: {e}", file=sys.stderr)
-        if args.json:
-            # the handler's inputs were not returned, so the report names none
-            payload = {"result": "UniverseTooLarge", "member_bound": e.bound}
-            report = _report(args.command, [], payload, [])
-            print(json.dumps(report, indent=2, sort_keys=True))
-        return 2
+        payload = {"result": "UniverseTooLarge", "member_bound": e.bound}
+        certs, code, lines = [], 2, []
     except (IttError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -565,9 +517,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
     if args.json:
+        report = _report(args.command, inputs.read, payload, certs)
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print("\n".join(lines))
+        for line in lines:
+            print(line)
     return code
 
 

@@ -208,11 +208,23 @@ def transfer(
     Kind "sensible" carries the target's sensibility back to the source;
     kind "nonsensible" carries the source's non-sensibility forward to the
     target.  A failed verification is returned unchanged.
+
+    A sensible transfer also needs equal rule flags.  verify_embedding checks
+    top preservation constant by constant, which covers every type only when
+    both theories have the same schemata: with a schema the source lacks,
+    such as arrow-U, a type like c0 -> U is top in the target but not in the
+    source, and no per-constant check sees it.
     """
     if kind not in _EVIDENCE:
         raise InvalidInput(f"unknown transfer kind {kind!r}")
     if evidence is None:
         raise PreconditionFailed(f"{_EVIDENCE[kind]} is required")
+    if kind == "sensible" and k.source.flags != k.target.flags:
+        names = ", ".join(sorted(f.value for f in k.source.flags ^ k.target.flags))
+        return Failed(
+            "rule-flags",
+            f"RuleFlagMismatch: a sensible transfer needs equal flags; {names} differ",
+        )
     verdict = verify_embedding(k, inter_width)
     if not isinstance(verdict, Verified):
         return verdict

@@ -3,7 +3,7 @@
 A fixed, interleaved sequence of derive_le and infer_bounded queries over
 several built-in theories, with seed sets that repeat and distinct seed sets
 that build one universe.  The sha256 of the repr of each answer is recorded
-in data/answer_fingerprints.json; scripts/regen_answer_fingerprints.py
+in data/answer_fingerprints.json; scripts/regen_fixtures.py
 rewrites that file from this module.
 """
 

@@ -1,6 +1,7 @@
 """Exit codes, report shape, and certificate round-trips for the CLI."""
 
 import contextlib
+import hashlib
 import io
 import json
 from importlib import resources
@@ -53,7 +54,14 @@ class TestReduce:
         code, report = run_json(capsys, "reduce", str(f))
         assert code == 0
         assert report["inputs"][0]["kind"] == "file"
-        assert len(report["inputs"][0]["sha256"]) == 64
+        assert report["inputs"][0]["sha256"] == hashlib.sha256(f.read_bytes()).hexdigest()
+
+    def test_long_inline_term_is_not_taken_for_a_path(self, capsys):
+        # a 400-byte argument is too long for a file name; it is still a term
+        term = "x " * 200
+        code, report = run_json(capsys, "reduce", term)
+        assert code == 0
+        assert report["inputs"] == [{"kind": "inline", "label": "term", "text": term}]
 
     def test_negative_fuel_is_a_usage_error(self, capsys):
         # exit 1 would claim a definitive negative
@@ -243,6 +251,23 @@ class TestSensibility:
         for cert in report["certificates"]:
             assert check_subproof(spec("TCDZ"), parse_subproof(cert["text"])) == Valid()
 
+    @pytest.mark.parametrize("name", ["T0", "T0le", "T1"])
+    def test_map_into_a_target_with_more_rule_flags_is_refused(self, capsys, tmp_path, name):
+        # TCDZ has arrow-U and these theories do not, so c0 -> U is top in
+        # TCDZ yet not in the source: per-constant checks cannot carry the
+        # target's sensibility back
+        f = tmp_path / "c3.map"
+        f.write_text("c0 -> c3\nc1 -> c3\n")
+        code, report = run_json(capsys, "sensibility", name, "--map-into", "TCDZ", str(f))
+        assert code == 2
+        assert "embedding into TCDZ: Failed" in report["verdict"]["tried"]
+        digest = hashlib.sha256(f.read_bytes()).hexdigest()
+        assert report["inputs"] == [
+            {"kind": "builtin", "name": name},
+            {"kind": "builtin", "name": "TCDZ"},
+            {"kind": "file", "path": str(f), "sha256": digest},
+        ]
+
     @pytest.mark.parametrize("depth", ["0", "-1"])
     def test_chain_depth_below_one_is_a_usage_error(self, capsys, depth):
         # depth 0 and -1 used to run silently at depth 1
@@ -316,6 +341,19 @@ class TestDeterminismAndErrors:
         assert main(["check", "T4", "/no/such/file.drv"]) == 3
 
     @pytest.mark.parametrize(
+        "argv",
+        [["check", "T4", "bad.drv"], ["polarity", "bad.itt"], ["embed", "T3", "TCDZ", "bad.map"]],
+        ids=["drv", "itt", "map"],
+    )
+    def test_undecodable_file_is_an_input_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / argv[-1]).write_bytes(b"\xff\xfe not UTF-8\n")
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "checker, argv",
         [
             ("check_subproof", ["subtype", "T0", "c0 -> c0 <= c1 -> c0"]),
@@ -348,10 +386,17 @@ class TestDeterminismAndErrors:
         assert report["command"] == argv[0]
         assert report["verdict"] == {"result": "UniverseTooLarge", "member_bound": 20000}
         assert report["certificates"] == []
+        # the inputs read before the bound blew
+        inline = {
+            "subtype": [("query", argv[2])],
+            "infer": [("basis", ""), ("term", argv[2]), ("type", argv[3])],
+        }
+        assert report["inputs"][0] == {"kind": "builtin", "name": "T0"}
+        assert [(i["label"], i["text"]) for i in report["inputs"][1:]] == inline[argv[0]]
 
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
         # exit 1 would claim a definitive negative
-        def broken(args):
+        def broken(args, inputs):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(cli._HANDLERS, "subtype", broken)

@@ -4,7 +4,7 @@ parse_corpus() is a seeded set of inputs for each public parser: printed
 random types, terms, bases, subproofs, derivations and constant maps, their
 1-3 character mutations, and hand-picked edge cases.  The sha256 and the
 count of each parser's results over it are recorded in
-data/parse_fingerprints.json; scripts/regen_answer_fingerprints.py rewrites
+data/parse_fingerprints.json; scripts/regen_fixtures.py rewrites
 that file from this module.
 """
 

@@ -190,7 +190,9 @@ class TestVerdicts:
         # two extra targets named Foo: an axiom-free one that nothing shows
         # sensible, then a renamed TCDZ; the second must not be dropped as a
         # duplicate of the first
-        x = parse_theory("theory X\nconstants a\n")
+        x = parse_theory(
+            "theory X\nconstants a\nflags arrow arrow-U arrow-cap U-leq\n"
+        )
         hollow = parse_theory(
             "theory Foo\nconstants c3 c4\nflags arrow arrow-U arrow-cap U-leq\n"
         )
