@@ -27,6 +27,7 @@ from .embedding import (
     verify_embedding,
 )
 from .errors import IttError, ParseError, UniverseTooLarge
+from .lexer import Tokens, parse, statements
 from .polarity import (
     PolarityPass,
     StagingFailure,
@@ -54,9 +55,17 @@ from .sexpr import (
     unparse_subproof,
 )
 from .subtyping import DEFAULT_WIDTH, Proven, Valid, check_subproof, derive_le
-from .terms import Reached, head_reduce, head_step, parse_term, print_term
+from .terms import (
+    Reached,
+    freshen,
+    head_reduce,
+    head_step,
+    parse_term,
+    print_term,
+    read_term,
+)
 from .theory import TheorySpec, parse_theory, validate_natural
-from .types import parse_ty, print_ty
+from .types import parse_ty, print_ty, read_le
 
 TRACE_CAP = 50
 
@@ -161,10 +170,7 @@ def _cmd_reduce(args, inputs: _Inputs) -> _Result:
 
 def _cmd_subtype(args, inputs: _Inputs) -> _Result:
     t = inputs.theory(args.theory)
-    halves = inputs.inline("query", args.query).split("<=", 1)
-    if len(halves) != 2:
-        raise IttError(f"expected 'A <= B', got {args.query!r}")
-    a, b = parse_ty(halves[0]), parse_ty(halves[1])
+    a, b = parse(Tokens(inputs.inline("query", args.query)), read_le, "query")
     v = derive_le(t, a, b, args.width)
     if isinstance(v, Proven):
         payload = {"result": "Proven", "lhs": print_ty(a), "rhs": print_ty(b)}
@@ -332,12 +338,11 @@ def _evidence_json(e: object, about: TheorySpec) -> tuple[dict, list[dict]]:
 
 def _cmd_sensibility(args, inputs: _Inputs) -> _Result:
     t = inputs.theory(args.theory)
-    extra_pool = []
-    if args.pool:
-        for line in inputs.file(args.pool).splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                extra_pool.append(parse_term(line))
+    pool = inputs.file(args.pool) if args.pool else ""
+    extra_pool = [
+        parse(tk, lambda tk: freshen(read_term(tk)), f"pool line {lineno}")
+        for lineno, tk in statements(pool)
+    ]
     maps = []
     for into, pairs in ((True, args.map_into), (False, args.map_from)):
         for theory_arg, map_arg in pairs or []:

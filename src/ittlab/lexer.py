@@ -1,22 +1,25 @@
-"""The one lexer behind every text format: types, terms, bases, certificates
-and constant maps.
+"""The one lexer behind every text format: types, terms, bases, certificates,
+`.itt` theories, constant maps and term pools.
 
 A token is an identifier, one of the symbols `->`, `<=` and `|-`, or any
 other single non-space character.  Readers take tokens off one Tokens
 cursor and stop at the first token they cannot use, so a judgment is read
 as a basis, a term and a type in turn, with no substring scanned twice.
+statements splits the line formats (theories, maps, pools) alike, and every
+offset, in a token or in a ParseError, indexes the whole text.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .errors import ParseError
 
 IDENT = "identifier"
 END = "end of input"
 _TOKEN = re.compile(r"([A-Za-z_$][A-Za-z0-9_'$]*)|->|<=|\|-|\S")
+_STATEMENT = re.compile(r"[^;]+")
 
 T = TypeVar("T")
 
@@ -75,3 +78,17 @@ def parse(tk: Tokens, read: Callable[[Tokens], T], what: str) -> T:
         raise ParseError(f"{what} nested too deeply", tk.at()) from None
     tk.end(what)
     return out
+
+
+def statements(src: str) -> Iterator[tuple[int, Tokens]]:
+    """(line number, Tokens) for each non-blank statement of src.  A newline
+    or `;` ends a statement, and `#` starts a comment that runs to the end
+    of its line."""
+    start = 0
+    for lineno, line in enumerate(src.splitlines(keepends=True), 1):
+        stop = start + len(line.partition("#")[0])
+        for m in _STATEMENT.finditer(src, start, stop):
+            tk = Tokens(src, m.start(), m.end())
+            if tk.peek() != END:
+                yield lineno, tk
+        start += len(line)

@@ -17,7 +17,7 @@ from functools import cache
 from importlib import resources
 from typing import Union
 
-from .assignment import Basis, Derivation, Found, infer_bounded
+from .assignment import DEFAULT_FUEL, Basis, Derivation, Found, infer_bounded
 from .embedding import ConstantMap, TransferCertificate, compose_maps, transfer
 from .errors import InvalidInput
 from .polarity import PolarityPass, check_positive_polarity, completion
@@ -27,7 +27,6 @@ from .theory import TheorySpec, parse_theory, validate_natural
 from .types import TOP, Const, Ty, canonicalize, print_ty, ty_key
 from .sexpr import parse_constant_map
 
-DEFAULT_PROBE_FUEL = 500
 DEFAULT_CHAIN_DEPTH = 3
 
 
@@ -195,7 +194,7 @@ def _probe_targets(t: TheorySpec, inter_width: int) -> tuple[Ty, ...]:
 
 def probe_unsolvable_typing(
     t: TheorySpec,
-    fuel: int = DEFAULT_PROBE_FUEL,
+    fuel: int = DEFAULT_FUEL,
     inter_width: int = DEFAULT_WIDTH,
     extra_pool: tuple[Term, ...] = (),
 ) -> Witness | NoneFound:
@@ -359,7 +358,7 @@ def _chains(
 
 def verdict(
     t: TheorySpec,
-    fuel: int = DEFAULT_PROBE_FUEL,
+    fuel: int = DEFAULT_FUEL,
     inter_width: int = DEFAULT_WIDTH,
     depth: int = DEFAULT_CHAIN_DEPTH,
     extra_maps: tuple[ConstantMap, ...] = (),
@@ -369,6 +368,8 @@ def verdict(
     search plus embeddings from known-nonsensible sources, else Unknown."""
     if depth < 1:
         raise InvalidInput("chain depth must be >= 1")
+    if fuel < 0 or inter_width < 1:
+        raise InvalidInput("fuel must be nonnegative and inter_width >= 1")
     reg = builtin_theories()
     tried: list[str] = []
 

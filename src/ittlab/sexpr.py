@@ -3,21 +3,21 @@
 Subtyping certificates: `(rule (TY <= TY) premise*)`.
 Derivations: `(rule (GAMMA |- TERM : TY) child* [subproof])` with GAMMA
 written `x:TY, ...` (empty for a closed judgment), each x one identifier
-bound once.  Constant map files hold `name -> TY` lines with `#` comments,
-each name one identifier.  Every format is read off one lexer.Tokens cursor
-by the type and term readers, so parsers accept arbitrary whitespace and
-report offsets into the whole text; unparsers emit a deterministic indented
-layout.
+bound once.  Constant map files hold `name -> TY` statements, each name one
+identifier, under the statement rule of lexer.statements (newline or `;`,
+`#` comments).  Every format is read off one lexer.Tokens cursor by the type
+and term readers, so parsers accept arbitrary whitespace and report offsets
+into the whole text; unparsers emit a deterministic indented layout.
 """
 
 from __future__ import annotations
 
 from .assignment import Basis, Derivation, Judgment
 from .errors import ParseError
-from .lexer import END, IDENT, Tokens, parse
+from .lexer import IDENT, Tokens, parse, statements
 from .subtyping import SubProof
 from .terms import freshen, print_term, read_term
-from .types import Ty, print_ty, read_ty
+from .types import Ty, print_ty, read_le, read_ty
 
 _DERIVATION_RULES = {"Ax", "TopU", "ArrI", "ArrE", "CapI", "Le"}
 
@@ -52,9 +52,7 @@ def _read_node(tk: Tokens, read_rest):
 
 def _read_subproof(tk: Tokens, rule: str) -> SubProof:
     tk.take("(")
-    lo = read_ty(tk)
-    tk.take("<=")
-    hi = read_ty(tk)
+    lo, hi = read_le(tk)
     tk.take(")")
     premises = []
     while tk.peek() == "(":
@@ -132,14 +130,9 @@ def _read_map_line(tk: Tokens) -> tuple[str, Ty]:
 
 
 def parse_constant_map(text: str) -> dict[str, Ty]:
-    """Read `name -> TY` lines, each name one identifier; `#` starts a
-    comment, and later lines override earlier ones."""
-    out: dict[str, Ty] = {}
-    start = 0
-    for lineno, line in enumerate(text.splitlines(keepends=True), 1):
-        tk = Tokens(text, start, start + len(line.partition("#")[0]))
-        if tk.peek() != END:
-            name, ty = parse(tk, _read_map_line, f"map line {lineno}")
-            out[name] = ty
-        start += len(line)
-    return out
+    """Read `name -> TY` statements (see lexer.statements), each name one
+    identifier; later statements override earlier ones."""
+    return dict(
+        parse(tk, _read_map_line, f"map line {lineno}")
+        for lineno, tk in statements(text)
+    )

@@ -6,6 +6,8 @@ theories restrict axioms to `c ~ A` with one defining axiom per constant;
 validate_natural rewrites such a theory into the restricted characteristic
 form where every right-hand side is a constant, an arrow of constants, or an
 intersection of constants, minting $-named auxiliaries for nested subterms.
+parse_theory reads each .itt statement off one lexer.Tokens cursor, so its
+error offsets index the whole file.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     ParseError,
     UndeclaredConstant,
 )
+from .lexer import END, IDENT, Tokens, parse, statements
 from .types import (
     TOP,
     Arrow,
@@ -34,7 +37,7 @@ from .types import (
     is_reserved,
     make_inter,
     map_consts,
-    parse_ty,
+    read_ty,
 )
 
 
@@ -115,87 +118,60 @@ class TheorySpec:
         return tuple(out)
 
 
-def _statements(src: str):
-    """Yield (text, absolute offset) for each ;- or newline-separated statement."""
-    off = 0
-    for line in src.splitlines(keepends=True):
-        code = line.split("#", 1)[0]
-        sub = 0
-        for piece in code.split(";"):
-            text = piece.strip()
-            if text:
-                yield text, off + sub + (len(piece) - len(piece.lstrip()))
-            sub += len(piece) + 1
-        off += len(line)
+def _read_name(tk: Tokens, what: str) -> str:
+    at = tk.at()
+    name = tk.take(IDENT)
+    if not _CONST_NAME.match(name):
+        raise ParseError(f"bad {what} {name!r}", at)
+    return name
+
+
+def _read_statement(tk: Tokens, spec: dict) -> None:
+    """Read one statement off tk into spec, the TheorySpec fields so far."""
+    at = tk.at()
+    head = tk.take(IDENT)
+    if head == "theory":
+        if spec["name"] is not None:
+            raise ParseError("duplicate theory statement", at)
+        spec["name"] = _read_name(tk, "theory name")
+    elif head == "natural":
+        spec["natural"] = True
+    elif head == "constants":
+        spec["constants"].append(tk.take(IDENT))
+        while tk.peek() == IDENT:
+            spec["constants"].append(tk.take(IDENT))
+    elif head == "flags":
+        while tk.peek() != END:
+            at, w = tk.at(), tk.word()
+            try:
+                spec["flags"].add(RuleFlag(w))
+            except ValueError:
+                raise ParseError(f"unknown flag {w!r}", at) from None
+    elif head == "axiom":
+        lhs = read_ty(tk)
+        kind = "eq" if tk.peek() == "~" else "le"
+        tk.take("~" if kind == "eq" else "<=")
+        spec["axioms"].append(AxiomDecl(kind, lhs, read_ty(tk)))
+    elif head == "order":
+        lo = _read_name(tk, "constant name in order clause")
+        tk.take("<=")
+        spec["order"].append((lo, _read_name(tk, "constant name in order clause")))
+    else:
+        raise ParseError(f"unknown statement {head!r}", at)
 
 
 def parse_theory(src: str) -> TheorySpec:
     """Parse the .itt statement language.
 
-    Statements (newline- or ;-separated, # comments):
-      theory NAME | natural | constants id+ | flags name+ |
+    Statements (see lexer.statements: newline- or ;-separated, # comments):
+      theory NAME | natural | constants id+ | flags name* |
       axiom TY (<= | ~) TY | order id <= id
     """
-    name = "unnamed"
-    named = False
-    natural = False
-    constants: list[str] = []
-    flags: set[RuleFlag] = set()
-    axioms: list[AxiomDecl] = []
-    order: list[tuple[str, str]] = []
-
-    for text, at in _statements(src):
-        head, _, rest = text.partition(" ")
-        rest = rest.strip()
-        if head == "theory":
-            if named:
-                raise ParseError("duplicate theory statement", at)
-            if not _CONST_NAME.match(rest):
-                raise ParseError(f"bad theory name {rest!r}", at)
-            name, named = rest, True
-        elif head == "natural":
-            if rest:
-                raise ParseError("natural takes no arguments", at)
-            natural = True
-        elif head == "constants":
-            ids = rest.split()
-            if not ids:
-                raise ParseError("constants needs at least one name", at)
-            constants.extend(ids)
-        elif head == "flags":
-            for w in rest.split():
-                try:
-                    flags.add(RuleFlag(w))
-                except ValueError:
-                    raise ParseError(f"unknown flag {w!r}", at) from None
-        elif head == "axiom":
-            n_eq, n_le = rest.count("~"), rest.count("<=")
-            if n_eq + n_le != 1:
-                raise ParseError("axiom needs exactly one '~' or '<='", at)
-            op = "~" if n_eq else "<="
-            lhs_s, rhs_s = rest.split(op)
-            kind = "eq" if n_eq else "le"
-            axioms.append(AxiomDecl(kind, parse_ty(lhs_s), parse_ty(rhs_s)))
-        elif head == "order":
-            sides = rest.split("<=")
-            if len(sides) != 2:
-                raise ParseError("order clause is `order id <= id`", at)
-            lo, hi = sides[0].strip(), sides[1].strip()
-            for c in (lo, hi):
-                if not _CONST_NAME.match(c):
-                    raise ParseError(f"bad constant name {c!r} in order clause", at)
-            order.append((lo, hi))
-        else:
-            raise ParseError(f"unknown statement {head!r}", at)
-
-    return TheorySpec(
-        name=name,
-        constants=frozenset(constants),
-        flags=frozenset(flags),
-        axioms=tuple(axioms),
-        order=tuple(order),
-        natural=natural,
-    )
+    spec: dict = {"name": None, "natural": False, "constants": [], "flags": set(),
+                  "axioms": [], "order": []}
+    for lineno, tk in statements(src):
+        parse(tk, lambda tk: _read_statement(tk, spec), f"statement on line {lineno}")
+    return TheorySpec(spec.pop("name") or "unnamed", **spec)
 
 
 # -- characteristic sets -------------------------------------------------------

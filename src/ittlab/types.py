@@ -307,6 +307,13 @@ def _read_atom(tk: Tokens, allow_reserved: bool) -> Ty:
     return Const(name)
 
 
+def read_le(tk: Tokens) -> tuple[Ty, Ty]:
+    """Read `T <= T` off tk."""
+    lo = read_ty(tk)
+    tk.take("<=")
+    return lo, read_ty(tk)
+
+
 def parse_ty(src: str, allow_reserved: bool = False) -> Ty:
     """The type that is all of src; see read_ty."""
     return parse(Tokens(src), lambda tk: read_ty(tk, allow_reserved), "type")

@@ -102,6 +102,11 @@ class TestSubtype:
     def test_malformed_query(self, capsys):
         assert main(["subtype", "T0", "c0 < c1"]) == 3
 
+    @pytest.mark.parametrize("query", ["c0 <= (c1", "c0 <= c1 <= c0"])
+    def test_query_errors_give_offsets_into_the_whole_query(self, capsys, query):
+        assert main(["subtype", "T0", query]) == 3
+        assert "(at offset 9)" in capsys.readouterr().err
+
     def test_deeply_nested_query_is_a_usage_error(self, capsys):
         query = "c0 -> " * 3000 + "c0 <= U"
         assert main(["subtype", "T0", query]) == 3
@@ -210,6 +215,12 @@ class TestSensibility:
         code, _ = run(capsys, "sensibility", "T0", "--pool", str(f))
         assert code == 2
 
+    def test_pool_errors_give_offsets_into_the_whole_file(self, capsys, tmp_path):
+        f = tmp_path / "pool.lam"
+        f.write_text("\\x.x\n\\x.x )\n")
+        assert main(["sensibility", "T0", "--pool", str(f)]) == 3
+        assert "(at offset 10)" in capsys.readouterr().err
+
     def test_map_into_flag_rescues_a_clone(self, capsys, tmp_path):
         clone = tmp_path / "clone.itt"
         src = resources.files("ittlab").joinpath("corpus", "T3.itt").read_text()
@@ -273,6 +284,19 @@ class TestSensibility:
         # depth 0 and -1 used to run silently at depth 1
         assert main(["sensibility", "T3", "--depth", depth]) == 3
         assert "chain depth must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sensibility", "TCDZ", "--fuel", "-1"],
+            ["sensibility", "TCDZ", "--width", "0"],
+            ["corpus", "TCDZ", "--fuel", "-1"],
+        ],
+    )
+    def test_invalid_budget_is_a_usage_error(self, capsys, argv):
+        # TCDZ is decided by polarity, which used to run on any budget
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_certificates_revalidate(self, capsys):
         code, report = run_json(capsys, "sensibility", "T4")

@@ -1,10 +1,10 @@
 """Every text reader: pinned results, depth errors, names, fuzzing.
 
 parse_corpus() is a seeded set of inputs for each public parser: printed
-random types, terms, bases, subproofs, derivations and constant maps, their
-1-3 character mutations, and hand-picked edge cases.  The sha256 and the
-count of each parser's results over it are recorded in
-data/parse_fingerprints.json; scripts/regen_fixtures.py rewrites
+random types, terms, bases, subproofs, derivations and constant maps, the
+corpus .itt theories, their 1-3 character mutations, and hand-picked edge
+cases.  The sha256 and the count of each parser's results over it are
+recorded in data/parse_fingerprints.json; scripts/regen_fixtures.py rewrites
 that file from this module.
 """
 
@@ -19,7 +19,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ittlab.assignment import Basis, Derivation, Judgment
-from ittlab.errors import IttError, ParseError
+from ittlab.cli import main
+from ittlab.errors import (
+    IttError,
+    NaturalShapeViolation,
+    ParseError,
+    UndeclaredConstant,
+)
 from ittlab.sexpr import (
     parse_basis,
     parse_constant_map,
@@ -34,6 +40,19 @@ from ittlab.theory import parse_theory
 from ittlab.types import TOP, Arrow, Const, Inter, parse_ty, print_ty
 
 PARSE_FINGERPRINTS = Path(__file__).parent / "data" / "parse_fingerprints.json"
+CORPUS = resources.files("ittlab").joinpath("corpus")
+THEORY_FILES = sorted(p.name for p in CORPUS.iterdir() if p.name.endswith(".itt"))
+THEORY_TEXTS = [CORPUS.joinpath(name).read_text() for name in THEORY_FILES]
+
+
+def _theory_fields(text: str) -> tuple:
+    """parse_theory's result with its sets sorted, so that its repr does not
+    depend on the hash seed."""
+    t = parse_theory(text)
+    return (t.name, sorted(t.constants), sorted(f.value for f in t.flags),
+            t.axioms, t.order, t.natural)
+
+
 PARSERS = {
     "parse_ty": parse_ty,
     "parse_term": parse_term,
@@ -41,6 +60,7 @@ PARSERS = {
     "parse_subproof": parse_subproof,
     "parse_derivation": parse_derivation,
     "parse_constant_map": parse_constant_map,
+    "parse_theory": _theory_fields,
 }
 CONSTS = ("c0", "c1", "c2", "a'", "_b", "x$y")
 VARS = ("x", "y", "z", "f", "x'", "y_1")
@@ -88,6 +108,20 @@ EDGE_CASES = {
         "(a) -> c0\n", "a |-> c0\n", "a -> c0 b -> c1\n", "a ->\n c0\n",
         "a -> c0 # c\x0bb -> c1\n", "$a -> c0\n", "U -> c0\n", "a -> (c0\n",
         "a -> c0\r\nb -> c1", "a (-> c0)\n",
+    ],
+    "parse_theory": [
+        "", "theory X;;\n;# only a comment\n\n", "theory", "theory X Y",
+        "theory $x", "theory T; theory T", "natural", "natural x", "constants",
+        "constants a b c", "constants a,b", "constants $a", "constants U",
+        "constants\ta b", "flags", "flags arrow arrow-U arrow-cap U-leq",
+        "flags bogus", "flags arrow(U)", "constants a; axiom a",
+        "constants a; axiom a ~ a ~ a", "constants a; axiom a <= a -> U",
+        "constants a; axiom a ~ (a", "theory X\nconstants a\naxiom a <= (a",
+        "axiom(a) ~ a; constants a", "constants a # b\naxiom a <= b",
+        "constants a b; order a <= b", "constants a b; order a <= b <= a",
+        "constants a b\norder a b", "order a <= b", "constants a\r\naxiom a ~ a",
+        "natural; constants a b; axiom a ~ b; axiom a ~ b -> b",
+        "natural; constants a; axiom a <= a",
     ],
 }
 
@@ -195,6 +229,10 @@ def _derivation_text(rng: random.Random) -> str:
     return unparse_derivation(_random_derivation(rng, 2))
 
 
+def _theory_text(rng: random.Random) -> str:
+    return rng.choice(THEORY_TEXTS)
+
+
 # parser -> (printer of one random input, printed inputs in the corpus)
 PRINTED = {
     "parse_ty": (_ty_text, 600),
@@ -203,6 +241,7 @@ PRINTED = {
     "parse_subproof": (_subproof_text, 200),
     "parse_derivation": (_derivation_text, 150),
     "parse_constant_map": (_map_text, 300),
+    "parse_theory": (_theory_text, 105),
 }
 
 
@@ -287,6 +326,12 @@ def test_map_errors_give_offsets_into_the_whole_text():
         parse_constant_map("a -> c0\nb -> )\n")
 
 
+def test_theory_errors_give_offsets_into_the_whole_text():
+    # the unclosed parenthesis of the axiom's right side ends the text
+    with pytest.raises(ParseError, match=r"offset 34\)"):
+        parse_theory("theory X\nconstants a\naxiom a <= (a")
+
+
 # -- fuzzing: only the package's own errors escape a reader ---------------------
 
 @st.composite
@@ -309,12 +354,34 @@ def test_readers_raise_only_parse_errors(case):
         PARSERS[name](text)
     except ParseError:
         pass
+    except (UndeclaredConstant, NaturalShapeViolation):
+        assert name == "parse_theory"  # a theory's own well-formedness checks
 
 
-THEORY_FILES = sorted(
-    p.name for p in resources.files("ittlab").joinpath("corpus").iterdir()
-    if p.name.endswith(".itt")
+QUERY_TOKENS = ("c0", "c1", "U", "x", "$1", "->", "<=", "&", "(", ")", "~", ";")
+T0_TYPES = st.recursive(
+    st.sampled_from(["c0", "c1", "U"]),
+    lambda ty: st.tuples(ty, st.sampled_from(["->", "&"]), ty).map(" ".join),
+    max_leaves=3,
 )
+
+
+@st.composite
+def subtype_queries(draw) -> str:
+    """A T0 query `A <= B`, noise, or noise put into such a query."""
+    query = f"({draw(T0_TYPES)}) <= ({draw(T0_TYPES)})"
+    noise = draw(
+        st.text(alphabet=MUTATION_ALPHABET + "~;\t", max_size=20)
+        | st.lists(st.sampled_from(QUERY_TOKENS), max_size=6).map(" ".join)
+    )
+    at = draw(st.integers(0, len(query)))
+    return draw(st.sampled_from([query, noise, query[:at] + noise + query[at:]]))
+
+
+@given(subtype_queries())
+def test_subtype_queries_exit_0_2_or_3(query):
+    # a malformed query is a usage error, never an internal one
+    assert main(["subtype", "T0", "--", query]) in (0, 2, 3)
 
 
 @given(st.sampled_from(THEORY_FILES), st.integers(0, 10**6))

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 
 from ittlab import embedding, sensibility
-from ittlab.assignment import check_derivation
+from ittlab.assignment import DEFAULT_FUEL, check_derivation
 from ittlab.embedding import ConstantMap, TransferCertificate, Verified
 from ittlab.errors import InvalidInput
 from ittlab.sensibility import (
@@ -85,7 +85,7 @@ class TestProbe:
         assert w.ty == Const("c")
         assert check_derivation(spec("Park"), w.derivation) == Valid()
         assert isinstance(w.head_trace, FuelExhausted)
-        assert w.head_trace.steps == 500
+        assert w.head_trace.steps == DEFAULT_FUEL
 
     def test_t4_witness_at_c3(self):
         w = probe_unsolvable_typing(spec("T4"))
@@ -101,7 +101,7 @@ class TestProbe:
         for name in ["TCDZ", "T3", "Tstar", "Tstarup", "Tflat", "EP",
                      "Ainf1", "Ainf2", "Ainf3", "Ainf4", "Ainf5"]:
             r = probe_unsolvable_typing(spec(name))
-            assert r == NoneFound(fuel=500, inter_width=2), name
+            assert r == NoneFound(fuel=DEFAULT_FUEL, inter_width=2), name
 
     def test_witness_survives_more_fuel(self):
         for name in ["Park", "T2inv"]:
