@@ -9,8 +9,10 @@ Computes, with the ittlab on sys.path:
   the seeded corpus of tests/test_parsing.py;
 - saturation_fingerprints.json, justification_fingerprints.json and
   probe_verdicts.json: the saturated fact set of every built-in theory's own
-  universe at widths 1-3, the rule and premises recorded for each fact, and
-  both probes' verdicts over probe_cases, all from tests/test_subtyping.py.
+  universe at widths 1-3; the rule and premises recorded for each fact of
+  those universes, of the universes of CERTIFIED_PAIRS and of a small TopLe
+  theory; and both probes' verdicts over probe_cases, all from
+  tests/test_subtyping.py.
 
 The fixtures pin answers across engine and parser changes, so run this on a
 checkout whose answers are trusted, for example a clean clone of the commit

@@ -26,7 +26,7 @@ from .embedding import (
     Verified,
     verify_embedding,
 )
-from .errors import IttError, ParseError, UniverseTooLarge
+from .errors import IttError, ParseError, UndeclaredConstant, UniverseTooLarge
 from .lexer import Tokens, parse, statements
 from .polarity import (
     PolarityPass,
@@ -65,7 +65,7 @@ from .terms import (
     read_term,
 )
 from .theory import TheorySpec, parse_theory, validate_natural
-from .types import parse_ty, print_ty, read_le
+from .types import Ty, constants_of, parse_ty, print_ty, read_le
 
 TRACE_CAP = 50
 
@@ -168,9 +168,19 @@ def _cmd_reduce(args, inputs: _Inputs) -> _Result:
     return payload, [], code, lines
 
 
+def _check_declared(t: TheorySpec, tys: list[Ty]) -> None:
+    """Raise UndeclaredConstant for the first constant, by name, of tys that
+    t does not declare."""
+    undeclared = sorted(frozenset().union(*map(constants_of, tys)) - t.constants)
+    if undeclared:
+        c = undeclared[0]
+        raise UndeclaredConstant(f"{c!r} is not a constant of theory {t.name!r}")
+
+
 def _cmd_subtype(args, inputs: _Inputs) -> _Result:
     t = inputs.theory(args.theory)
     a, b = parse(Tokens(inputs.inline("query", args.query)), read_le, "query")
+    _check_declared(t, [a, b])
     v = derive_le(t, a, b, args.width)
     if isinstance(v, Proven):
         payload = {"result": "Proven", "lhs": print_ty(a), "rhs": print_ty(b)}
@@ -212,6 +222,7 @@ def _cmd_infer(args, inputs: _Inputs) -> _Result:
     g = parse_basis(inputs.inline("basis", args.basis))
     m = parse_term(inputs.inline("term", args.term))
     a = parse_ty(inputs.inline("type", args.type))
+    _check_declared(t, [a] + [ty for _, ty in g.bindings])
     r = infer_bounded(t, g, m, a, args.fuel, args.width)
     if isinstance(r, Found):
         certs = [_derivation_cert(t, r.derivation)]

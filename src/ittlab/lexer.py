@@ -83,10 +83,11 @@ def parse(tk: Tokens, read: Callable[[Tokens], T], what: str) -> T:
 def statements(src: str) -> Iterator[tuple[int, Tokens]]:
     """(line number, Tokens) for each non-blank statement of src.  A newline
     or `;` ends a statement, and `#` starts a comment that runs to the end
-    of its line."""
+    of its line.  A line's last statement ends before the line break, so its
+    end-of-input offset is where the line's text ends."""
     start = 0
     for lineno, line in enumerate(src.splitlines(keepends=True), 1):
-        stop = start + len(line.partition("#")[0])
+        stop = start + len(line.splitlines()[0].partition("#")[0])
         for m in _STATEMENT.finditer(src, start, stop):
             tk = Tokens(src, m.start(), m.end())
             if tk.peek() != END:

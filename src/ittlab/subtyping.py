@@ -108,6 +108,19 @@ SubtypeVerdict = Union[Proven, UnknownWithin]
 Pair = tuple[Ty, Ty]
 IdPair = tuple[int, int]
 
+# Rule codes of SubtypeCtx.just, indexed into RULE_NAMES.  ArrCong has two
+# codes because its four premises are recorded in one order for f <= g and in
+# the reverse order for g <= f.
+(
+    REFL, AXIOM, INC_L, INC_R, UTOP, ARROW_TOP, ARROW_CAP,
+    ARROW_RULE, TOP_LE, ARR_CONG, ARR_CONG_REV, GLB, TRANS,
+) = range(13)
+RULE_NAMES = (
+    "Refl", "Axiom", "IncL", "IncR", "Utop", "ArrowTop", "ArrowCap",
+    "ArrowRule", "TopLe", "ArrCong", "ArrCong", "Glb", "Trans",
+)
+RULE_BITS = 4  # a justification is rule | k << RULE_BITS
+
 
 def bits(row: int) -> Iterator[int]:
     """Positions of the set bits of row, ascending: the ids a row holds."""
@@ -123,10 +136,14 @@ class SubtypeCtx:
 
     Members get dense ids in ty_key order, and each row of the relation is
     one int bitset: bit b of succ[a], and bit a of its transpose pred[b], says
-    a <= b.  Every fact records the rule and premise facts that first
-    produced it, keyed by id pair.  Premises always predate their consequence,
-    so justifications form a DAG and proofs rebuild without search.  A pair
-    outside the universe has no id and is never recorded.
+    a <= b.  Every fact a <= b records the rule that first produced it as one
+    int, just[a * n + b] = rule | k << RULE_BITS, where k is the one id its
+    premises need beyond a, b and the members' shapes: the middle type of a
+    Trans, the arrow U <= k of a TopLe, and 0 otherwise.  justification
+    decodes an entry back into the rule name and premise facts.  Premises
+    always predate their consequence, so justifications form a DAG and proofs
+    rebuild without search.  A pair outside the universe has no id and is
+    never recorded.
     """
 
     def __init__(self, theory: TheorySpec, universe: Universe):
@@ -137,8 +154,8 @@ class SubtypeCtx:
         n = len(self.members)
         self.succ = [0] * n
         self.pred = [0] * n
-        self.just: dict[IdPair, tuple[str, tuple[IdPair, ...]]] = {}
-        self.queue: deque[IdPair] = deque()
+        self.just: dict[int, int] = {}
+        self.queue: deque[int] = deque()  # facts as keys a * n + b
         # build_universe's members include every arrow's domain and codomain
         # and every intersection's parts, so all of them have ids
         self.dom: dict[int, int] = {}
@@ -164,37 +181,38 @@ class SubtypeCtx:
         self._seed()
         self._saturate()
 
-    def _add(self, a: int, b: int, rule: str, premises: tuple[IdPair, ...]) -> None:
+    def _add(self, a: int, b: int, rule: int) -> None:
         if self.succ[a] >> b & 1:
             return
         self.succ[a] |= 1 << b
         self.pred[b] |= 1 << a
-        self.just[a, b] = (rule, premises)
-        self.queue.append((a, b))
+        key = a * len(self.members) + b
+        self.just[key] = rule
+        self.queue.append(key)
 
-    def _add_types(self, a: Ty, b: Ty, rule: str) -> None:
+    def _add_types(self, a: Ty, b: Ty, rule: int) -> None:
         i, j = self.idx.get(a), self.idx.get(b)
         if i is not None and j is not None:
-            self._add(i, j, rule, ())
+            self._add(i, j, rule)
 
     def _seed(self) -> None:
         flags = self.theory.flags
         n = len(self.members)
         top = self.idx[TOP]
         for m in range(n):
-            self._add(m, m, "Refl", ())
+            self._add(m, m, REFL)
         for lhs, rhs in self.theory.le_axiom_pairs():
-            self._add_types(canonicalize(lhs), canonicalize(rhs), "Axiom")
+            self._add_types(canonicalize(lhs), canonicalize(rhs), AXIOM)
         for z, parts in self.parts.items():
-            self._add(z, parts[0], "IncL", ())
+            self._add(z, parts[0], INC_L)
             for p in parts[1:]:
-                self._add(z, p, "IncR", ())
+                self._add(z, p, INC_R)
         for m in range(n):
-            self._add(m, top, "Utop", ())
+            self._add(m, top, UTOP)
         if RuleFlag.ARROW_TOP in flags:
             for m, c in self.cod.items():
                 if c == top:
-                    self._add(top, m, "ArrowTop", ())
+                    self._add(top, m, ARROW_TOP)
         if RuleFlag.ARROW_CAP in flags:
             for z in self.parts:
                 z_ty = self.members[z]
@@ -205,8 +223,8 @@ class SubtypeCtx:
                         rhs = canonicalize(
                             Arrow(parts[0].dom, make_inter([p.cod for p in parts]))
                         )
-                        self._add_types(z_ty, rhs, "ArrowCap")
-                        self._add_types(rhs, z_ty, "ArrowCap")
+                        self._add_types(z_ty, rhs, ARROW_CAP)
+                        self._add_types(rhs, z_ty, ARROW_CAP)
 
     def _saturate(self) -> None:
         """The worklist loop: each fact popped fires, in this order, the (->)
@@ -218,6 +236,7 @@ class SubtypeCtx:
         arrow_rule = RuleFlag.ARROW in flags
         top_le = RuleFlag.TOP_LE in flags
         top = self.idx[TOP]
+        n = len(self.members)
         succ, pred, just = self.succ, self.pred, self.just
         queue = self.queue
         popleft, push = queue.popleft, queue.append
@@ -225,58 +244,56 @@ class SubtypeCtx:
         by_dom, by_cod = self.arrows_by_dom, self.arrows_by_cod
         parts_of, mask_of, part_to_inters = self.parts, self.mask, self.part_to_inters
 
-        def add(a: int, b: int, rule: str, premises: tuple[IdPair, ...]) -> None:
+        def add(a: int, b: int, rule: int) -> None:
             # the caller has checked that a <= b is new
             succ[a] |= 1 << b
             pred[b] |= 1 << a
-            just[a, b] = (rule, premises)
-            push((a, b))
+            key = a * n + b
+            just[key] = rule
+            push(key)
 
         while queue:
-            fact = popleft()
-            x, y = fact
+            x, y = divmod(popleft(), n)
             if arrow_rule:
-                # fact as the domain premise B' <= B of (->), with B' = x, B = y
+                # x <= y as the domain premise B' <= B of (->), with B' = x, B = y
                 for f in by_dom[y]:
                     row = succ[cod[f]]
                     for g in by_dom[x]:
                         if row >> cod[g] & 1 and not succ[f] >> g & 1:
-                            add(f, g, "ArrowRule", (fact, (cod[f], cod[g])))
-                # fact as the codomain premise A <= A', with A = x, A' = y
+                            add(f, g, ARROW_RULE)
+                # x <= y as the codomain premise A <= A', with A = x, A' = y
                 for f in by_cod[x]:
                     for g in by_cod[y]:
                         if succ[dom[g]] >> dom[f] & 1 and not succ[f] >> g & 1:
-                            add(f, g, "ArrowRule", ((dom[g], dom[f]), fact))
+                            add(f, g, ARROW_RULE)
             if top_le and x == top and y in cod:
                 c = cod[y]
                 if not succ[top] >> c & 1:
-                    add(top, c, "TopLe", (fact,))
+                    add(top, c, TOP_LE | y << RULE_BITS)
             if succ[y] >> x & 1:
                 # x ~ y as the domains of congruent arrows
                 for f in by_dom[x]:
                     for g in by_dom[y]:
                         cf, cg = cod[f], cod[g]
                         if succ[cf] >> cg & 1 and succ[cg] >> cf & 1:
-                            prems = ((y, x), (x, y), (cf, cg), (cg, cf))
                             if not succ[f] >> g & 1:
-                                add(f, g, "ArrCong", prems)
+                                add(f, g, ARR_CONG)
                             if not succ[g] >> f & 1:
-                                add(g, f, "ArrCong", prems[::-1])
+                                add(g, f, ARR_CONG_REV)
                 # x ~ y as the codomains
                 for f in by_cod[x]:
                     for g in by_cod[y]:
                         df, dg = dom[f], dom[g]
                         if succ[dg] >> df & 1 and succ[df] >> dg & 1:
-                            prems = ((dg, df), (df, dg), (x, y), (y, x))
                             if not succ[f] >> g & 1:
-                                add(f, g, "ArrCong", prems)
+                                add(f, g, ARR_CONG)
                             if not succ[g] >> f & 1:
-                                add(g, f, "ArrCong", prems[::-1])
+                                add(g, f, ARR_CONG_REV)
             for z in part_to_inters[y]:
                 mask = mask_of[z]
                 row = succ[x]
                 if row & mask == mask and not row >> z & 1:
-                    add(x, z, "Glb", tuple((x, p) for p in parts_of[z]))
+                    add(x, z, GLB)
             # Trans as row-ORs on the delta rows: x gains the successors of y
             # it lacks, then the predecessors of x that lack y gain it, each
             # in ascending id order.  No bit of a delta is set while it is
@@ -285,18 +302,23 @@ class SubtypeCtx:
             if delta:
                 succ[x] |= delta
                 bit_x = 1 << x
+                base = x * n
+                rule = TRANS | y << RULE_BITS
                 for z in bits(delta):
                     pred[z] |= bit_x
-                    just[x, z] = ("Trans", (fact, (y, z)))
-                    push((x, z))
+                    key = base + z
+                    just[key] = rule
+                    push(key)
             delta = pred[x] & ~pred[y]
             if delta:
                 pred[y] |= delta
                 bit_y = 1 << y
+                rule = TRANS | x << RULE_BITS
                 for w in bits(delta):
                     succ[w] |= bit_y
-                    just[w, y] = ("Trans", ((w, x), fact))
-                    push((w, y))
+                    key = w * n + y
+                    just[key] = rule
+                    push(key)
 
     @property
     def facts(self) -> set[Pair]:
@@ -362,10 +384,33 @@ class SubtypeCtx:
                 out.append((f1, f2, meet, joined))
         return out
 
+    def justification(self, fact: IdPair) -> tuple[str, tuple[IdPair, ...]]:
+        """The rule that first produced the fact a <= b, and its premise
+        facts in the order the rule read them."""
+        a, b = fact
+        k, rule = divmod(self.just[a * len(self.members) + b], 1 << RULE_BITS)
+        dom, cod = self.dom, self.cod
+        if rule == TRANS:
+            prems: tuple[IdPair, ...] = ((a, k), (k, b))
+        elif rule == GLB:
+            prems = tuple((a, p) for p in self.parts[b])
+        elif rule == ARROW_RULE:
+            prems = ((dom[b], dom[a]), (cod[a], cod[b]))
+        elif rule == ARR_CONG or rule == ARR_CONG_REV:
+            doms = ((dom[b], dom[a]), (dom[a], dom[b]))
+            cods = ((cod[a], cod[b]), (cod[b], cod[a]))
+            prems = doms + cods if rule == ARR_CONG else cods + doms
+        elif rule == TOP_LE:
+            prems = ((a, k),)
+        else:
+            prems = ()
+        return RULE_NAMES[rule], prems
+
     def proof(self, a: Ty, b: Ty) -> SubProof:
-        root = (self.idx.get(canonicalize(a)), self.idx.get(canonicalize(b)))
-        if root not in self.just:
+        i, j = self.idx.get(canonicalize(a)), self.idx.get(canonicalize(b))
+        if i is None or j is None or not self.succ[i] >> j & 1:
             raise InvalidInput("no saturated fact for the requested pair")
+        root = (i, j)
         ms = self.members
         memo: dict[IdPair, SubProof] = {}
         stack = [root]
@@ -374,7 +419,7 @@ class SubtypeCtx:
             if fact in memo:
                 stack.pop()
                 continue
-            rule, prems = self.just[fact]
+            rule, prems = self.justification(fact)
             missing = [p for p in prems if p not in memo]
             if missing:
                 stack.extend(missing)

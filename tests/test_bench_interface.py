@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import ittlab
+from ittlab import subtyping
+from ittlab.theory import parse_theory
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -40,6 +42,7 @@ def _resolve(dotted: str) -> object:
     + [
         "subtyping.SubtypeCtx.proof",
         "subtyping.saturated_ctx.cache_clear",
+        "subtyping.saturated_ctx.cache_info",
         "sensibility.evidence_summary",
         "sensibility.builtin_theories",
         "sensibility.registered_maps",
@@ -47,6 +50,16 @@ def _resolve(dotted: str) -> object:
 )
 def test_benchmark_name_resolves(dotted):
     assert callable(_resolve(dotted))
+
+
+def test_tracer_reads_result_attributes():
+    # the tracer counts len(out.members) off build_universe and len(out.facts)
+    # off saturated_ctx; neither attribute is callable
+    t = parse_theory("theory T; constants c; axiom c <= c -> c")
+    universe = subtyping.build_universe(t, [])
+    ctx = subtyping.saturated_ctx(t, universe)
+    assert len(universe.members) == len(ctx.members)
+    assert len(ctx.facts) >= len(universe.members)
 
 
 def test_workloads_use_only_exported_names():

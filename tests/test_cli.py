@@ -112,6 +112,12 @@ class TestSubtype:
         assert main(["subtype", "T0", query]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("query", ["x <= x", "x <= c0", "c0 <= c1 -> zz"])
+    def test_undeclared_constant_is_a_usage_error(self, capsys, query):
+        # T0 declares c0 and c1 only
+        assert main(["subtype", "T0", query]) == 3
+        assert "is not a constant of theory 'T0'" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_golden_derivation_validates(self, capsys):
@@ -144,8 +150,17 @@ class TestInfer:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["x", "zz", "--basis", "x:zz"], ["x", "c0", "--basis", "x:c0 & zz"], [r"\x.x", "c0 -> zz"]],
+        ids=["type-and-basis", "basis", "type"],
+    )
+    def test_undeclared_constant_is_a_usage_error(self, capsys, argv):
+        assert main(["infer", "T0", *argv]) == 3
+        assert "'zz' is not a constant of theory 'T0'" in capsys.readouterr().err
+
     def test_not_found_within_fuel(self, capsys):
-        code, report = run_json(capsys, "infer", "T1", r"\x.x", "a", "--fuel", "50")
+        code, report = run_json(capsys, "infer", "T1", r"\x.x", "c0", "--fuel", "50")
         assert code == 2
         assert report["verdict"]["result"] == "NotFoundWithinFuel"
 
@@ -220,6 +235,18 @@ class TestSensibility:
         f.write_text("\\x.x\n\\x.x )\n")
         assert main(["sensibility", "T0", "--pool", str(f)]) == 3
         assert "(at offset 10)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("\\x.x\n(\\x.x x\n", 12), ("\\x.x\r\n(\\x.x x\r\n", 13)],
+        ids=["lf", "crlf"],
+    )
+    def test_pool_end_of_input_is_where_the_line_ends(self, capsys, tmp_path, text, offset):
+        # not past the line break
+        f = tmp_path / "pool.lam"
+        f.write_bytes(text.encode())
+        assert main(["sensibility", "T0", "--pool", str(f)]) == 3
+        assert f"(at offset {offset})" in capsys.readouterr().err
 
     def test_map_into_flag_rescues_a_clone(self, capsys, tmp_path):
         clone = tmp_path / "clone.itt"

@@ -7,6 +7,7 @@ import sys
 import weakref
 from itertools import combinations, product
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +32,7 @@ from ittlab.subtyping import (
     SubtypeCtx,
     UnknownWithin,
     Valid,
+    bits,
     build_universe,
     check_subproof,
     context_for,
@@ -601,29 +603,56 @@ def test_fixed_point_matches_recorded_fingerprints():
 
 JUSTIFICATIONS = Path(__file__).parent / "data" / "justification_fingerprints.json"
 
+# U <= c -> c under (U<=) gives U <= c by TopLe, which no built-in theory fires
+TOP_LE_THEORY = parse_theory("theory TopLe; constants c; flags U-leq; axiom U <= c -> c")
 
-def justification_fingerprint(t: TheorySpec, width: int) -> str:
-    """sha256 of the sorted lines `a <= b : rule : premises` of the context's
+RULES = {
+    "Refl", "Axiom", "IncL", "IncR", "Utop", "ArrowTop", "ArrowCap",
+    "ArrowRule", "TopLe", "ArrCong", "Glb", "Trans",
+}
+
+
+def justification_lines(ctx: SubtypeCtx) -> list[str]:
+    """The sorted lines `a <= b : rule : premises` of the context's
     justifications, each premise printed as a pair in its recorded order."""
-    ctx = saturated_ctx(t, build_universe(t, [], width))
     ms = ctx.members
 
     def pair(fact: tuple[int, int]) -> str:
         return f"{print_ty(ms[fact[0]])} <= {print_ty(ms[fact[1]])}"
 
-    lines = sorted(
-        f"{pair(fact)} : {rule} : {', '.join(pair(p) for p in prems)}"
-        for fact, (rule, prems) in ctx.just.items()
+    lines = []
+    for a, row in enumerate(ctx.succ):
+        for b in bits(row):
+            rule, prems = ctx.justification((a, b))
+            lines.append(f"{pair((a, b))} : {rule} : {', '.join(pair(p) for p in prems)}")
+    return sorted(lines)
+
+
+def justification_contexts() -> Iterator[tuple[str, str, SubtypeCtx]]:
+    """(theory, key, context) for every built-in theory's own universe at
+    widths 1-3 (keyed by width), the universe derive_le builds for each of
+    CERTIFIED_PAIRS (keyed by the query), which fire ArrCong in both premise
+    orders, ArrowTop and ArrowCap, and TOP_LE_THEORY's own universe."""
+    reg = builtin_theories()
+    for name in reg.names():
+        t = reg.lookup(name).spec
+        for w in (1, 2, 3):
+            yield name, str(w), saturated_ctx(t, build_universe(t, [], w))
+    for name, a, b in CERTIFIED_PAIRS:
+        t = reg.lookup(name).spec
+        yield name, f"{a} <= {b}", context_for(t, (parse_ty(a), parse_ty(b)))
+    yield TOP_LE_THEORY.name, "1", saturated_ctx(
+        TOP_LE_THEORY, build_universe(TOP_LE_THEORY, [], 1)
     )
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def justification_fingerprints() -> dict:
-    reg = builtin_theories()
-    return {
-        name: {str(w): justification_fingerprint(reg.lookup(name).spec, w) for w in (1, 2, 3)}
-        for name in reg.names()
-    }
+    """sha256 of each context's justification_lines, by theory and key."""
+    out: dict[str, dict[str, str]] = {}
+    for name, key, ctx in justification_contexts():
+        lines = justification_lines(ctx)
+        out.setdefault(name, {})[key] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return out
 
 
 def test_justifications_match_recorded_fingerprints():
@@ -632,6 +661,17 @@ def test_justifications_match_recorded_fingerprints():
     assert justification_fingerprints() == json.loads(
         JUSTIFICATIONS.read_text(encoding="utf-8")
     )
+
+
+def test_justification_fixture_fires_every_rule():
+    # a rule no pinned context fires could change its premises unnoticed:
+    # check_subproof compares ArrCong premises as a set, for one
+    fired = {
+        line.split(" : ")[1]
+        for _, _, ctx in justification_contexts()
+        for line in justification_lines(ctx)
+    }
+    assert fired == RULES
 
 
 CERTIFIED_PAIRS = (
