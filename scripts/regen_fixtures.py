@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the five pinned fixtures under tests/data.
+"""Regenerate the six pinned fixtures under tests/data.
 
 Computes, with the ittlab on sys.path:
 
@@ -12,7 +12,10 @@ Computes, with the ittlab on sys.path:
   universe at widths 1-3; the rule and premises recorded for each fact of
   those universes, of the universes of CERTIFIED_PAIRS and of a small TopLe
   theory; and both probes' verdicts over probe_cases, all from
-  tests/test_subtyping.py.
+  tests/test_subtyping.py;
+- transformation_fingerprints.json: the sha256 of the printed output (or
+  the refusal) of weaken, strengthen, le_left and expand_derivation on seeded
+  infer_bounded derivations, from tests/test_assignment.py.
 
 The fixtures pin answers across engine and parser changes, so run this on a
 checkout whose answers are trusted, for example a clean clone of the commit
@@ -28,6 +31,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
 import test_answers  # noqa: E402
+import test_assignment  # noqa: E402
 import test_parsing  # noqa: E402
 import test_subtyping  # noqa: E402
 
@@ -48,6 +52,11 @@ FIXTURES = (
     (
         test_subtyping.PROBE_VERDICTS,
         test_subtyping.probe_verdicts,
+        {"indent": 2, "sort_keys": True},
+    ),
+    (
+        test_assignment.TRANSFORMATIONS,
+        test_assignment.transformation_fingerprints,
         {"indent": 2, "sort_keys": True},
     ),
 )

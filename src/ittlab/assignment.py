@@ -11,6 +11,9 @@ carries a checkable derivation, NotFoundWithinFuel asserts nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
+from typing import Callable
 
 from .errors import InvalidInput
 from .subtyping import (
@@ -21,6 +24,7 @@ from .subtyping import (
     Valid,
     bits,
     check_subproof,
+    check_tree,
     context_for,
     derive_le,
 )
@@ -200,14 +204,7 @@ def _node_reason(t: TheorySpec, d: Derivation) -> str | None:
 
 def check_derivation(t: TheorySpec, d: Derivation) -> Valid | Invalid:
     """Validate every node against the six schemata; Le via check_subproof."""
-    stack: list[tuple[Derivation, tuple[int, ...]]] = [(d, ())]
-    while stack:
-        node, path = stack.pop()
-        reason = _node_reason(t, node)
-        if reason is not None:
-            return Invalid(path, reason)
-        stack.extend((ch, path + (i,)) for i, ch in enumerate(node.children))
-    return Valid()
+    return check_tree(d, attrgetter("children"), partial(_node_reason, t))
 
 
 # -- bounded goal-directed search ---------------------------------------------
@@ -421,37 +418,45 @@ def subject_reduction_probe(
 
 # -- admissible transformations -------------------------------------------------
 
-
-def _all_binders(d: Derivation) -> set[str]:
-    out: set[str] = set()
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if node.rule == "ArrI":
-            out.add(node.conclusion.term.binder)
-        stack.extend(node.children)
-    return out
+Leaf = Callable[[Derivation, Term, Basis], Derivation | None]
 
 
-def _rebase(d: Derivation, basis: Basis) -> Derivation:
-    """Rebuild d with a new root basis, re-extending at each ArrI."""
-    concl = Judgment(basis, d.conclusion.term, d.conclusion.ty)
+def _rebuild(
+    d: Derivation, subject: Term | None, basis: Basis, leaf: Leaf | None = None
+) -> Derivation:
+    """Rebuild d over basis: each node concludes basis |- subject : (its own
+    type), the subject walked in step with d, or each node's own when None.
+
+    ArrI extends basis by the subject's binder at the arrow's domain, ArrE
+    splits the subject into function and argument, the other rules keep it.
+    leaf(node, subject, basis) may return a replacement for the subtree at
+    node.  None keeps every binder name of d: the search shares one
+    subderivation between alpha-equal subterms whose binders differ."""
+    m = d.conclusion.term if subject is None else subject
+    if leaf is not None and (out := leaf(d, m, basis)) is not None:
+        return out
+    inner = basis
     if d.rule == "ArrI":
-        arrow = canonicalize(d.conclusion.ty)
-        child_basis = basis.extend(d.conclusion.term.binder, arrow.dom)
-        kids = (_rebase(d.children[0], child_basis),)
-    else:
-        kids = tuple(_rebase(ch, basis) for ch in d.children)
-    return Derivation(d.rule, concl, kids, d.sub)
+        if not isinstance(m, Abs):
+            raise InvalidInput("ArrI node does not match an abstraction")
+        inner = basis.extend(m.binder, canonicalize(d.conclusion.ty).dom)
+        parts: tuple[Term, ...] = (m.body,)
+    elif d.rule == "ArrE":
+        if not isinstance(m, App):
+            raise InvalidInput("ArrE node does not match an application")
+        parts = (m.fun, m.arg)
+    else:  # CapI and Le keep the subject
+        parts = (m,) * len(d.children)
+    kids = tuple(
+        _rebuild(ch, None if subject is None else p, inner, leaf)
+        for ch, p in zip(d.children, parts)
+    )
+    return Derivation(d.rule, Judgment(basis, m, d.conclusion.ty), kids, d.sub)
 
 
 def weaken(t: TheorySpec, d: Derivation, x: str, b: Ty) -> Derivation:
     """Admissible weakening: insert an unused binding x:b everywhere."""
-    if d.conclusion.basis.get(x) is not None:
-        raise InvalidInput(f"{x!r} already bound")
-    if x in _all_binders(d):
-        raise InvalidInput(f"{x!r} collides with a binder inside the derivation")
-    out = _rebase(d, d.conclusion.basis.extend(x, b))
+    out = _rebuild(d, None, d.conclusion.basis.extend(x, b))
     ok = check_derivation(t, out)
     if ok != Valid():
         raise InvalidInput(f"weakening broke the derivation: {ok.reason}")
@@ -464,7 +469,7 @@ def strengthen(t: TheorySpec, d: Derivation, x: str) -> Derivation:
         raise InvalidInput(f"{x!r} not bound at the root")
     if x in free_vars(d.conclusion.term):
         raise InvalidInput(f"{x!r} occurs free in the subject")
-    out = _rebase(d, d.conclusion.basis.without(x))
+    out = _rebuild(d, None, d.conclusion.basis.without(x))
     ok = check_derivation(t, out)
     if ok != Valid():
         raise InvalidInput(f"strengthening broke the derivation: {ok.reason}")
@@ -487,27 +492,19 @@ def le_left(
         raise InvalidInput(
             f"{print_ty(b_new)} <= {print_ty(b_old)} not derivable within bounds"
         )
+    b_new = canonicalize(b_new)
 
-    def go(node: Derivation, basis: Basis) -> Derivation:
-        concl = Judgment(basis, node.conclusion.term, node.conclusion.ty)
-        if node.rule == "Ax" and node.conclusion.term == Var(x):
-            ax = Derivation("Ax", Judgment(basis, node.conclusion.term, canonicalize(b_new)))
-            if canonicalize(b_new) == canonicalize(b_old):
-                return ax
-            return Derivation("Le", concl, (ax,), verdict.proof)
-        if node.rule == "ArrI":
-            arrow = canonicalize(node.conclusion.ty)
-            binder = node.conclusion.term.binder
-            if binder == x:  # shadowed below: keep subtree, only swap bases
-                kids = (_rebase(node.children[0], basis.extend(binder, arrow.dom)),)
-            else:
-                kids = (go(node.children[0], basis.extend(binder, arrow.dom)),)
-            return Derivation("ArrI", concl, kids, node.sub)
-        kids = tuple(go(ch, basis) for ch in node.children)
-        return Derivation(node.rule, concl, kids, node.sub)
+    def leaf(node: Derivation, subject: Term, basis: Basis) -> Derivation | None:
+        if node.rule != "Ax" or subject != Var(x):
+            return None
+        ax = Derivation("Ax", Judgment(basis, subject, b_new))
+        if b_new == b_old:
+            return ax
+        concl = Judgment(basis, subject, node.conclusion.ty)
+        return Derivation("Le", concl, (ax,), verdict.proof)
 
     root_basis = d.conclusion.basis.without(x).extend(x, b_new)
-    out = go(d, root_basis)
+    out = _rebuild(d, None, root_basis, leaf)
     ok = check_derivation(t, out)
     if ok != Valid():
         raise InvalidInput(f"(<=-L) broke the derivation: {ok.reason}")
@@ -515,91 +512,6 @@ def le_left(
 
 
 # -- subject expansion ----------------------------------------------------------
-
-
-def _retarget(d: Derivation, target: Term, ren: dict[str, str]) -> Derivation:
-    """Rename d's subjects to the alpha-equal target, scoped binder by binder."""
-
-    def basis_ren(b: Basis) -> Basis:
-        return Basis(tuple((ren.get(x, x), a) for x, a in b.bindings))
-
-    g = basis_ren(d.conclusion.basis)
-    concl = Judgment(g, target, d.conclusion.ty)
-    r = d.rule
-    if r in ("Ax", "TopU") and not d.children:
-        return Derivation(r, concl, (), d.sub)
-    if r == "ArrI":
-        old = d.conclusion.term
-        if not (isinstance(old, Abs) and isinstance(target, Abs)):
-            raise InvalidInput("ArrI node does not match an abstraction")
-        inner = dict(ren)
-        inner[old.binder] = target.binder
-        return Derivation(r, concl, (_retarget(d.children[0], target.body, inner),), d.sub)
-    if r == "ArrE":
-        old = d.conclusion.term
-        if not (isinstance(old, App) and isinstance(target, App)):
-            raise InvalidInput("ArrE node does not match an application")
-        return Derivation(
-            r,
-            concl,
-            (
-                _retarget(d.children[0], target.fun, ren),
-                _retarget(d.children[1], target.arg, ren),
-            ),
-            d.sub,
-        )
-    # CapI and Le keep the subject
-    return Derivation(
-        r, concl, tuple(_retarget(ch, target, ren) for ch in d.children), d.sub
-    )
-
-
-def _collect_occurrences(m: Term, d: Derivation, x: str, acc: list[Derivation]) -> None:
-    if m == Var(x):
-        acc.append(d)
-        return
-    if d.rule in ("Le", "CapI"):
-        for ch in d.children:
-            _collect_occurrences(m, ch, x, acc)
-        return
-    if d.rule == "TopU" or d.rule == "Ax":
-        return
-    if d.rule == "ArrI":
-        _collect_occurrences(m.body, d.children[0], x, acc)
-        return
-    if d.rule == "ArrE":
-        _collect_occurrences(m.fun, d.children[0], x, acc)
-        _collect_occurrences(m.arg, d.children[1], x, acc)
-        return
-    raise InvalidInput(f"unknown rule {d.rule!r}")
-
-
-def _rebuild_with_var(m: Term, d: Derivation, x: str, x_ty: Ty) -> Derivation:
-    """Replace each occurrence's derivation of n by Ax(x) plus a projection."""
-    if m == Var(x):
-        g = d.conclusion.basis.extend(x, x_ty)
-        want = canonicalize(d.conclusion.ty)
-        if want == TOP and x_ty != TOP:
-            return Derivation("TopU", Judgment(g, Var(x), TOP))
-        ax = Derivation("Ax", Judgment(g, Var(x), x_ty))
-        if want == x_ty:
-            return ax
-        parts = inter_parts(x_ty)
-        rule = "IncL" if parts and want == parts[0] else "IncR"
-        sub = SubProof(rule, (x_ty, want))
-        return Derivation("Le", Judgment(g, Var(x), want), (ax,), sub)
-    g = d.conclusion.basis.extend(x, x_ty)
-    concl = Judgment(g, m, d.conclusion.ty)
-    if d.rule == "ArrI":
-        kids = (_rebuild_with_var(m.body, d.children[0], x, x_ty),)
-    elif d.rule == "ArrE":
-        kids = (
-            _rebuild_with_var(m.fun, d.children[0], x, x_ty),
-            _rebuild_with_var(m.arg, d.children[1], x, x_ty),
-        )
-    else:  # Ax, TopU, CapI, Le keep the subject shape
-        kids = tuple(_rebuild_with_var(m, ch, x, x_ty) for ch in d.children)
-    return Derivation(d.rule, concl, kids, d.sub)
 
 
 def expand_derivation(
@@ -622,13 +534,18 @@ def expand_derivation(
         m = substitute(m, x, Var(x2))
         x = x2
     m = freshen(m, avoid={x} | free_vars(n) | set(g.names()) | free_vars(m))
-    expected = substitute(m, x, n)
-    if d.conclusion.term != expected:
+    if d.conclusion.term != substitute(m, x, n):
         raise InvalidInput("derivation subject is not m[x:=n]")
-    d = _retarget(d, expected, {})
 
     occs: list[Derivation] = []
-    _collect_occurrences(m, d, x, occs)
+
+    def collect(node: Derivation, subject: Term, basis: Basis) -> Derivation | None:
+        if subject != Var(x):
+            return None
+        occs.append(node)
+        return node
+
+    _rebuild(d, m, g, collect)
 
     by_ty: dict[Ty, Derivation] = {}
     for o in occs:
@@ -638,16 +555,29 @@ def expand_derivation(
     tys = sorted(by_ty, key=ty_key)
     x_ty = canonicalize(make_inter(tys)) if tys else TOP
 
+    def project(node: Derivation, subject: Term, basis: Basis) -> Derivation | None:
+        """Type an occurrence of x at its occurrence's type, from x : x_ty."""
+        if subject != Var(x):
+            return None
+        want = canonicalize(node.conclusion.ty)
+        if want == TOP and x_ty != TOP:
+            return Derivation("TopU", Judgment(basis, subject, TOP))
+        ax = Derivation("Ax", Judgment(basis, subject, x_ty))
+        if want == x_ty:
+            return ax
+        parts = inter_parts(x_ty)
+        rule = "IncL" if parts and want == parts[0] else "IncR"
+        sub = SubProof(rule, (x_ty, want))
+        return Derivation("Le", Judgment(basis, subject, want), (ax,), sub)
+
     a = canonicalize(d.conclusion.ty)
-    body = _rebuild_with_var(m, d, x, x_ty)
-    lam = Derivation(
-        "ArrI", Judgment(g, Abs(x, m), Arrow(x_ty, a)), (body,)
-    )
+    body = _rebuild(d, m, g.extend(x, x_ty), project)
+    lam = Derivation("ArrI", Judgment(g, Abs(x, m), Arrow(x_ty, a)), (body,))
 
     if not tys:
         arg: Derivation = Derivation("TopU", Judgment(g, n, TOP))
     else:
-        ds = [_rebase(by_ty[ty], g) for ty in tys]
+        ds = [_rebuild(by_ty[ty], n, g) for ty in tys]
         arg = ds[0]
         for nxt in ds[1:]:
             joined = canonicalize(Inter(arg.conclusion.ty, nxt.conclusion.ty))

@@ -86,7 +86,7 @@ def _arrow_meets(
     >= 3, which bounds each member of a fitting combination.  So a
     combination's size is known before its Inter is built."""
     out: list[tuple[Ty, tuple[Arrow, ...]]] = [(ar, (ar,)) for ar in arrows]
-    for k in range(2, inter_width + 1):
+    for k in range(2, min(inter_width, len(arrows)) + 1):
         room = size_cap - (k - 1)
         fitting = [ar for ar in arrows if ty_size(ar) <= room - 3 * (k - 1)]
         for combo in combinations(fitting, k):
@@ -172,7 +172,7 @@ def set_condition_probe(
     cs: list[Ty] = [Const(c) for c in sorted(t.constants)]
 
     lhs_set: set[Ty] = set(pool)
-    for k in range(2, inter_width + 1):
+    for k in range(2, min(inter_width, len(pool)) + 1):
         for combo in combinations(pool, k):
             lhs_set.add(canonicalize(make_inter(combo)))
     lhs_list: list[tuple[Ty, tuple[Ty, ...]]] = [

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
-from typing import Iterable, Iterator, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Union
 from weakref import WeakValueDictionary
 
 from .errors import InvalidInput, UniverseTooLarge
@@ -75,7 +76,8 @@ def build_universe(
         closed.update(subterms(m))  # subterms of canonical forms stay canonical
     members = set(closed)
     pool = sorted(closed, key=ty_key)
-    for k in range(2, inter_width + 1):
+    # past the pool size there are no k-subsets left to meet
+    for k in range(2, min(inter_width, len(pool)) + 1):
         for combo in combinations(pool, k):
             members.add(canonicalize(make_inter(combo)))
             if len(members) > cap:
@@ -508,6 +510,19 @@ class Invalid:
     reason: str
 
 
+def check_tree(root, children: Callable, reason: Callable) -> Valid | Invalid:
+    """The first node, depth first and last child first, whose reason(node)
+    is not None, as Invalid at its path of child indices; else Valid."""
+    stack: list[tuple[object, tuple[int, ...]]] = [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        why = reason(node)
+        if why is not None:
+            return Invalid(path, why)
+        stack.extend((ch, path + (i,)) for i, ch in enumerate(children(node)))
+    return Valid()
+
+
 _FLAG_FOR_RULE = {
     "ArrowTop": RuleFlag.ARROW_TOP,
     "ArrowCap": RuleFlag.ARROW_CAP,
@@ -614,13 +629,4 @@ def _node_error(t: TheorySpec, node: SubProof) -> str | None:
 
 def check_subproof(t: TheorySpec, p: SubProof) -> Valid | Invalid:
     """Re-validate every node against its rule schema; no search, no engine."""
-    stack: list[tuple[SubProof, tuple[int, ...]]] = [(p, ())]
-    while stack:
-        node, path = stack.pop()
-        reason = _node_error(t, node)
-        if reason is not None:
-            return Invalid(path, reason)
-        stack.extend(
-            (ch, path + (i,)) for i, ch in enumerate(node.premises)
-        )
-    return Valid()
+    return check_tree(p, attrgetter("premises"), partial(_node_error, t))

@@ -1,6 +1,9 @@
 """Derivation checking, bounded inference, expansion, and filters."""
 
+import hashlib
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +29,8 @@ from ittlab.assignment import (
     weaken,
 )
 from ittlab.errors import InvalidInput
+from ittlab.sensibility import builtin_theories
+from ittlab.sexpr import parse_derivation, unparse_derivation
 from ittlab.filters import (
     FilterRep,
     filter_apply,
@@ -42,7 +47,7 @@ from ittlab.subtyping import (
     build_universe,
     is_top_equiv,
 )
-from ittlab.terms import Abs, App, Var, alpha_eq, parse_term, substitute
+from ittlab.terms import Abs, App, Var, alpha_eq, parse_term, print_term, substitute
 from ittlab.theory import parse_theory
 from ittlab.types import TOP, Arrow, Inter, canonicalize, parse_ty
 from ittlab.terms import free_vars
@@ -133,6 +138,14 @@ class TestCheckDerivation:
                          SubProof("Axiom", (parse_ty("a"), parse_ty("b"))))
         out = check_derivation(T1, bad)
         assert isinstance(out, Invalid) and "certificate" in out.reason
+
+    def test_last_child_is_checked_first(self):
+        g = Basis.of(x=parse_ty("a"))
+        bad = Derivation("Ax", Judgment(g, Var("x"), parse_ty("b")))
+        worse = Derivation("TopU", Judgment(g, Var("x"), parse_ty("a")))
+        cap = Derivation("CapI", Judgment(g, Var("x"), parse_ty("a & b")), (bad, worse))
+        out = check_derivation(T1, cap)
+        assert out.path == (1,) and "TopU" in out.reason
 
     def test_nested_error_path(self):
         g = Basis.of(x=parse_ty("a"))
@@ -346,6 +359,54 @@ class TestAdmissible:
         with pytest.raises(InvalidInput):
             le_left(T1, d, "y", parse_ty("b"))
 
+    # the ArrI node names its binder w, the root subject names it v; the
+    # checker compares subjects up to alpha, so the derivation is valid
+    RENAMED = parse_derivation(r"""
+(ArrE (f:(a -> a) -> a, z:b |- f (\v.v) : a)
+  (Ax (f:(a -> a) -> a, z:b |- f : (a -> a) -> a))
+  (ArrI (f:(a -> a) -> a, z:b |- \w.w : a -> a)
+    (Ax (f:(a -> a) -> a, w:a, z:b |- w : a))))
+""")
+
+    @staticmethod
+    def _nodes(d):
+        yield d
+        for ch in d.children:
+            yield from TestAdmissible._nodes(ch)
+
+    def test_renamed_inner_binder_is_kept(self):
+        d = self.RENAMED
+        assert check_derivation(T1, d) == Valid()
+        own = {print_term(node.conclusion.term) for node in self._nodes(d)}
+        for out in (
+            weaken(T1, d, "x", parse_ty("b")),
+            strengthen(T1, d, "z"),
+            le_left(T1, d, "f", parse_ty("((a -> a) -> a) & b")),
+        ):
+            assert check_derivation(T1, out) == Valid()
+            assert {print_term(node.conclusion.term) for node in self._nodes(out)} == own
+            assert print_term(out.children[1].conclusion.term) == r"\w.w"
+        with pytest.raises(InvalidInput):
+            weaken(T1, d, "w", parse_ty("b"))
+
+    def test_weaken_by_an_inner_binder_is_refused(self):
+        g = Basis.of(f=parse_ty("(a -> a) -> a"))
+        d = infer_bounded(T1, g, parse_term(r"f (\v.v)"), parse_ty("a"), fuel=50).derivation
+        with pytest.raises(InvalidInput):
+            weaken(T1, d, "v", parse_ty("b"))
+
+    def test_binder_renamed_by_the_search_survives(self):
+        # y is bound at the root, so the search types \y.y as \y_1.y_1
+        g = Basis.of(f=parse_ty("(a -> a) -> a"), y=parse_ty("b"))
+        d = infer_bounded(T1, g, parse_term(r"f (\y.y)"), parse_ty("a"), fuel=50).derivation
+        for out in (
+            weaken(T1, d, "x", parse_ty("b")),
+            strengthen(T1, d, "y"),
+            le_left(T1, d, "y", parse_ty("a & b")),
+        ):
+            assert check_derivation(T1, out) == Valid()
+            assert out.conclusion.term == d.conclusion.term
+
     @given(terms, t1_types)
     @settings(max_examples=100)
     def test_weaken_then_le_left_on_random_derivations(self, m, a):
@@ -361,6 +422,97 @@ class TestAdmissible:
         assert check_derivation(T1, widened) == Valid()
         narrowed = le_left(T1, widened, "w", parse_ty("a & b"))
         assert check_derivation(T1, narrowed) == Valid()
+
+
+# -- transformations pinned across rebuilder changes -----------------------------
+
+TRANSFORMATIONS = Path(__file__).parent / "data" / "transformation_fingerprints.json"
+PINNED_THEORIES = ("T0", "T1", "Park", "TCDZ", "T2inv", "EP")
+PINNED_PER_THEORY = 20  # Found derivations per theory
+PINNED_ATTEMPTS = 200  # queries per theory, at most
+PINNED_FUEL = 300
+
+
+def _seeded_ty(rng: random.Random, consts: list[str], leaves: int) -> str:
+    if leaves == 1:
+        return rng.choice(consts + ["U"])
+    k = rng.randint(1, leaves - 1)
+    op = rng.choice(("->", "&"))
+    return f"({_seeded_ty(rng, consts, k)} {op} {_seeded_ty(rng, consts, leaves - k)})"
+
+
+def _seeded_term(rng: random.Random, n: int, scope: list[str]) -> str:
+    """A random term of exactly n nodes whose free names are in scope; the
+    binders are v1, v2, ... by depth."""
+    if n == 1:
+        return rng.choice(scope)
+    if n == 2 or rng.random() < 0.35:
+        v = f"v{len(scope)}"
+        return f"(\\{v}. {_seeded_term(rng, n - 1, scope + [v])})"
+    k = rng.randint(1, n - 2)
+    return f"({_seeded_term(rng, k, scope)} {_seeded_term(rng, n - 1 - k, scope)})"
+
+
+def pinned_derivations() -> list[tuple]:
+    """(label, theory, derivation, type) for seeded infer_bounded answers.
+
+    Each derivation concludes y:A, z:B |- M : T with only y free in M, so z
+    is bound but unused; the type C is drawn for weakening and (<=-L)."""
+    rng = random.Random("transformation-fingerprints")
+    reg = builtin_theories()
+    out = []
+    for name in PINNED_THEORIES:
+        t = reg.lookup(name).spec
+        consts = sorted(t.constants)
+        found = 0
+        for _ in range(PINNED_ATTEMPTS):
+            if found == PINNED_PER_THEORY:
+                break
+            a, b, c, target = (
+                parse_ty(_seeded_ty(rng, consts, rng.randint(1, 2))) for _ in range(4)
+            )
+            m = parse_term(_seeded_term(rng, rng.randint(1, 10), ["y"]))
+            r = infer_bounded(t, Basis.of(y=a, z=b), m, target, fuel=PINNED_FUEL)
+            if isinstance(r, Found):
+                out.append((f"{name}/{found:02d}", t, r.derivation, c))
+                found += 1
+    return out
+
+
+def transformation_fingerprints() -> dict[str, str]:
+    """sha256 of the printed output of each transformation of each pinned
+    derivation, or "InvalidInput" where the transformation refuses."""
+    out = {}
+    for label, t, d, c in pinned_derivations():
+        g, s = d.conclusion.basis, d.conclusion.term
+        runs = {
+            "weaken w": lambda: weaken(t, d, "w", c),
+            "weaken v1": lambda: weaken(t, d, "v1", c),  # v1 binds in s, if any
+            "strengthen z": lambda: strengthen(t, d, "z"),
+            "strengthen y": lambda: strengthen(t, d, "y"),
+            "le_left z": lambda: le_left(t, d, "z", Inter(g.get("z"), c)),
+            "le_left y": lambda: le_left(t, d, "y", Inter(g.get("y"), c)),
+            "expand m=z": lambda: expand_derivation(t, d, "z", Var("z"), s),
+            "expand n=y": lambda: expand_derivation(
+                t, d, "x", substitute(s, "y", Var("x")), Var("y")
+            ),
+        }
+        for op, run in runs.items():
+            try:
+                text = unparse_derivation(run())
+            except InvalidInput:
+                out[f"{label} {op}"] = "InvalidInput"
+            else:
+                out[f"{label} {op}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_transformations_match_recorded_fingerprints():
+    got = transformation_fingerprints()
+    want = json.loads(TRANSFORMATIONS.read_text(encoding="utf-8"))
+    assert got.keys() == want.keys()
+    changed = sorted(k for k in want if got[k] != want[k])
+    assert not changed, f"{len(changed)} outputs changed, first {changed[:5]}"
 
 
 class TestFilters:

@@ -99,6 +99,15 @@ class TestSubtype:
         assert report["verdict"]["result"] == "UnknownWithin"
         assert report["verdict"]["universe_size"] > 0
 
+    def test_width_past_the_pool_answers_at_once(self, capsys):
+        # T0's universe for this query has 16 members at any width >= 5
+        sizes = []
+        for width in ("16", "10000000"):
+            code, report = run_json(capsys, "subtype", "T0", "c0 <= c0 -> c0", "--width", width)
+            assert code == 2
+            sizes.append(report["verdict"]["universe_size"])
+        assert sizes == [16, 16]
+
     def test_malformed_query(self, capsys):
         assert main(["subtype", "T0", "c0 < c1"]) == 3
 

@@ -102,6 +102,20 @@ def test_universe_rejects_zero_width():
         build_universe(T1, [], 0)
 
 
+def test_width_past_the_pool_adds_nothing():
+    # the closure of these seeds has 5 members, so width 5 already meets
+    # them all; a width of ten million must not walk the empty k-subsets
+    seeds = [parse_ty("c0 -> c0"), parse_ty("c1 -> c0")]
+    sizes = [len(build_universe(T0, seeds, w).members) for w in (1, 2, 3, 5, 10**7)]
+    assert sizes == [5, 11, 15, 16, 16]
+
+
+def test_probe_width_past_the_pool_adds_nothing():
+    # at depth 1 the T1 pool is c0, c1, U: nine arrows, three left-side atoms
+    for probe in (beta_soundness_probe, set_condition_probe):
+        assert probe(T1, 1, 10**7) == probe(T1, 1, 9)
+
+
 # -- derive_le / derive_equiv -------------------------------------------------
 
 
