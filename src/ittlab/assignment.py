@@ -57,10 +57,7 @@ DEFAULT_FUEL = 10_000
 
 @dataclass(frozen=True)
 class Basis:
-    """Finite map from variables to canonical types, at most one binding each.
-
-    The hash is computed once, since a basis keys every memo lookup of the
-    search."""
+    """Finite map from variables to canonical types, at most one binding each."""
 
     bindings: tuple[tuple[str, Ty], ...] = ()
 
@@ -72,15 +69,6 @@ class Basis:
             seen.add(x)
         norm = tuple(sorted((x, canonicalize(a)) for x, a in self.bindings))
         object.__setattr__(self, "bindings", norm)
-        object.__setattr__(self, "_hash", hash(norm))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt from the bindings: the stored hash is only valid in the
-        # process that computed it
-        return Basis, (self.bindings,)
 
     @staticmethod
     def of(mapping: dict[str, Ty] | None = None, **kw: Ty) -> "Basis":
@@ -132,7 +120,7 @@ class Derivation:
     sub: SubProof | None = None
 
 
-def _node_reason(t: TheorySpec, d: Derivation) -> str | None:
+def _node_reason(t: TheorySpec, seen: set[int], d: Derivation) -> str | None:
     g, m, a = d.conclusion.basis, d.conclusion.term, canonicalize(d.conclusion.ty)
     r = d.rule
     kids = d.children
@@ -194,7 +182,7 @@ def _node_reason(t: TheorySpec, d: Derivation) -> str | None:
         lo, hi = d.sub.conclusion
         if canonicalize(lo) != canonicalize(ch.ty) or canonicalize(hi) != a:
             return "Le certificate must prove child type <= concluded type"
-        sub_ok = check_subproof(t, d.sub)
+        sub_ok = check_subproof(t, d.sub, seen)
         if sub_ok != Valid():
             return f"subtyping certificate invalid: {sub_ok.reason}"
     else:
@@ -203,8 +191,12 @@ def _node_reason(t: TheorySpec, d: Derivation) -> str | None:
 
 
 def check_derivation(t: TheorySpec, d: Derivation) -> Valid | Invalid:
-    """Validate every node against the six schemata; Le via check_subproof."""
-    return check_tree(d, attrgetter("children"), partial(_node_reason, t))
+    """Validate every node against the six schemata; Le via check_subproof.
+
+    Each distinct derivation node is checked once, and so is each distinct
+    proof node: the Le certificates share one set of validated nodes."""
+    seen: set[int] = set()
+    return check_tree(d, attrgetter("children"), partial(_node_reason, t, seen))
 
 
 # -- bounded goal-directed search ---------------------------------------------
@@ -224,14 +216,41 @@ class _FuelOut(Exception):
     pass
 
 
+# the table entry of a goal whose search is still running
+_BUSY = object()
+
+
 class _Search:
-    def __init__(self, t: TheorySpec, ctx, fuel: int):
-        self.t = t
+    """One bounded search.  A goal g |- m : a is keyed by three ints: the
+    search's id for g, its id for m's alpha-class, and the identity of a,
+    which is hash-consed and canonical (every goal type is a universe
+    member).  Each basis and term object is hashed once, when the search
+    first meets it, and is kept alive so that its id stays its own."""
+
+    def __init__(self, ctx, fuel: int):
         self.ctx = ctx
         self.fuel = fuel
-        self.memo: dict = {}
-        self.in_progress: set = set()
+        # goal key -> its derivation, None when it has none, _BUSY while it
+        # is being searched
+        self.table: dict[tuple[int, int, int], object] = {}
+        # id(basis or term) -> the id of its class: equal bases, and
+        # alpha-equal terms, share one
+        self.ids: dict[int, int] = {}
+        self.classes: dict[object, int] = {}
+        self.alive: list = []
+        # (basis id, binder, id(domain)) -> the extended basis, built once
+        self.bases: dict[tuple[int, str, int], Basis] = {}
+        # work counters: goals expanded (one fuel each), goals answered from
+        # the table, and goals cut off because they were already in progress
+        self.expanded = 0
+        self.hits = 0
         self.cycle_events = 0
+
+    def _class_id(self, obj: Basis | Term) -> int:
+        k = self.classes.setdefault(obj, len(self.classes))
+        self.ids[id(obj)] = k
+        self.alive.append(obj)
+        return k
 
     def _le_wrap(self, d: Derivation, a: Ty) -> Derivation:
         """Subsume d's type up to a (both canonical) when they differ."""
@@ -243,24 +262,35 @@ class _Search:
         return Derivation("Le", concl, (d,), sub)
 
     def goal(self, g: Basis, m: Term, a: Ty) -> Derivation | None:
-        a = canonicalize(a)
-        key = (g, m, a)
-        if key in self.memo:
-            return self.memo[key]
-        if key in self.in_progress:
-            self.cycle_events += 1
-            return None
+        """A derivation of g |- m : a, for a canonical a, or None."""
+        ids = self.ids
+        gi = ids.get(id(g))
+        if gi is None:
+            gi = self._class_id(g)
+        mi = ids.get(id(m))
+        if mi is None:
+            mi = self._class_id(m)
+        key = (gi, mi, id(a))
+        table = self.table
+        d = table.get(key, table)
+        if d is not table:
+            if d is _BUSY:
+                self.cycle_events += 1
+                return None
+            self.hits += 1
+            return d
         if self.fuel <= 0:
             raise _FuelOut
         self.fuel -= 1
-        self.in_progress.add(key)
+        self.expanded += 1
+        table[key] = _BUSY  # an exception ends the whole search
         before = self.cycle_events
-        try:
-            d = self._solve(g, m, a)
-        finally:
-            self.in_progress.discard(key)
+        d = self._solve(g, m, a)
+        # a None that leaned on a cut-off cycle is not stored
         if d is not None or self.cycle_events == before:
-            self.memo[key] = d
+            table[key] = d
+        else:
+            del table[key]
         return d
 
     def _solve(self, g: Basis, m: Term, a: Ty) -> Derivation | None:
@@ -349,10 +379,15 @@ class _Search:
             body = substitute(body, x, Var(nx))
             x = nx
             m = Abs(x, body)
+        gi, bases = self.ids[id(g)], self.bases
         below_a = ctx.col(a)
         for i in bits(below_a & ctx.arrow_mask):
             f = ms[i]
-            db = self.goal(g.extend(x, f.dom), body, f.cod)
+            bkey = (gi, x, id(f.dom))
+            inner = bases.get(bkey)
+            if inner is None:
+                inner = bases[bkey] = g.extend(x, f.dom)
+            db = self.goal(inner, body, f.cod)
             if db is None:
                 continue
             arr = Derivation("ArrI", Judgment(g, m, f), (db,))
@@ -388,9 +423,9 @@ def infer_bounded(
     if fuel < 0:
         raise InvalidInput("fuel must be nonnegative")
     ctx = context_for(t, (target, *g.types()), inter_width)
-    search = _Search(t, ctx, fuel)
+    search = _Search(ctx, fuel)
     try:
-        d = search.goal(g, m, target)
+        d = search.goal(g, m, canonicalize(target))
     except _FuelOut:
         return NotFoundWithinFuel(fuel)
     if d is None:
@@ -534,6 +569,9 @@ def expand_derivation(
         m = substitute(m, x, Var(x2))
         x = x2
     m = freshen(m, avoid={x} | free_vars(n) | set(g.names()) | free_vars(m))
+    # n is retyped under g, so its binders must not shadow g's names or
+    # each other (the result is alpha-equal)
+    n = freshen(n, avoid=set(g.names()))
     if d.conclusion.term != substitute(m, x, n):
         raise InvalidInput("derivation subject is not m[x:=n]")
 
@@ -554,6 +592,7 @@ def expand_derivation(
         by_ty.pop(TOP, None)  # a U-typed occurrence adds nothing to the &
     tys = sorted(by_ty, key=ty_key)
     x_ty = canonicalize(make_inter(tys)) if tys else TOP
+    x_parts = inter_parts(x_ty)
 
     def project(node: Derivation, subject: Term, basis: Basis) -> Derivation | None:
         """Type an occurrence of x at its occurrence's type, from x : x_ty."""
@@ -565,9 +604,13 @@ def expand_derivation(
         ax = Derivation("Ax", Judgment(basis, subject, x_ty))
         if want == x_ty:
             return ax
-        parts = inter_parts(x_ty)
-        rule = "IncL" if parts and want == parts[0] else "IncR"
-        sub = SubProof(rule, (x_ty, want))
+        # want's &-parts are &-parts of x_ty: one Inc step each, joined by Glb
+        # when want is itself an intersection
+        wanted = inter_parts(want)
+        incs = tuple(
+            SubProof("IncL" if p is x_parts[0] else "IncR", (x_ty, p)) for p in wanted
+        )
+        sub = incs[0] if len(incs) == 1 else SubProof("Glb", (x_ty, want), incs)
         return Derivation("Le", Judgment(basis, subject, want), (ax,), sub)
 
     a = canonicalize(d.conclusion.ty)

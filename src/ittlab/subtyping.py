@@ -157,6 +157,7 @@ class SubtypeCtx:
         self.succ = [0] * n
         self.pred = [0] * n
         self.just: dict[int, int] = {}
+        self.proofs: dict[IdPair, SubProof] = {}  # filled by proof
         self.queue: deque[int] = deque()  # facts as keys a * n + b
         # build_universe's members include every arrow's domain and codomain
         # and every intersection's parts, so all of them have ids
@@ -409,12 +410,20 @@ class SubtypeCtx:
         return RULE_NAMES[rule], prems
 
     def proof(self, a: Ty, b: Ty) -> SubProof:
+        """The certificate of a <= b, rebuilt from the justifications.
+
+        Every fact's SubProof is built once per context and kept, so a
+        repeated pair, or a premise two proofs share, is the same object:
+        the proofs of one context form one shared DAG."""
         i, j = self.idx.get(canonicalize(a)), self.idx.get(canonicalize(b))
         if i is None or j is None or not self.succ[i] >> j & 1:
             raise InvalidInput("no saturated fact for the requested pair")
         root = (i, j)
+        memo = self.proofs
+        done = memo.get(root)
+        if done is not None:
+            return done
         ms = self.members
-        memo: dict[IdPair, SubProof] = {}
         stack = [root]
         while stack:
             fact = stack[-1]
@@ -510,16 +519,35 @@ class Invalid:
     reason: str
 
 
-def check_tree(root, children: Callable, reason: Callable) -> Valid | Invalid:
+def check_tree(
+    root, children: Callable, reason: Callable, seen: set[int] | None = None
+) -> Valid | Invalid:
     """The first node, depth first and last child first, whose reason(node)
-    is not None, as Invalid at its path of child indices; else Valid."""
-    stack: list[tuple[object, tuple[int, ...]]] = [(root, ())]
+    is not None, as Invalid at its path of child indices; else Valid.
+
+    Each node object is checked once: a node met again is skipped.  The
+    walk has finished a node's whole subtree before it meets that node
+    again, so on a DAG with shared nodes the answer is the tree walk's.
+    seen holds the ids of the nodes already met; calls that share one set
+    over live structures skip each other's nodes, which is exact as long
+    as every earlier call sharing it returned Valid."""
+    if seen is None:
+        seen = set()
+    # each entry's link is (parent's link, child index), None at the root
+    stack: list[tuple[object, tuple | None]] = [(root, None)]
     while stack:
-        node, path = stack.pop()
+        node, link = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         why = reason(node)
         if why is not None:
-            return Invalid(path, why)
-        stack.extend((ch, path + (i,)) for i, ch in enumerate(children(node)))
+            path: list[int] = []
+            while link is not None:
+                link, i = link
+                path.append(i)
+            return Invalid(tuple(reversed(path)), why)
+        stack.extend((ch, (link, i)) for i, ch in enumerate(children(node)))
     return Valid()
 
 
@@ -627,6 +655,9 @@ def _node_error(t: TheorySpec, node: SubProof) -> str | None:
     return None
 
 
-def check_subproof(t: TheorySpec, p: SubProof) -> Valid | Invalid:
-    """Re-validate every node against its rule schema; no search, no engine."""
-    return check_tree(p, attrgetter("premises"), partial(_node_error, t))
+def check_subproof(
+    t: TheorySpec, p: SubProof, seen: set[int] | None = None
+) -> Valid | Invalid:
+    """Re-validate every node against its rule schema; no search, no engine.
+    seen is check_tree's: nodes already validated by an earlier call."""
+    return check_tree(p, attrgetter("premises"), partial(_node_error, t), seen)

@@ -12,6 +12,7 @@ import json
 import random
 from pathlib import Path
 
+from ittlab import assignment
 from ittlab.assignment import Basis, infer_bounded
 from ittlab.sensibility import builtin_theories
 from ittlab.subtyping import derive_le, saturated_ctx
@@ -104,3 +105,26 @@ def test_answers_match_recorded_fingerprints():
     assert len(got) == len(want) == len(queries)
     for row, g, w in zip(queries, got, want):
         assert g == w, f"answer changed for {row}"
+
+
+# goals expanded, table hits and cycle cut-offs of every search in the
+# sequence, summed; an engine change that keeps the answers keeps these too
+SEARCH_WORK = (5202, 3120, 8197)
+
+
+def test_search_work_over_the_answer_sequence(monkeypatch):
+    searches = []
+
+    class Recorded(assignment._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(assignment, "_Search", Recorded)
+    answer_fingerprints()
+    assert len(searches) == sum(row[0] == "infer" for row in answer_queries())
+    work = tuple(
+        sum(getattr(s, k) for s in searches)
+        for k in ("expanded", "hits", "cycle_events")
+    )
+    assert work == SEARCH_WORK

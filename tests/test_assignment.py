@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ittlab
+from ittlab import assignment
 from ittlab.assignment import (
     Basis,
     Derivation,
@@ -317,6 +319,97 @@ class TestExpansion:
         assert isinstance(c.term, App) and isinstance(c.term.fun, Abs)
         assert alpha_eq(c.term.arg, n)
         assert alpha_eq(substitute(c.term.fun.body, c.term.fun.binder, n), sub)
+
+    def test_occurrence_typed_at_an_intersection_of_parts(self):
+        # x's occurrences are typed c0, c0 & c1 and c0 & c1 -> c0, so the
+        # occurrence at c0 & c1 needs a Glb of two Inc steps from x_ty
+        t = builtin_theories().lookup("T2inv").spec
+        g = Basis.of(y=parse_ty("c0"), z=parse_ty("c1 -> c0"))
+        s = parse_term(r"y (y y (y (\v1.v1)))")
+        d = infer_bounded(t, g, s, parse_ty("c0 -> c1"), fuel=300).derivation
+        out = expand_derivation(t, d, "x", substitute(s, "y", Var("x")), Var("y"))
+        assert check_derivation(t, out) == Valid()
+        assert out.conclusion.ty == parse_ty("c0 -> c1")
+        subs = [n.sub for n in _nodes(out) if n.sub is not None]
+        assert any(p.rule == "Glb" for p in subs)
+
+    def test_argument_binder_shadowing_the_basis_is_renamed(self):
+        t = builtin_theories().lookup("T1").spec
+        n = parse_term(r"\z.z")
+        d = infer_bounded(t, Basis.of(z=parse_ty("c0")), n, parse_ty("c1 -> c1")).derivation
+        out = expand_derivation(t, d, "x", Var("x"), n)
+        assert check_derivation(t, out) == Valid()
+        assert alpha_eq(out.conclusion.term, parse_term(r"(\x.x) (\z.z)"))
+        assert out.conclusion.term.arg.binder != "z"
+
+
+def _nodes(d: Derivation) -> list[Derivation]:
+    """Every node of d as a tree: a shared node once per path to it."""
+    out, stack = [], [d]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.children)
+    return out
+
+
+def _tree_check(t, d: Derivation):
+    """check_derivation as a plain tree walk, every path visited."""
+    stack = [(d, ())]
+    while stack:
+        node, path = stack.pop()
+        why = assignment._node_reason(t, set(), node)
+        if why is not None:
+            return Invalid(path, why)
+        stack.extend((ch, path + (i,)) for i, ch in enumerate(node.children))
+    return Valid()
+
+
+class TestSharedNodes:
+    """The search shares subderivations; the checker visits each node once."""
+
+    def _shared(self) -> Derivation:
+        r = infer_bounded(PARK, Basis(), parse_term(r"(\x.x x x) (\y.y)"), parse_ty("c"))
+        d = r.derivation
+        assert len({id(n) for n in _nodes(d)}) < len(_nodes(d))
+        return d
+
+    def test_each_distinct_node_is_checked_once(self, monkeypatch):
+        d = self._shared()
+        checked = []
+
+        def counted(t, seen, node):
+            checked.append(node)
+            return reason(t, seen, node)
+
+        reason = assignment._node_reason
+        monkeypatch.setattr(assignment, "_node_reason", counted)
+        assert check_derivation(PARK, d) == Valid()
+        assert len(checked) == len({id(n) for n in checked}) == len(
+            {id(n) for n in _nodes(d)}
+        )
+
+    def test_corrupted_shared_node_reports_the_tree_walks_path(self):
+        d = self._shared()
+        paths = Counter(id(n) for n in _nodes(d))
+        for shared in [n for n in _nodes(d) if paths[id(n)] > 1]:
+            copies: dict[int, Derivation] = {}
+
+            def corrupt(node: Derivation) -> Derivation:
+                if id(node) not in copies:
+                    if node is shared:
+                        copies[id(node)] = Derivation("Bogus", node.conclusion)
+                    else:
+                        kids = tuple(corrupt(ch) for ch in node.children)
+                        copies[id(node)] = Derivation(
+                            node.rule, node.conclusion, kids, node.sub
+                        )
+                return copies[id(node)]
+
+            bad = corrupt(d)
+            got = check_derivation(PARK, bad)
+            assert isinstance(got, Invalid) and got.reason == "unknown rule 'Bogus'"
+            assert got == _tree_check(PARK, bad)
 
 
 class TestAdmissible:

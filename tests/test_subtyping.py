@@ -426,6 +426,20 @@ def test_proofs_validate_and_relation_is_preordered(setup):
             assert (x, z) in ctx.facts
 
 
+def test_repeated_proofs_are_one_shared_object():
+    t = builtin_theories().lookup("TCDZ").spec
+    universe = build_universe(t, [parse_ty("c3 -> c4"), parse_ty("c4 & U")], 2)
+    warm, cold = SubtypeCtx(t, universe), SubtypeCtx(t, universe)
+    facts = sorted(warm.facts, key=lambda p: (ty_key(p[0]), ty_key(p[1])))
+    first = [warm.proof(x, y) for x, y in facts]
+    for (x, y), p in zip(facts, first):
+        again = warm.proof(x, y)
+        assert again is p
+        assert repr(again) == repr(SubtypeCtx(t, universe).proof(x, y))
+    for (x, y), p in zip(reversed(facts), reversed(first)):
+        assert repr(cold.proof(x, y)) == repr(p)
+
+
 @given(tiny_setup())
 def test_aci_laws_proven_everywhere(setup):
     t, seeds, _ = setup
