@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the six pinned fixtures under tests/data.
+"""Regenerate the seven pinned fixtures under tests/data.
 
 Computes, with the ittlab on sys.path:
 
@@ -15,7 +15,9 @@ Computes, with the ittlab on sys.path:
   tests/test_subtyping.py;
 - transformation_fingerprints.json: the sha256 of the printed output (or
   the refusal) of weaken, strengthen, le_left and expand_derivation on seeded
-  infer_bounded derivations, from tests/test_assignment.py.
+  infer_bounded derivations, from tests/test_assignment.py;
+- cli_fingerprints.json: the exit code and the sha256 of the standard output
+  of each command of tests/test_cli.py's pinned list, as text and as --json.
 
 The fixtures pin answers across engine and parser changes, so run this on a
 checkout whose answers are trusted, for example a clean clone of the commit
@@ -32,6 +34,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests")
 
 import test_answers  # noqa: E402
 import test_assignment  # noqa: E402
+import test_cli  # noqa: E402
 import test_parsing  # noqa: E402
 import test_subtyping  # noqa: E402
 
@@ -59,6 +62,7 @@ FIXTURES = (
         test_assignment.transformation_fingerprints,
         {"indent": 2, "sort_keys": True},
     ),
+    (test_cli.CLI_FINGERPRINTS, test_cli.cli_fingerprints, {"indent": 2, "sort_keys": True}),
 )
 
 

@@ -142,11 +142,11 @@ def _node_reason(t: TheorySpec, seen: set[int], d: Derivation) -> str | None:
         if not isinstance(a, Arrow):
             return "ArrI concludes an arrow type"
         ch = kids[0].conclusion
-        try:
-            want = g.extend(m.binder, a.dom)
-        except InvalidInput:
+        if g.get(m.binder) is not None:
             return f"binder {m.binder!r} shadows a basis variable"
-        if ch.basis != want:
+        # the bindings g.extend(binder, a.dom) would have: g's are sorted and
+        # canonical, and a.dom is canonical as a part of the canonical a
+        if ch.basis.bindings != tuple(sorted(g.bindings + ((m.binder, a.dom),))):
             return "ArrI child basis must extend the conclusion basis by the binder"
         if ch.term != m.body:
             return "ArrI child must type the abstraction body"

@@ -31,7 +31,6 @@ from .lexer import Tokens, parse, statements
 from .polarity import (
     PolarityPass,
     StagingFailure,
-    check_positive_polarity,
     completion,
     equivalence_classes,
     stage_plan,
@@ -45,6 +44,7 @@ from .sensibility import (
     Witness,
     builtin_theories,
     evidence_summary,
+    polarity_stage,
     verdict,
 )
 from .sexpr import (
@@ -234,12 +234,12 @@ def _cmd_infer(args, inputs: _Inputs) -> _Result:
 
 def _cmd_polarity(args, inputs: _Inputs) -> _Result:
     t = inputs.theory(args.theory)
-    if not t.natural:
+    pol = polarity_stage(t)
+    if pol is None:
         payload = {"applicable": False, "reason": "theory not marked natural"}
         lines = ["Not applicable: the polarity criterion needs a natural theory"]
         return payload, [], 2, lines
     axs = completion(validate_natural(t).axioms)
-    pol = check_positive_polarity(axs)
     poset = equivalence_classes(axs)
     classes = [sorted(cls) for cls in poset.classes]
     order = sorted([i, j] for i, j in poset.order)
@@ -254,7 +254,7 @@ def _cmd_polarity(args, inputs: _Inputs) -> _Result:
     if isinstance(pol, PolarityPass):
         pol_payload = {"result": "Pass", "caveats": list(pol.caveats)}
         code = 0
-        lines = ["Polarity: Pass"]
+        lines = ["Polarity: Pass"] + [f"  caveat: {c}" for c in pol.caveats]
     else:
         pol_payload = {
             "result": "Fail",

@@ -170,8 +170,9 @@ def verify_embedding(
 
 
 def compose_maps(k1: ConstantMap, k2: ConstantMap) -> ConstantMap:
-    """Pointwise composition: first k1, then k2 extended structurally."""
-    if k1.target.name != k2.source.name or k1.target.constants != k2.source.constants:
+    """Pointwise composition: first k1, then k2 extended structurally.  k1's
+    target and k2's source must be one theory up to its name (equal keys)."""
+    if k1.target.key != k2.source.key:
         raise InvalidInput("maps do not compose: k1 target differs from k2 source")
     composed = {name: extend_structurally(k2, image) for name, image in k1.mapping}
     return ConstantMap.of(k1.source, k2.target, composed)

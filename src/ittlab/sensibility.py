@@ -20,11 +20,11 @@ from typing import Union
 from .assignment import DEFAULT_FUEL, Basis, Derivation, Found, infer_bounded
 from .embedding import ConstantMap, TransferCertificate, compose_maps, transfer
 from .errors import InvalidInput
-from .polarity import PolarityPass, check_positive_polarity, completion
+from .polarity import PolarityPass, PolarityVerdict, check_positive_polarity, completion
 from .subtyping import DEFAULT_WIDTH, Proven, is_top_equiv
 from .terms import FuelExhausted, Term, head_reduce, parse_term
 from .theory import TheorySpec, parse_theory, validate_natural
-from .types import TOP, Const, Ty, canonicalize, print_ty, ty_key
+from .types import TOP, Const, Ty, print_ty, ty_key
 from .sexpr import parse_constant_map
 
 DEFAULT_CHAIN_DEPTH = 3
@@ -178,11 +178,11 @@ class NoneFound:
 def _probe_targets(t: TheorySpec, inter_width: int) -> tuple[Ty, ...]:
     """Constants and axiom sides not provably equivalent to U."""
     raw: list[Ty] = [Const(c) for c in sorted(t.constants)]
-    for lhs, rhs in t.le_axiom_pairs():
-        raw.extend((lhs, rhs))
+    for pair in t.canonical_pairs:
+        raw.extend(pair)
     out: list[Ty] = []
     seen: set[Ty] = set()
-    for ty in sorted((canonicalize(x) for x in raw), key=ty_key):
+    for ty in sorted(raw, key=ty_key):
         if ty in seen or ty == TOP:
             continue
         seen.add(ty)
@@ -257,30 +257,14 @@ _ORDER_CAVEAT = (
 )
 
 
-def _same_theory(a: TheorySpec, b: TheorySpec) -> bool:
-    """Structural equality ignoring the declared name."""
-
-    def pairs(t: TheorySpec) -> frozenset[tuple[Ty, Ty]]:
-        return frozenset(
-            (canonicalize(l), canonicalize(r)) for l, r in t.le_axiom_pairs()
-        )
-
-    return (
-        a.constants == b.constants
-        and a.flags == b.flags
-        and a.natural == b.natural
-        and pairs(a) == pairs(b)
-    )
-
-
-def _polarity_pass(t: TheorySpec) -> PolarityPass | None:
+def polarity_stage(t: TheorySpec) -> PolarityVerdict | None:
+    """verdict's polarity stage: None when t is not natural, else the
+    polarity check of its completed characteristic set.  A pass carries the
+    order caveat when t declares a constant order."""
     if not t.natural:
         return None
-    cs = validate_natural(t)
-    pol = check_positive_polarity(completion(cs.axioms))
-    if not isinstance(pol, PolarityPass):
-        return None
-    if t.order:
+    pol = check_positive_polarity(completion(validate_natural(t).axioms))
+    if isinstance(pol, PolarityPass) and t.order:
         return PolarityPass(pol.caveats + (_ORDER_CAVEAT,))
     return pol
 
@@ -290,7 +274,7 @@ def _known(
 ) -> KnownSensible | KnownNonSensible | None:
     """The first registry status of the given class on a copy of spec."""
     for _, entry in reg.entries:
-        if isinstance(entry.status, status) and _same_theory(entry.spec, spec):
+        if isinstance(entry.status, status) and entry.spec.key == spec.key:
             return entry.status
     return None
 
@@ -313,8 +297,9 @@ def _chains(
 ) -> list[ConstantMap]:
     """Composites of up to depth pool maps leaving t, or reaching t if into.
 
-    The end at t is rebased to t itself.  A chain is never extended back to
-    t or by a self-map, and each far end keeps a given mapping once.
+    Maps meet where their theories have one key, and only the end at t is
+    rebased to t itself.  A chain is never extended back to t or by a
+    self-map, and each far end keeps a given mapping once.
     """
 
     def near(k: ConstantMap) -> TheorySpec:
@@ -323,28 +308,25 @@ def _chains(
     def far(k: ConstantMap) -> TheorySpec:
         return k.source if into else k.target
 
-    def rebase(k: ConstantMap, at: TheorySpec) -> ConstantMap:
+    def rebase(k: ConstantMap) -> ConstantMap:
         if into:
-            return ConstantMap.of(k.source, at, k.as_dict())
-        return ConstantMap.of(at, k.target, k.as_dict())
+            return ConstantMap.of(k.source, t, k.as_dict())
+        return ConstantMap.of(t, k.target, k.as_dict())
 
-    frontier = [rebase(k, t) for k in pool if _same_theory(near(k), t)]
+    frontier = [rebase(k) for k in pool if near(k).key == t.key]
     out: list[ConstantMap] = []
     for _ in range(depth):
         out.extend(frontier)
         nxt = []
         for chain in frontier:
-            end = far(chain)
+            end = far(chain).key
             for k in pool:
-                if not _same_theory(near(k), end):
+                if near(k).key != end or far(k).key in (t.key, end):
                     continue
-                if _same_theory(far(k), t) or _same_theory(far(k), end):
-                    continue
-                link = rebase(k, end)
                 if into:
-                    nxt.append(compose_maps(link, chain))
+                    nxt.append(compose_maps(k, chain))
                 else:
-                    nxt.append(compose_maps(chain, link))
+                    nxt.append(compose_maps(chain, k))
         frontier = nxt
     seen: set[tuple[TheorySpec, tuple[tuple[str, Ty], ...]]] = set()
     unique = []
@@ -373,8 +355,8 @@ def verdict(
     reg = builtin_theories()
     tried: list[str] = []
 
-    pol = _polarity_pass(t)
-    if pol is not None:
+    pol = polarity_stage(t)
+    if isinstance(pol, PolarityPass):
         return Sensible(pol)
     tried.append(
         "polarity: Fail (criterion is sufficient only)"
@@ -385,8 +367,8 @@ def verdict(
     pool = _map_pool(reg, extra_maps)
     for k in _chains(t, pool, depth, into=False):
         known = _known(k.target, reg, KnownSensible)
-        target_evidence = known or _polarity_pass(k.target)
-        if target_evidence is None:
+        target_evidence = known or polarity_stage(k.target)
+        if not isinstance(target_evidence, (KnownSensible, PolarityPass)):
             tried.append(f"embedding into {k.target.name}: target not known sensible")
             continue
         r = transfer(k, "sensible", target_evidence, inter_width)

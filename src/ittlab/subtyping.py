@@ -49,28 +49,24 @@ DEFAULT_CAP = 20_000
 @dataclass(frozen=True)
 class Universe:
     members: frozenset[Ty]
-    inter_width: int
 
 
 def build_universe(
-    t: TheorySpec,
-    seeds: Iterable[Ty],
-    inter_width: int = DEFAULT_WIDTH,
-    cap: int = DEFAULT_CAP,
+    t: TheorySpec, seeds: Iterable[Ty], inter_width: int = DEFAULT_WIDTH
 ) -> Universe:
     """Subterm closure of seeds plus axiom sides plus U, widened by all
     canonical intersections of 2..inter_width distinct closure members.
 
-    The one place the member bound is enforced: past cap members it raises
-    UniverseTooLarge.  Every query runs at DEFAULT_CAP."""
+    The one place the member bound is enforced: past DEFAULT_CAP members, read
+    at call time, it raises UniverseTooLarge."""
     if inter_width < 1:
         raise InvalidInput("inter_width must be >= 1")
     base: set[Ty] = {TOP}
     for s in seeds:
         base.add(canonicalize(s))
-    for lhs, rhs in t.le_axiom_pairs():
-        base.add(canonicalize(lhs))
-        base.add(canonicalize(rhs))
+    for lhs, rhs in t.canonical_pairs:
+        base.add(lhs)
+        base.add(rhs)
     closed: set[Ty] = set()
     for m in base:
         closed.update(subterms(m))  # subterms of canonical forms stay canonical
@@ -80,11 +76,11 @@ def build_universe(
     for k in range(2, min(inter_width, len(pool)) + 1):
         for combo in combinations(pool, k):
             members.add(canonicalize(make_inter(combo)))
-            if len(members) > cap:
-                raise UniverseTooLarge(cap)
-    if len(members) > cap:
-        raise UniverseTooLarge(cap)
-    return Universe(frozenset(members), inter_width)
+            if len(members) > DEFAULT_CAP:
+                raise UniverseTooLarge(DEFAULT_CAP)
+    if len(members) > DEFAULT_CAP:
+        raise UniverseTooLarge(DEFAULT_CAP)
+    return Universe(frozenset(members))
 
 
 @dataclass(frozen=True)
@@ -204,8 +200,8 @@ class SubtypeCtx:
         top = self.idx[TOP]
         for m in range(n):
             self._add(m, m, REFL)
-        for lhs, rhs in self.theory.le_axiom_pairs():
-            self._add_types(canonicalize(lhs), canonicalize(rhs), AXIOM)
+        for lhs, rhs in self.theory.canonical_pairs:
+            self._add_types(lhs, rhs, AXIOM)
         for z, parts in self.parts.items():
             self._add(z, parts[0], INC_L)
             for p in parts[1:]:
@@ -576,10 +572,8 @@ def _node_error(t: TheorySpec, node: SubProof) -> str | None:
     elif r == "Axiom":
         if prems:
             return "Axiom takes no premises"
-        for lhs, rhs in t.le_axiom_pairs():
-            if canonicalize(lhs) == a and canonicalize(rhs) == b:
-                return None
-        return "conclusion is not an instance of a declared axiom"
+        if (a, b) not in t.canonical_pairs:
+            return "conclusion is not an instance of a declared axiom"
     elif r in ("IncL", "IncR"):
         if prems or not isinstance(a, Inter) or b not in inter_parts(a):
             return "Inc concludes Z <= P for a part P of intersection Z"

@@ -6,8 +6,10 @@ theories restrict axioms to `c ~ A` with one defining axiom per constant;
 validate_natural rewrites such a theory into the restricted characteristic
 form where every right-hand side is a constant, an arrow of constants, or an
 intersection of constants, minting $-named auxiliaries for nested subterms.
-parse_theory reads each .itt statement off one lexer.Tokens cursor, so its
-error offsets index the whole file.
+A TheorySpec computes its axioms as canonical <= pairs and its key, the
+theory up to its name, once; every module that reads canonical axioms or
+compares theories reads these two.  parse_theory reads each .itt statement
+off one lexer.Tokens cursor, so its error offsets index the whole file.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 from .errors import (
@@ -116,6 +119,17 @@ class TheorySpec:
         for lo, hi in self.order:
             out.append((Const(lo), Const(hi)))
         return tuple(out)
+
+    @cached_property
+    def canonical_pairs(self) -> tuple[tuple[Ty, Ty], ...]:
+        """le_axiom_pairs with both sides canonical, in the same order."""
+        return tuple((canonicalize(l), canonicalize(r)) for l, r in self.le_axiom_pairs())
+
+    @cached_property
+    def key(self) -> tuple:
+        """The theory up to its name: equal keys mean the same constants,
+        flags and natural marker, and the same set of canonical <= pairs."""
+        return (self.constants, self.flags, self.natural, frozenset(self.canonical_pairs))
 
 
 def _read_name(tk: Tokens, what: str) -> str:

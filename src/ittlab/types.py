@@ -270,39 +270,39 @@ def map_consts(t: Ty, fn) -> Ty:
     raise TypeError(f"not a type: {t!r}")
 
 
-def read_ty(tk: Tokens, allow_reserved: bool = False) -> Ty:
+def read_ty(tk: Tokens) -> Ty:
     """Read `T ::= U | ident | T -> T | T & T | (T)` off tk, up to the first
     token that cannot extend it.
 
     & binds tighter than ->; -> associates right.  $-prefixed names are
-    internal and rejected unless allow_reserved.
+    internal and rejected.
     """
-    dom = _read_inter(tk, allow_reserved)
+    dom = _read_inter(tk)
     if tk.peek() != "->":
         return dom
     tk.take("->")
-    return Arrow(dom, read_ty(tk, allow_reserved))
+    return Arrow(dom, read_ty(tk))
 
 
-def _read_inter(tk: Tokens, allow_reserved: bool) -> Ty:
-    parts = [_read_atom(tk, allow_reserved)]
+def _read_inter(tk: Tokens) -> Ty:
+    parts = [_read_atom(tk)]
     while tk.peek() == "&":
         tk.take("&")
-        parts.append(_read_atom(tk, allow_reserved))
+        parts.append(_read_atom(tk))
     return make_inter(parts)
 
 
-def _read_atom(tk: Tokens, allow_reserved: bool) -> Ty:
+def _read_atom(tk: Tokens) -> Ty:
     if tk.peek() == "(":
         tk.take("(")
-        inner = read_ty(tk, allow_reserved)
+        inner = read_ty(tk)
         tk.take(")")
         return inner
     at = tk.at()
     name = tk.take(IDENT)
     if name == "U":
         return TOP
-    if is_reserved(name) and not allow_reserved:
+    if is_reserved(name):
         raise ParseError(f"reserved name {name!r}", at)
     return Const(name)
 
@@ -314,9 +314,9 @@ def read_le(tk: Tokens) -> tuple[Ty, Ty]:
     return lo, read_ty(tk)
 
 
-def parse_ty(src: str, allow_reserved: bool = False) -> Ty:
+def parse_ty(src: str) -> Ty:
     """The type that is all of src; see read_ty."""
-    return parse(Tokens(src), lambda tk: read_ty(tk, allow_reserved), "type")
+    return parse(Tokens(src), read_ty, "type")
 
 
 def print_ty(t: Ty) -> str:

@@ -160,6 +160,35 @@ class TestCheckDerivation:
         out = check_derivation(T1, lam)
         assert isinstance(out, Invalid) and out.path == (0,)
 
+    def test_arri_refusals_keep_their_wording(self):
+        g = Basis.of(x=parse_ty("a"))
+        ax = Derivation("Ax", Judgment(g, Var("x"), parse_ty("a")))
+        lam = Derivation("ArrI", Judgment(g, Abs("x", Var("x")), parse_ty("a -> a")), (ax,))
+        assert check_derivation(T1, lam) == Invalid(
+            (), "binder 'x' shadows a basis variable"
+        )
+        other = Derivation("Ax", Judgment(Basis.of(x=parse_ty("a"), y=parse_ty("b")),
+                                          Var("x"), parse_ty("a")))
+        lam = Derivation(
+            "ArrI", Judgment(Basis(), Abs("x", Var("x")), parse_ty("a -> a")), (other,)
+        )
+        assert check_derivation(T1, lam) == Invalid(
+            (), "ArrI child basis must extend the conclusion basis by the binder"
+        )
+
+    def test_checking_builds_no_basis(self, monkeypatch):
+        t = builtin_theories().lookup("T4").spec
+        m = parse_term(r"(\x. x x) (\x. x x)")
+        r = infer_bounded(t, Basis.of(), m, parse_ty("c3"), fuel=500)
+        assert isinstance(r, Found)
+        built = []
+        original = Basis.__post_init__
+        monkeypatch.setattr(
+            Basis, "__post_init__", lambda self: built.append(self) or original(self)
+        )
+        assert check_derivation(t, r.derivation) == Valid()
+        assert built == []
+
 
 class TestInferBounded:
     def test_variable_lookup_single_fuel(self):

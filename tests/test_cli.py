@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from ittlab import cli
 from ittlab.assignment import check_derivation
 from ittlab.cli import main
-from ittlab.sensibility import builtin_theories
+from ittlab.sensibility import builtin_theories, verdict
 from ittlab.sexpr import parse_derivation, parse_subproof
 from ittlab.subtyping import Invalid, Valid, check_subproof
 
@@ -189,6 +191,18 @@ class TestPolarity:
         assert code == 1
         assert report["verdict"]["polarity"]["result"] == "Fail"
         assert report["verdict"]["polarity"]["witness"] == [["c0", "c0", "-"]]
+
+    @pytest.mark.parametrize("name", ["TCDZ", "EP"])
+    def test_caveats_are_the_verdicts(self, capsys, name):
+        # TCDZ declares a constant order, EP does not
+        code, report = run_json(capsys, "polarity", name)
+        caveats = report["verdict"]["polarity"]["caveats"]
+        assert code == 0 and bool(caveats) == (name == "TCDZ")
+        assert tuple(caveats) == verdict(spec(name)).evidence.caveats
+        code, out = run(capsys, "polarity", name)
+        assert [line for line in out.splitlines() if "caveat" in line] == [
+            f"  caveat: {c}" for c in caveats
+        ]
 
     def test_not_applicable(self, capsys):
         code, report = run_json(capsys, "polarity", "T0")
@@ -485,3 +499,63 @@ def test_polarity_reports_are_deterministic(name):
 def test_sensibility_reports_are_deterministic(name):
     first = _json_run(["sensibility", name, "--json"])
     assert first == _json_run(["sensibility", name, "--json"])
+
+
+# -- whole-output pins -------------------------------------------------------------
+
+CLI_FINGERPRINTS = Path(__file__).parent / "data" / "cli_fingerprints.json"
+_MAPS = (
+    ("Park", "T2inv", "park_to_t2inv"),
+    ("T2", "T2prime", "t2_to_t2prime"),
+    ("T3", "TCDZ", "t3_to_tcdz"),
+    ("Tflat", "TCDZ", "tflat_to_tcdz"),
+    ("Tstar", "TCDZ", "tstar_to_tcdz"),
+    ("Tstarup", "TCDZ", "tstarup_to_tcdz"),
+)
+
+
+def cli_commands() -> list[list[str]]:
+    """The pinned commands; file arguments are relative to the corpus directory."""
+    names = builtin_theories().names()
+    return [
+        ["corpus", "--all"],
+        *(["sensibility", n] for n in names),
+        *(["polarity", n] for n in names),
+        ["sensibility", "T2inv", "--fuel", "1"],
+        ["sensibility", "Park", "--fuel", "1"],
+        *(["embed", s, t, f"maps/{m}.map"] for s, t, m in _MAPS),
+        ["check", "T4", "derivations/omega2omega2_c3.drv"],
+        ["subtype", "T0", "c0 -> c0 <= c1 -> c0"],
+        ["subtype", "T0", "c0 <= c1"],
+        ["infer", "T0", r"\x.x", "c1 -> c0"],
+    ]
+
+
+def cli_fingerprints() -> dict[str, dict]:
+    """The exit code and the sha256 of stdout of each pinned command, as text
+    and under --json, run from the corpus directory so that the file paths the
+    reports record do not depend on where the repo is checked out."""
+    out = {}
+    cwd = os.getcwd()
+    os.chdir(corpus_path())
+    try:
+        for argv in cli_commands():
+            for mode in ([], ["--json"]):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main(argv + mode)
+                out[" ".join(argv + mode)] = {
+                    "exit": code,
+                    "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+                }
+    finally:
+        os.chdir(cwd)
+    return out
+
+
+def test_cli_output_matches_recorded_fingerprints():
+    got = cli_fingerprints()
+    want = json.loads(CLI_FINGERPRINTS.read_text(encoding="utf-8"))
+    assert len(want) == 2 * len(cli_commands()) == 110
+    for command, w in want.items():
+        assert got[command] == w, f"output changed for: ittlab {command}"

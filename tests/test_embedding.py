@@ -159,6 +159,27 @@ class TestCompose:
         with pytest.raises(InvalidInput):
             compose_maps(corpus_map("T3", "TCDZ"), corpus_map("T2", "T2prime"))
 
+    def test_composes_through_a_renamed_copy(self):
+        k = corpus_map("T3", "TCDZ")
+        copy = dataclasses.replace(spec("TCDZ"), name="TCDZcopy")
+        kk = compose_maps(k, identity_map(copy))
+        assert kk.mapping == k.mapping and kk.target is copy
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda t: {"axioms": t.axioms + (AxiomDecl("le", Const("c1"), Const("c0")),)},
+            lambda t: {"flags": t.flags | {RuleFlag.ARROW}},
+        ],
+        ids=["axiom", "flag"],
+    )
+    def test_same_name_other_theory_rejected(self, change):
+        t0 = spec("T0")
+        other = dataclasses.replace(t0, **change(t0))
+        assert other.name == t0.name and other.constants == t0.constants
+        with pytest.raises(InvalidInput, match="maps do not compose"):
+            compose_maps(identity_map(t0), identity_map(other))
+
 
 class TestTransfer:
     def test_sensible_transfers_backward(self):

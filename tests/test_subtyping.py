@@ -89,12 +89,13 @@ def test_universe_width2_adds_intersections():
     assert parse_ty("c0 & c1") in u.members
 
 
-def test_universe_cap():
+def test_universe_cap(monkeypatch):
     seeds = [parse_ty(f"a -> a") for _ in range(1)]
     t = parse_theory("constants a b c d e f g h")
     big = [Const(c) for c in "abcdefgh"]
+    monkeypatch.setattr(subtyping, "DEFAULT_CAP", 40)
     with pytest.raises(UniverseTooLarge):
-        build_universe(t, big, 8, cap=40)
+        build_universe(t, big, 8)
 
 
 def test_universe_rejects_zero_width():
@@ -401,7 +402,7 @@ def tiny_setup(draw):
 @given(tiny_setup())
 def test_engine_matches_naive_closure(setup):
     t, seeds, width = setup
-    universe = build_universe(t, seeds, width, cap=2000)
+    universe = build_universe(t, seeds, width)
     assume(len(universe.members) <= 11)
     ctx = saturated_ctx(t, universe)
     assert ctx.facts == naive_closure(t, universe)
@@ -410,7 +411,7 @@ def test_engine_matches_naive_closure(setup):
 @given(tiny_setup())
 def test_proofs_validate_and_relation_is_preordered(setup):
     t, seeds, width = setup
-    universe = build_universe(t, seeds, width, cap=2000)
+    universe = build_universe(t, seeds, width)
     assume(len(universe.members) <= 9)
     ctx = saturated_ctx(t, universe)
     for m in universe.members:

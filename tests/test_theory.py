@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ittlab.errors import (
@@ -6,6 +8,7 @@ from ittlab.errors import (
     ParseError,
     UndeclaredConstant,
 )
+from ittlab.sensibility import builtin_theories
 from ittlab.theory import (
     ArrowC,
     AxiomDecl,
@@ -69,6 +72,45 @@ def test_le_axiom_pairs_expands_eq_and_order():
         (Const("b"), Const("a")),
         (Const("a"), Const("b")),
     )
+
+
+def test_canonical_pairs_follow_le_axiom_pairs():
+    t = parse_theory("constants a b; axiom b & a ~ a -> (b & b); order a <= b")
+    assert t.canonical_pairs == tuple(
+        (canonicalize(lo), canonicalize(hi)) for lo, hi in t.le_axiom_pairs()
+    )
+    assert t.canonical_pairs[0] == (parse_ty("a & b"), parse_ty("a -> b"))
+
+
+def test_key_is_the_theory_up_to_its_name():
+    tcdz = builtin_theories().lookup("TCDZ").spec
+    copy = dataclasses.replace(tcdz, name="TCDZcopy")
+    assert copy.key == tcdz.key and copy != tcdz
+    same = [
+        ("constants a b c; axiom a & b <= c", "constants a b c; axiom b & a <= c"),
+        ("constants a b; axiom a ~ b -> a",
+         "constants a b; axiom a <= b -> a; axiom b -> a <= a"),
+    ]
+    for x, y in same:
+        assert parse_theory(x).key == parse_theory(y).key
+
+
+def test_key_tells_flags_order_and_natural_apart():
+    base = "constants a b; flags arrow-U; axiom a ~ b -> b"
+    variants = [base + "; flags arrow", base + "; order b <= a", "natural; " + base]
+    keys = [parse_theory(src).key for src in [base] + variants]
+    assert len(set(keys)) == len(keys)
+
+
+def test_key_leaves_fields_equality_hash_and_repr_alone():
+    t = parse_theory("theory t; constants a b; axiom a <= b")
+    before = (repr(t), hash(t))
+    assert t.key and t.canonical_pairs
+    assert (repr(t), hash(t)) == before
+    assert [f.name for f in dataclasses.fields(t)] == [
+        "name", "constants", "flags", "axioms", "order", "natural"
+    ]
+    assert t == parse_theory("theory t; constants a b; axiom a <= b")
 
 
 def test_parse_errors():

@@ -58,7 +58,6 @@ def test_parse_arrow_right_associative():
 def test_parse_rejects_reserved_names():
     with pytest.raises(ParseError):
         parse_ty("$1")
-    assert parse_ty("$1", allow_reserved=True) == Const("$1")
 
 
 def test_parse_rejects_garbage():
