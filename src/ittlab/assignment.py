@@ -224,12 +224,15 @@ class _Search:
     """One bounded search.  A goal g |- m : a is keyed by three ints: the
     search's id for g, its id for m's alpha-class, and the identity of a,
     which is hash-consed and canonical (every goal type is a universe
-    member).  Each basis and term object is hashed once, when the search
-    first meets it, and is kept alive so that its id stays its own."""
+    member, so the relation is read by a's member id, never through
+    holds).  Each basis and term object is hashed once, when the search
+    first meets it, and is kept alive so that its id stays its own; a term's
+    hash is memoised on it, so an alpha-class costs one lookup."""
 
     def __init__(self, ctx, fuel: int):
         self.ctx = ctx
         self.fuel = fuel
+        self.top = ctx.idx[TOP]
         # goal key -> its derivation, None when it has none, _BUSY while it
         # is being searched
         self.table: dict[tuple[int, int, int], object] = {}
@@ -297,7 +300,9 @@ class _Search:
         ctx = self.ctx
         if a == TOP:
             return Derivation("TopU", Judgment(g, m, TOP))
-        if ctx.holds(TOP, a):
+        # the members below a, read off the relation by a's id
+        below_a = ctx.pred[ctx.idx[a]]
+        if below_a >> self.top & 1:
             top = Derivation("TopU", Judgment(g, m, TOP))
             return self._le_wrap(top, a)
         if isinstance(a, Inter) and isinstance(m, (Abs, App)):
@@ -315,20 +320,22 @@ class _Search:
                     return acc
         if isinstance(m, Var):
             bound = g.get(m.name)
-            if bound is None or not ctx.holds(bound, a):
+            i = ctx.idx.get(bound)
+            if i is None or not below_a >> i & 1:
                 return None
             ax = Derivation("Ax", Judgment(g, m, canonicalize(bound)))
             return self._le_wrap(ax, a)
         if isinstance(m, App):
-            return self._solve_app(g, m, a)
+            return self._solve_app(g, m, a, below_a)
         if isinstance(m, Abs):
-            return self._solve_abs(g, m, a)
+            return self._solve_abs(g, m, a, below_a)
         return None
 
-    def _solve_app(self, g: Basis, m: App, a: Ty) -> Derivation | None:
+    def _solve_app(
+        self, g: Basis, m: App, a: Ty, below_a: int
+    ) -> Derivation | None:
         ctx = self.ctx
         ms = ctx.members
-        below_a = ctx.col(a)
         # the arrows whose codomain is below a, in id (= ty_key) order
         singles = 0
         for c, fs in ctx.arrows_to.items():
@@ -370,7 +377,9 @@ class _Search:
             return self._le_wrap(app, a)
         return None
 
-    def _solve_abs(self, g: Basis, m: Abs, a: Ty) -> Derivation | None:
+    def _solve_abs(
+        self, g: Basis, m: Abs, a: Ty, below_a: int
+    ) -> Derivation | None:
         ctx = self.ctx
         ms = ctx.members
         x, body = m.binder, m.body
@@ -380,7 +389,6 @@ class _Search:
             x = nx
             m = Abs(x, body)
         gi, bases = self.ids[id(g)], self.bases
-        below_a = ctx.col(a)
         for i in bits(below_a & ctx.arrow_mask):
             f = ms[i]
             bkey = (gi, x, id(f.dom))

@@ -57,12 +57,11 @@ from .sexpr import (
 from .subtyping import DEFAULT_WIDTH, Proven, Valid, check_subproof, derive_le
 from .terms import (
     Reached,
-    freshen,
     head_reduce,
     head_step,
     parse_term,
     print_term,
-    read_term,
+    read_fresh_term,
 )
 from .theory import TheorySpec, parse_theory, validate_natural
 from .types import Ty, constants_of, parse_ty, print_ty, read_le
@@ -351,7 +350,7 @@ def _cmd_sensibility(args, inputs: _Inputs) -> _Result:
     t = inputs.theory(args.theory)
     pool = inputs.file(args.pool) if args.pool else ""
     extra_pool = [
-        parse(tk, lambda tk: freshen(read_term(tk)), f"pool line {lineno}")
+        parse(tk, read_fresh_term, f"pool line {lineno}")
         for lineno, tk in statements(pool)
     ]
     maps = []

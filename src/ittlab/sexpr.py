@@ -16,7 +16,7 @@ from .assignment import Basis, Derivation, Judgment
 from .errors import ParseError
 from .lexer import IDENT, Tokens, parse, statements
 from .subtyping import SubProof
-from .terms import freshen, print_term, read_term
+from .terms import print_term, read_fresh_term
 from .types import Ty, print_ty, read_le, read_ty
 
 _DERIVATION_RULES = {"Ax", "TopU", "ArrI", "ArrE", "CapI", "Le"}
@@ -68,7 +68,7 @@ def _read_derivation(tk: Tokens, rule: str) -> Derivation:
     tk.take("(")
     basis = _read_basis(tk)
     tk.take("|-")
-    term = freshen(read_term(tk))
+    term = read_fresh_term(tk)
     tk.take(":")
     conclusion = Judgment(basis, term, read_ty(tk))
     tk.take(")")

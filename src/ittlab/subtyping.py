@@ -339,11 +339,6 @@ class SubtypeCtx:
         i = self.idx.get(canonicalize(a))
         return 0 if i is None else self.succ[i]
 
-    def col(self, b: Ty) -> int:
-        """The ids of the members a with a <= b, as a bitset."""
-        j = self.idx.get(canonicalize(b))
-        return 0 if j is None else self.pred[j]
-
     @cached_property
     def arrow_mask(self) -> int:
         """The ids of the arrow members."""

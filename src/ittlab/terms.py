@@ -2,16 +2,25 @@
 
 Terms obey Barendregt's convention: every parse freshens binders so that no
 binder shadows another binder or a free variable.  Equality (and hashing) is
-alpha-equivalence, implemented by comparing canonical de Bruijn skeletons, so
-the freshening is unobservable to clients.  A term computes its skeleton, its
-free variables and its hash once, when first asked.
+alpha-equivalence, implemented by comparing locally nameless skeletons (free
+variables by name, bound ones by de Bruijn index), so the freshening is
+unobservable to clients.
+
+Terms pay for alpha-equality once, as types pay for structural equality once
+by hash-consing.  Building a term writes its fields and computes nothing;
+its free variables and its skeleton, whose first field is its hash, are
+memoised on it the first time they are asked for, each made from its
+children's memoised values.  An application shares its children's skeletons, an abstraction
+rebuilds only the paths that reach its binder, and == compares the stored
+hashes before the shared skeletons.  freshen returns every subterm that it
+does not rename as the same object, so a parsed term keeps the memos of its
+subterms.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
 from .errors import InvalidInput, ParseError
@@ -20,94 +29,258 @@ from .lexer import IDENT, Tokens, parse
 Term = Union["Var", "Abs", "App"]
 
 
-class _TermBase:
-    @cached_property
-    def _canon(self) -> tuple:
-        return _canon_term(self, {}, 0)
+class _Term:
+    """Shared behaviour of the three immutable term constructors.
 
-    @cached_property
-    def _free(self) -> frozenset[str]:
-        return _free_vars(self)
+    A constructor writes its fields and leaves the memo slots None; each is
+    filled, without a lock, the first time it is read:
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._canon)
+    - _fv, the free variables, from the children's sets (free_vars);
+    - _sk, the skeleton (Abs and App only), from the children's skeletons
+      (_skeleton).
+
+    A skeleton is the locally nameless form of the term: a free variable is
+    its name, a bound one its de Bruijn index (an int), an abstraction
+    (hash, body) and an application (hash, fun, arg).  Alpha-equal terms, and
+    only they, have equal skeletons, and a skeleton's hash is made from its
+    children's stored hashes, so no deep tuple is ever hashed.
+    """
+
+    __slots__ = ("_fv",)
+    __match_args__: tuple[str, ...] = ()
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _TermBase):
+        if self is other:
+            return True
+        if not isinstance(other, _Term):
             return NotImplemented
-        return self._canon == other._canon
+        return _same(_skeleton(self), _skeleton(other))
 
     def __hash__(self) -> int:
-        return self._hash
+        # Var has its own; an abstraction's or application's hash heads its
+        # skeleton
+        sk = self._sk
+        return (sk if sk is not None else _skeleton(self))[0]
 
     def __reduce__(self):
         # copy and pickle rebuild from the fields alone: a string's hash
-        # differs between processes, so the memoised _hash must not travel
+        # differs between processes, so the memoised skeleton must not travel
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Var(_TermBase):
+class Var(_Term):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     name: str
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_fv(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Var:
+            return self.name == other.name
+        return super().__eq__(other)
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Abs(_TermBase):
+class Abs(_Term):
+    __slots__ = ("binder", "body", "_sk")
+    __match_args__ = ("binder", "body")
     binder: str
     body: Term
+
+    def __init__(self, binder: str, body: Term):
+        _set_binder(self, binder)
+        _set_body(self, body)
+        _set_fv(self, None)
+        _set_abs_sk(self, None)
 
     def __repr__(self) -> str:
         return f"Abs({self.binder!r}, {self.body!r})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class App(_TermBase):
+class App(_Term):
+    __slots__ = ("fun", "arg", "_sk")
+    __match_args__ = ("fun", "arg")
     fun: Term
     arg: Term
+
+    def __init__(self, fun: Term, arg: Term):
+        _set_fun(self, fun)
+        _set_arg(self, arg)
+        _set_fv(self, None)
+        _set_app_sk(self, None)
 
     def __repr__(self) -> str:
         return f"App({self.fun!r}, {self.arg!r})"
 
 
-def _canon_term(t: Term, env: dict[str, int], depth: int) -> tuple:
-    match t:
-        case Var(name):
-            if name in env:
-                return ("b", depth - env[name])
-            return ("f", name)
-        case Abs(binder, body):
-            inner = dict(env)
-            inner[binder] = depth + 1
-            return ("l", _canon_term(body, inner, depth + 1))
-        case App(fun, arg):
-            return ("a", _canon_term(fun, env, depth), _canon_term(arg, env, depth))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name):
-            return frozenset({name})
-        case Abs(binder, body):
-            return body._free - {binder}
-        case App(fun, arg):
-            return fun._free | arg._free
-    raise TypeError(f"not a term: {t!r}")
+# fields and memo slots are written through their descriptors, past the
+# __setattr__ that keeps terms immutable
+_set_fv = _Term._fv.__set__
+_set_name = Var.name.__set__
+_set_binder = Abs.binder.__set__
+_set_body = Abs.body.__set__
+_set_abs_sk = Abs._sk.__set__
+_set_fun = App.fun.__set__
+_set_arg = App.arg.__set__
+_set_app_sk = App._sk.__set__
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    return t._free
+    """The free variables of t, memoised on t and on each subterm."""
+    fv = t._fv
+    if fv is not None:
+        return fv
+    # fill the memo children first with an explicit stack, so that no depth
+    # of term can exhaust the interpreter's
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u._fv is not None:
+            stack.pop()
+            continue
+        if type(u) is Var:
+            fv = frozenset((u.name,))
+        elif type(u) is Abs:
+            inner = u.body._fv
+            if inner is None:
+                stack.append(u.body)
+                continue
+            fv = inner - {u.binder} if u.binder in inner else inner
+        else:
+            f, a = u.fun._fv, u.arg._fv
+            if f is None or a is None:
+                if f is None:
+                    stack.append(u.fun)
+                if a is None:
+                    stack.append(u.arg)
+                continue
+            fv = f if a <= f else a if f <= a else f | a
+        _set_fv(u, fv)
+        stack.pop()
+    return t._fv
+
+
+def _skel_hash(s: object) -> int:
+    return s[0] if type(s) is tuple else hash(s)
+
+
+def _app_skel(f: object, a: object) -> tuple:
+    return hash((_skel_hash(f), _skel_hash(a))), f, a
+
+
+def _abs_skel(b: object) -> tuple:
+    return hash((_skel_hash(b),)), b
+
+
+def _skeleton(t: Term) -> object:
+    """t's skeleton, memoised on t and on each abstraction and application
+    below it; a variable's skeleton is its name."""
+    if type(t) is Var:
+        return t.name
+    sk = t._sk
+    if sk is not None:
+        return sk
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u._sk is not None:
+            stack.pop()
+            continue
+        if type(u) is App:
+            f, a = u.fun, u.arg
+            fs = f.name if type(f) is Var else f._sk
+            as_ = a.name if type(a) is Var else a._sk
+            if fs is None or as_ is None:
+                if fs is None:
+                    stack.append(f)
+                if as_ is None:
+                    stack.append(a)
+                continue
+            _set_app_sk(u, _app_skel(fs, as_))
+        else:
+            b = u.body
+            bs = b.name if type(b) is Var else b._sk
+            if bs is None:
+                stack.append(b)
+                continue
+            _set_abs_sk(u, _abs_skel(_close(b, bs, u.binder)))
+        stack.pop()
+    return t._sk
+
+
+# a marker on _close's work stack: rebuild the node of that many children
+# from the last results
+_BUILD = object()
+
+
+def _close(t: Term, s: object, x: str) -> object:
+    """s, the skeleton of t, with the free occurrences of x bound by an
+    abstraction just above t.  Only the paths that reach x are rebuilt;
+    every subterm where x is not free keeps its skeleton."""
+    if x not in free_vars(t):
+        return s
+    # free_vars(t) has filled the memo of every subterm of t
+    done: list[object] = []
+    todo: list[tuple] = [(t, s, 0)]
+    while todo:
+        u, s, depth = todo.pop()
+        if u is _BUILD:
+            if s == 2:
+                a = done.pop()
+                done.append(_app_skel(done.pop(), a))
+            else:
+                done.append(_abs_skel(done.pop()))
+        elif x not in u._fv:
+            done.append(s)
+        elif type(u) is Var:
+            done.append(depth)
+        elif type(u) is Abs:
+            todo.append((_BUILD, 1, 0))
+            todo.append((u.body, s[1], depth + 1))
+        else:
+            todo.append((_BUILD, 2, 0))
+            todo.append((u.arg, s[2], depth))
+            todo.append((u.fun, s[1], depth))
+    return done[0]
+
+
+def _same(a: object, b: object) -> bool:
+    """Whether two skeletons are equal, compared node by node with a stack:
+    a shared node is equal at once, a differing hash unequal at once."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not tuple or type(b) is not tuple:
+            if a != b:
+                return False
+        elif a[0] != b[0] or len(a) != len(b):
+            return False
+        else:
+            stack.extend(zip(a[1:], b[1:]))
+    return True
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return a._canon == b._canon
+    return a == b
 
 
 def _all_names(t: Term) -> set[str]:
@@ -139,22 +312,27 @@ def freshen(t: Term, avoid: set[str] | None = None) -> Term:
     """Rename binders so all are distinct from each other and from free names.
 
     Binder names that cause no collision are kept, so round-tripping through
-    the printer stays readable.
+    the printer stays readable, and every subterm with nothing renamed in it
+    is returned as the same object.
     """
     used = set(avoid or ()) | free_vars(t)
 
+    # ren holds only the binders that were renamed: a binder whose name is
+    # used already is renamed, and every binder's name is used once visited
     def go(t: Term, ren: dict[str, str]) -> Term:
-        match t:
-            case Var(name):
-                return Var(ren.get(name, name))
-            case Abs(binder, body):
-                new = fresh_name(binder, used)
-                used.add(new)
-                inner = dict(ren)
-                inner[binder] = new
-                return Abs(new, go(body, inner))
-            case App(fun, arg):
-                return App(go(fun, ren), go(arg, ren))
+        if type(t) is Var:
+            new = ren.get(t.name)
+            return t if new is None else Var(new)
+        if type(t) is Abs:
+            new = fresh_name(t.binder, used)
+            used.add(new)
+            if new != t.binder:
+                ren = {**ren, t.binder: new}
+            body = go(t.body, ren)
+            return t if body is t.body and new == t.binder else Abs(new, body)
+        if type(t) is App:
+            fun, arg = go(t.fun, ren), go(t.arg, ren)
+            return t if fun is t.fun and arg is t.arg else App(fun, arg)
         raise TypeError(f"not a term: {t!r}")
 
     return go(t, {})
@@ -209,9 +387,15 @@ def _read_name(tk: Tokens) -> str:
     return name
 
 
+def read_fresh_term(tk: Tokens) -> Term:
+    """read_term with the binders freshened: the form every term text is
+    read in."""
+    return freshen(read_term(tk))
+
+
 def parse_term(src: str) -> Term:
     """The term that is all of src, with its binders freshened; see read_term."""
-    return parse(Tokens(src), lambda tk: freshen(read_term(tk)), "term")
+    return parse(Tokens(src), read_fresh_term, "term")
 
 
 def print_term(t: Term) -> str:
@@ -248,14 +432,12 @@ def substitute(m: Term, x: str, n: Term) -> Term:
     avoid = _all_names(m) | _all_names(n)
 
     def go(t: Term) -> Term:
+        if x not in free_vars(t):
+            return t
         match t:
-            case Var(name):
-                return n if name == x else t
+            case Var(_):
+                return n
             case Abs(binder, body):
-                if binder == x:
-                    return t
-                if x not in free_vars(body):
-                    return t
                 if binder in free_vars(n):
                     new = fresh_name(binder, avoid)
                     avoid.add(new)
@@ -270,12 +452,12 @@ def substitute(m: Term, x: str, n: Term) -> Term:
 
 
 def _rename_free(t: Term, old: str, new: str) -> Term:
+    if old not in free_vars(t):
+        return t
     match t:
-        case Var(name):
-            return Var(new) if name == old else t
+        case Var(_):
+            return Var(new)
         case Abs(binder, body):
-            if binder == old:
-                return t
             return Abs(binder, _rename_free(body, old, new))
         case App(fun, arg):
             return App(_rename_free(fun, old, new), _rename_free(arg, old, new))

@@ -10,9 +10,11 @@ from ittlab.terms import (
     HeadRedex,
     Reached,
     Var,
+    _same,
     alpha_eq,
     classify_shape,
     free_vars,
+    freshen,
     head_reduce,
     head_step,
     parse_term,
@@ -104,6 +106,157 @@ def test_alpha_equality_and_hash():
 @given(terms)
 def test_print_parse_round_trip(t):
     assert parse_term(print_term(t)) == t
+
+
+# -- alpha-equality against a reference skeleton --------------------------------
+
+
+def reference_skeleton(t, env=None, depth=0):
+    """De Bruijn skeleton of t, rebuilt from scratch on every call: bound
+    variables by their distance to their binder, free ones by name.  Oracle
+    for the memoised skeletons behind == and hash."""
+    env = env or {}
+    match t:
+        case Var(name):
+            return ("b", depth - env[name]) if name in env else ("f", name)
+        case Abs(binder, body):
+            return ("l", reference_skeleton(body, {**env, binder: depth + 1}, depth + 1))
+        case App(fun, arg):
+            return ("a", reference_skeleton(fun, env, depth), reference_skeleton(arg, env, depth))
+
+
+def binders(t):
+    """Every binder name of t, with repeats."""
+    match t:
+        case Var(_):
+            return []
+        case Abs(binder, body):
+            return [binder, *binders(body)]
+        case App(fun, arg):
+            return binders(fun) + binders(arg)
+
+
+def subterm_list(t):
+    """Every proper subterm of t, with repeats."""
+    match t:
+        case Var(_):
+            return []
+        case Abs(_, body):
+            return [body, *subterm_list(body)]
+        case App(fun, arg):
+            return [fun, arg, *subterm_list(fun), *subterm_list(arg)]
+
+
+def rename_binders(t, draw):
+    """An alpha-variant of t: each binder x becomes a drawn name y that is
+    not free in its body, the body rewritten by substitute.  y may shadow an
+    outer binder or equal a free name of the whole term."""
+    match t:
+        case Var(_):
+            return t
+        case Abs(x, body):
+            body = rename_binders(body, draw)
+            y = draw(names.filter(lambda y: y == x or y not in free_vars(body)))
+            return Abs(y, substitute(body, x, Var(y)))
+        case App(fun, arg):
+            return App(rename_binders(fun, draw), rename_binders(arg, draw))
+
+
+def rebind(t, draw):
+    """t with some binders renamed and their bodies left alone, so that
+    occurrences may change binder, be captured or come free."""
+    match t:
+        case Var(_):
+            return t
+        case Abs(x, body):
+            return Abs(draw(names) if draw(st.booleans()) else x, rebind(body, draw))
+        case App(fun, arg):
+            return App(rebind(fun, draw), rebind(arg, draw))
+
+
+def variant(t, data):
+    """An alpha-variant of t, or a term that differs from it in one free
+    name, in its binding structure or in its shape."""
+    how = data.draw(st.sampled_from(["freshen", "rename", "free", "rebind", "other"]))
+    if how == "freshen":
+        avoid = data.draw(st.sets(names, max_size=4))
+        return freshen(t, avoid)
+    if how == "rename":
+        return rename_binders(t, data.draw)
+    if how == "free":
+        x = data.draw(names)
+        return substitute(t, x, Var(data.draw(names)))
+    if how == "rebind":
+        return rebind(t, data.draw)
+    return data.draw(terms)
+
+
+X, Y, Z = Var("x"), Var("y"), Var("z")
+
+
+@pytest.mark.parametrize(
+    "a, b, same",
+    [
+        (Abs("x", Abs("x", X)), Abs("y", Abs("z", Z)), True),
+        (Abs("x", Abs("x", X)), Abs("x", Abs("y", X)), False),
+        (Abs("x", App(X, Abs("x", X))), Abs("y", App(Y, Abs("z", Z))), True),
+        (Abs("x", App(X, Abs("x", X))), Abs("y", App(Y, Abs("z", Y))), False),
+        (Abs("x", Y), Abs("y", Y), False),
+        (App(X, Y), App(Y, X), False),
+        (Abs("x", X), X, False),
+    ],
+)
+def test_alpha_equality_examples(a, b, same):
+    assert (a == b) == same == (reference_skeleton(a) == reference_skeleton(b))
+    assert not same or hash(a) == hash(b)
+
+
+@given(terms, st.data())
+def test_alpha_equality_matches_the_reference_skeleton(t, data):
+    # t == u fills both terms' memos from the top; the subterms then compare
+    # through the memos filled for them
+    u = variant(t, data)
+    left = [(a, reference_skeleton(a)) for a in (t, *subterm_list(t))]
+    right = [(b, reference_skeleton(b)) for b in (u, *subterm_list(u))]
+    for a, ra in left:
+        for b, rb in right:
+            assert (a == b) == (b == a) == (ra == rb)
+            assert ra != rb or hash(a) == hash(b)
+
+
+def test_skeletons_with_equal_hashes_still_compare_their_nodes():
+    # a hash collision must not make two different skeletons equal
+    assert not _same((7, "x", "y"), (7, "x", "z"))
+    assert not _same((7, (3, 0)), (7, (3, 1)))
+    assert not _same((7, "x"), (7, "x", "x"))
+    assert _same((7, (3, 0), "y"), (7, (3, 0), "y"))
+
+
+@given(terms)
+def test_freshen_returns_a_fresh_term_itself(t):
+    bs = binders(t)
+    if len(set(bs)) == len(bs) and not set(bs) & free_vars(t):
+        assert freshen(t) is t
+    fresh = parse_term(print_term(t))
+    assert freshen(fresh) is fresh
+
+
+def test_deep_spine_memos_fill_without_recursion():
+    def spine(x):
+        m = Var("f")
+        for _ in range(20_000):
+            m = App(m, Var(x))
+        return m
+
+    m = spine("x")
+    assert isinstance(hash(m), int)
+    assert free_vars(m) == {"f", "x"}
+    assert m == m
+    # a separate copy compares node by node, and a binder over the spine
+    # closes the whole path to its occurrences
+    assert m == spine("x") and m != spine("y")
+    assert Abs("x", m) == Abs("y", spine("y"))
+    assert hash(Abs("x", m)) == hash(Abs("y", spine("y")))
 
 
 # -- substitution ------------------------------------------------------------
