@@ -8,6 +8,14 @@ UnknownWithin only says the pair was not reached inside this universe.  Trans
 can pass through types outside any finite universe, so refutation is never
 asserted.
 
+Every universe of one theory and width holds the same base: the subterm
+closure of U and the axiom sides, widened by its meets.  build_universe builds
+that base once and shares it; a query's universe adds only its seeds' closure
+members that the base lacks and the meets of the sets that hold one of them,
+so its members are exactly those of a universe built from scratch.  The base
+is indexed weakly and held by the universes built on it, so it dies with
+their contexts.
+
 Saturated contexts are cached per (theory, universe) by the saturated_ctx
 LRU.  Queries reach them through context_for, which indexes each context by
 the theory, the set of canonical seeds and the width that built its
@@ -21,7 +29,7 @@ saturated_ctx.cache_clear() the next query saturates afresh.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from operator import attrgetter
@@ -46,9 +54,56 @@ DEFAULT_WIDTH = 2
 DEFAULT_CAP = 20_000
 
 
+@dataclass(frozen=True, eq=False)
+class _Base:
+    """The part of every universe of one theory and width that no seed adds:
+    build_universe(t, (), width), kept with the closure it widens."""
+
+    closed: frozenset[Ty]  # subterm closure of U and the canonical axiom sides
+    pool: tuple[Ty, ...]  # closed in ty_key order
+    members: frozenset[Ty]  # closed plus the meets of its 2..width-subsets
+
+
 @dataclass(frozen=True)
 class Universe:
     members: frozenset[Ty]
+    # the base it grew from, held so that the base lives as long as a
+    # universe built on it; no part of equality, hash or repr
+    base: _Base | None = field(default=None, compare=False, repr=False)
+
+
+# (theory, width) -> its base.  The values are weak: a base dies with the last
+# universe built on it, so after saturated_ctx.cache_clear() it is built anew.
+_BASES: WeakValueDictionary[tuple, _Base] = WeakValueDictionary()
+
+
+def _add_meets(
+    members: set[Ty], new: list[Ty], old: tuple[Ty, ...], width: int
+) -> None:
+    """Add to members the canonical meet of every set of 2..width distinct
+    canonical types of new and old that holds at least one of new, each set
+    once.  The meet is canonicalize(make_inter(set)), built from its parts."""
+    for j in range(1, min(width, len(new)) + 1):
+        for fresh in combinations(new, j):
+            for i in range(max(0, 2 - j), min(width - j, len(old)) + 1):
+                for rest in combinations(old, i):
+                    parts: set[Ty] = set()
+                    for m in fresh + rest:
+                        parts.update(inter_parts(m))
+                    members.add(make_inter(sorted(parts, key=ty_key)))
+                    if len(members) > DEFAULT_CAP:
+                        raise UniverseTooLarge(DEFAULT_CAP)
+
+
+def _build_base(t: TheorySpec, width: int) -> _Base:
+    closed: set[Ty] = set(subterms(TOP))
+    for lhs, rhs in t.canonical_pairs:
+        closed.update(subterms(lhs))
+        closed.update(subterms(rhs))
+    pool = sorted(closed, key=ty_key)
+    members = set(closed)
+    _add_meets(members, pool, (), width)
+    return _Base(frozenset(closed), tuple(pool), frozenset(members))
 
 
 def build_universe(
@@ -57,30 +112,27 @@ def build_universe(
     """Subterm closure of seeds plus axiom sides plus U, widened by all
     canonical intersections of 2..inter_width distinct closure members.
 
+    The theory's base, the universe of no seeds, is built once and shared by
+    the universes built on it while one of them lives.  A query adds the
+    closure members of its seeds that the base lacks, and the meets of the
+    sets that hold at least one of them.
+
     The one place the member bound is enforced: past DEFAULT_CAP members, read
     at call time, it raises UniverseTooLarge."""
     if inter_width < 1:
         raise InvalidInput("inter_width must be >= 1")
-    base: set[Ty] = {TOP}
-    for s in seeds:
-        base.add(canonicalize(s))
-    for lhs, rhs in t.canonical_pairs:
-        base.add(lhs)
-        base.add(rhs)
-    closed: set[Ty] = set()
-    for m in base:
-        closed.update(subterms(m))  # subterms of canonical forms stay canonical
-    members = set(closed)
-    pool = sorted(closed, key=ty_key)
-    # past the pool size there are no k-subsets left to meet
-    for k in range(2, min(inter_width, len(pool)) + 1):
-        for combo in combinations(pool, k):
-            members.add(canonicalize(make_inter(combo)))
-            if len(members) > DEFAULT_CAP:
-                raise UniverseTooLarge(DEFAULT_CAP)
+    key = (t, inter_width)
+    base = _BASES.get(key)
+    if base is None:
+        base = _build_base(t, inter_width)
+        _BASES[key] = base
+    new = {m for s in seeds for m in subterms(canonicalize(s))} - base.closed
+    members = set(base.members)
+    members.update(new)
+    _add_meets(members, sorted(new, key=ty_key), base.pool, inter_width)
     if len(members) > DEFAULT_CAP:
         raise UniverseTooLarge(DEFAULT_CAP)
-    return Universe(frozenset(members))
+    return Universe(frozenset(members), base)
 
 
 @dataclass(frozen=True)
@@ -165,18 +217,21 @@ class SubtypeCtx:
         self.parts: dict[int, tuple[int, ...]] = {}
         self.mask: dict[int, int] = {}
         self.part_to_inters: list[list[int]] = [[] for _ in range(n)]
+        id_of = self.idx.__getitem__
         for i, m in enumerate(self.members):
             if isinstance(m, Arrow):
-                d, c = self.idx[m.dom], self.idx[m.cod]
+                d, c = id_of(m.dom), id_of(m.cod)
                 self.dom[i], self.cod[i] = d, c
                 self.arrows_by_dom[d].append(i)
                 self.arrows_by_cod[c].append(i)
             elif isinstance(m, Inter):
-                parts = tuple(self.idx[p] for p in inter_parts(m))
+                parts = tuple(map(id_of, inter_parts(m)))
                 self.parts[i] = parts
-                self.mask[i] = sum(1 << p for p in parts)
+                mask = 0
                 for p in parts:
+                    mask |= 1 << p
                     self.part_to_inters[p].append(i)
+                self.mask[i] = mask
         self._seed()
         self._saturate()
 
@@ -195,19 +250,39 @@ class SubtypeCtx:
             self._add(i, j, rule)
 
     def _seed(self) -> None:
+        """The rule instances with no premises, in this order: Refl, the
+        axioms, IncL/IncR, Utop, then the flagged ArrowTop and ArrowCap.  The
+        Refl, Inc and Utop facts are written straight into the tables, and
+        each skips a fact that is already there, so the queue and the
+        justifications are those of one _add per fact."""
         flags = self.theory.flags
         n = len(self.members)
         top = self.idx[TOP]
-        for m in range(n):
-            self._add(m, m, REFL)
+        succ, pred, just, queue = self.succ, self.pred, self.just, self.queue
+        diagonal = range(0, n * n, n + 1)
+        succ[:] = pred[:] = [1 << m for m in range(n)]
+        just.update(dict.fromkeys(diagonal, REFL))
+        queue.extend(diagonal)
         for lhs, rhs in self.theory.canonical_pairs:
             self._add_types(lhs, rhs, AXIOM)
         for z, parts in self.parts.items():
-            self._add(z, parts[0], INC_L)
-            for p in parts[1:]:
-                self._add(z, p, INC_R)
-        for m in range(n):
-            self._add(m, top, UTOP)
+            rule = INC_L
+            for p in parts:
+                if not succ[z] >> p & 1:
+                    succ[z] |= 1 << p
+                    pred[p] |= 1 << z
+                    key = z * n + p
+                    just[key] = rule
+                    queue.append(key)
+                rule = INC_R
+        bit_top = 1 << top
+        below = ((1 << n) - 1) & ~pred[top]
+        pred[top] |= below
+        for m in bits(below):
+            succ[m] |= bit_top
+            key = m * n + top
+            just[key] = UTOP
+            queue.append(key)
         if RuleFlag.ARROW_TOP in flags:
             for m, c in self.cod.items():
                 if c == top:

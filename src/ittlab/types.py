@@ -64,6 +64,8 @@ def _intern(
             _set_key(node, ty_key)
             _set_size(node, size)
             _set_canon(node, None)
+            if cls is Inter:
+                _set_parts(node, None)
             entry = _Entry(node, _forget)
             entry.key = key
             _INTERNED[key] = entry
@@ -151,7 +153,9 @@ class Arrow(_Node):
 
 
 class Inter(_Node):
-    __slots__ = ("left", "right")
+    # _parts memoises inter_parts; only an intersection stores it, since a
+    # node holding the tuple (itself,) would be a reference cycle
+    __slots__ = ("left", "right", "_parts")
     __match_args__ = ("left", "right")
     left: Ty
     right: Ty
@@ -170,6 +174,8 @@ class Inter(_Node):
         )
 
 
+_set_parts = Inter._parts.__set__
+
 TOP = Top()
 
 
@@ -184,21 +190,29 @@ def ty_key(t: Ty) -> tuple:
 
 
 def inter_parts(t: Ty) -> tuple[Ty, ...]:
-    """Flatten nested & into a tuple; U flattens away; non-& types are singletons."""
+    """Flatten nested & into a tuple; U flattens away; non-& types are singletons.
+
+    Memoised on an intersection node."""
+    if not isinstance(t, Inter):
+        return () if t is TOP else (t,)
+    done = t._parts
+    if done is not None:
+        return done
     acc: list[Ty] = []
-
-    def go(t: Ty) -> None:
-        match t:
-            case Inter(left, right):
-                go(left)
-                go(right)
-            case Top():
-                pass
-            case _:
-                acc.append(t)
-
-    go(t)
-    return tuple(acc)
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Inter):
+            if x._parts is not None:
+                acc.extend(x._parts)
+            else:
+                stack.append(x.right)
+                stack.append(x.left)
+        elif x is not TOP:
+            acc.append(x)
+    done = tuple(acc)
+    _set_parts(t, done)
+    return done
 
 
 def make_inter(parts: list[Ty] | tuple[Ty, ...]) -> Ty:

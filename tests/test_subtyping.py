@@ -53,6 +53,7 @@ from ittlab.types import (
     make_inter,
     parse_ty,
     print_ty,
+    subterms,
     ty_key,
     ty_size,
 )
@@ -115,6 +116,110 @@ def test_probe_width_past_the_pool_adds_nothing():
     # at depth 1 the T1 pool is c0, c1, U: nine arrows, three left-side atoms
     for probe in (beta_soundness_probe, set_condition_probe):
         assert probe(T1, 1, 10**7) == probe(T1, 1, 9)
+
+
+# -- shared theory bases --------------------------------------------------------
+
+BUILTINS = {n: builtin_theories().lookup(n).spec for n in builtin_theories().names()}
+
+
+def reference_universe(t: TheorySpec, seeds, inter_width=subtyping.DEFAULT_WIDTH):
+    """The members of build_universe(t, seeds, inter_width), built from
+    scratch as before theories shared their base: the closure of U, the axiom
+    sides and the seeds, and every meet of 2..inter_width of its members."""
+    if inter_width < 1:
+        raise InvalidInput("inter_width must be >= 1")
+    cap = subtyping.DEFAULT_CAP
+    base = {TOP}
+    for s in seeds:
+        base.add(canonicalize(s))
+    for lhs, rhs in t.canonical_pairs:
+        base.add(lhs)
+        base.add(rhs)
+    closed = set()
+    for m in base:
+        closed.update(subterms(m))
+    members = set(closed)
+    pool = sorted(closed, key=ty_key)
+    for k in range(2, min(inter_width, len(pool)) + 1):
+        for combo in combinations(pool, k):
+            members.add(canonicalize(make_inter(combo)))
+            if len(members) > cap:
+                raise UniverseTooLarge(cap)
+    if len(members) > cap:
+        raise UniverseTooLarge(cap)
+    return frozenset(members)
+
+
+@st.composite
+def universe_queries(draw):
+    """A built-in theory, a width of 1 to 3, and up to three seeds: members
+    of the theory's closure, or small types over its constants and U."""
+    t = BUILTINS[draw(st.sampled_from(sorted(BUILTINS)))]
+    width = draw(st.sampled_from([1, 2, 3]))
+    leaves = st.sampled_from([TOP, *(Const(c) for c in sorted(t.constants))])
+    fresh = st.recursive(
+        leaves,
+        lambda sub: st.builds(Arrow, sub, sub) | st.builds(Inter, sub, sub),
+        max_leaves=4,
+    )
+    inside = st.sampled_from(sorted(reference_universe(t, (), 1), key=ty_key))
+    seeds = draw(st.lists(inside | fresh, max_size=3))
+    return t, seeds, width
+
+
+@given(universe_queries())
+def test_shared_base_builds_the_reference_universe(query):
+    t, seeds, width = query
+    assert build_universe(t, seeds, width).members == reference_universe(t, seeds, width)
+
+
+@given(universe_queries(), st.data())
+def test_shared_base_blows_the_bound_when_the_reference_does(query, data):
+    t, seeds, width = query
+    held = build_universe(t, (), width)  # its base is built under the real cap
+    full = reference_universe(t, seeds, width)
+    caps = {0, len(held.members) - 1, len(held.members), len(full) - 1, len(full)}
+    cap = data.draw(st.sampled_from(sorted(caps)))
+    blown = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subtyping, "DEFAULT_CAP", cap)
+        for build in (build_universe, reference_universe):
+            try:
+                build(t, seeds, width)
+                blown.append(False)
+            except UniverseTooLarge:
+                blown.append(True)
+    assert blown[0] == blown[1] == (len(full) > cap)
+    assert held.base is build_universe(t, seeds, width).base
+
+
+def test_universe_keeps_a_member_only_identity():
+    # Universe is saturated_ctx's key: its base takes no part in ==, hash or repr
+    u = build_universe(T1, [Const("c0")], 1)
+    bare = subtyping.Universe(u.members)
+    assert u.base is not None and bare.base is None
+    assert u == bare and hash(u) == hash(bare) and repr(u) == repr(bare)
+
+
+def test_theory_base_dies_with_the_cache(monkeypatch):
+    a, b = parse_ty("c0 -> c0"), parse_ty("c1 -> c0")
+    derive_le(T0, a, b)
+    assert (T0, 2) in subtyping._BASES
+    saturated_ctx.cache_clear()
+    gc.collect()
+    assert len(subtyping._BASES) == 0
+    built = []
+    real = subtyping._build_base
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subtyping, "_build_base", counting)
+    derive_le(T0, a, b)
+    derive_le(T0, a, Const("c0"))  # another universe on the same base
+    assert built == [(T0, 2)]
 
 
 # -- derive_le / derive_equiv -------------------------------------------------

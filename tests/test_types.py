@@ -234,9 +234,14 @@ def test_canonical_memo_makes_no_reference_cycle():
         raw = parse_ty("(z1 & z0) -> z0 & z0")
         canon = canonicalize(raw)
         assert canon is not raw and canonicalize(canon) is canon
-        refs = [weakref.ref(raw), weakref.ref(canon), weakref.ref(canon.dom)]
+        # the parts memo too: only an intersection stores its parts
+        sides = (raw.dom, raw.cod, canon.dom, canon.cod, raw)
+        assert [len(inter_parts(t)) for t in sides] == [2, 2, 2, 1, 1]
+        del sides
+        assert inter_parts(canon.dom) is inter_parts(canon.dom)
+        refs = [weakref.ref(t) for t in (raw, canon, canon.dom, canon.cod, raw.cod)]
         del raw, canon
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() for r in refs] == [None] * 5
     finally:
         gc.enable()
 
