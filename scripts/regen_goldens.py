@@ -3,29 +3,17 @@
 
 Writes the golden typing derivation for the unsolvable self-application in
 T4 and the expected-verdict table for every built-in theory, the latter at
-the budgets `ittlab corpus` checks it with (the CLI's default fuel, width
-and chain depth).  Run after a deliberate behaviour change, then review the
+verdict's default fuel, width and chain depth, the only budgets `ittlab
+corpus` runs at.  Run after a deliberate behaviour change, then review the
 diff before committing.
 """
 
 import json
 import pathlib
 
-from ittlab.assignment import (
-    DEFAULT_FUEL,
-    Basis,
-    Found,
-    check_derivation,
-    infer_bounded,
-)
-from ittlab.sensibility import (
-    DEFAULT_CHAIN_DEPTH,
-    builtin_theories,
-    evidence_summary,
-    verdict,
-)
+from ittlab.assignment import Basis, Found, check_derivation, infer_bounded
+from ittlab.sensibility import builtin_theories, evidence_summary, verdict
 from ittlab.sexpr import unparse_derivation
-from ittlab.subtyping import DEFAULT_WIDTH
 from ittlab.terms import parse_term
 from ittlab.types import parse_ty
 
@@ -47,12 +35,7 @@ def golden_derivation() -> None:
 def verdict_table() -> None:
     table = {}
     for name, entry in builtin_theories().entries:
-        v = verdict(
-            entry.spec,
-            fuel=DEFAULT_FUEL,
-            inter_width=DEFAULT_WIDTH,
-            depth=DEFAULT_CHAIN_DEPTH,
-        )
+        v = verdict(entry.spec)
         table[name] = {
             "verdict": type(v).__name__,
             "evidence": evidence_summary(v),

@@ -1,33 +1,30 @@
-"""Type assignment: derivation certificates, checking, bounded search,
-and the subject-expansion transformation.
+"""Type assignment: bounded derivation search, the admissible
+transformations, and subject expansion.
 
 Rules: Ax, TopU (every term gets U), ArrI, ArrE, CapI, Le (subsumption via a
-subtyping certificate).  Terms inside judgments compare by alpha-equivalence,
-types modulo canonical form; neither checker nor transformations ever search.
-infer_bounded is the only searcher and is honest about its bounds: Found
-carries a checkable derivation, NotFoundWithinFuel asserts nothing.
+subtyping certificate).  Derivations and their checker live in kernel; this
+module re-exports Basis, basis_join, Judgment, Derivation and
+check_derivation.  The transformations never search.  infer_bounded is the
+only searcher and is honest about its bounds: Found carries a checkable
+derivation, NotFoundWithinFuel asserts nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from operator import attrgetter
 from typing import Callable
 
 from .errors import InvalidInput
-from .subtyping import (
-    DEFAULT_WIDTH,
-    Invalid,
-    Proven,
+from .kernel import (
+    Basis,
+    Derivation,
+    Judgment,
     SubProof,
     Valid,
-    bits,
-    check_subproof,
-    check_tree,
-    context_for,
-    derive_le,
+    basis_join,
+    check_derivation,
 )
+from .subtyping import DEFAULT_WIDTH, Proven, bits, context_for, derive_le
 from .terms import (
     Abs,
     App,
@@ -53,150 +50,6 @@ from .types import (
 )
 
 DEFAULT_FUEL = 10_000
-
-
-@dataclass(frozen=True)
-class Basis:
-    """Finite map from variables to canonical types, at most one binding each."""
-
-    bindings: tuple[tuple[str, Ty], ...] = ()
-
-    def __post_init__(self):
-        seen = set()
-        for x, _ in self.bindings:
-            if x in seen:
-                raise InvalidInput(f"variable {x!r} bound twice in basis")
-            seen.add(x)
-        norm = tuple(sorted((x, canonicalize(a)) for x, a in self.bindings))
-        object.__setattr__(self, "bindings", norm)
-
-    @staticmethod
-    def of(mapping: dict[str, Ty] | None = None, **kw: Ty) -> "Basis":
-        items = dict(mapping or {})
-        items.update(kw)
-        return Basis(tuple(items.items()))
-
-    def get(self, x: str) -> Ty | None:
-        for y, a in self.bindings:
-            if y == x:
-                return a
-        return None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(x for x, _ in self.bindings)
-
-    def extend(self, x: str, a: Ty) -> "Basis":
-        if self.get(x) is not None:
-            raise InvalidInput(f"variable {x!r} already bound")
-        return Basis(self.bindings + ((x, a),))
-
-    def without(self, x: str) -> "Basis":
-        return Basis(tuple(b for b in self.bindings if b[0] != x))
-
-    def types(self) -> tuple[Ty, ...]:
-        return tuple(a for _, a in self.bindings)
-
-
-def basis_join(g1: Basis, g2: Basis) -> Basis:
-    """Shared variables get the & of their types; the rest carry over."""
-    out = dict(g1.bindings)
-    for x, a in g2.bindings:
-        out[x] = canonicalize(Inter(out[x], a)) if x in out else a
-    return Basis(tuple(out.items()))
-
-
-@dataclass(frozen=True)
-class Judgment:
-    basis: Basis
-    term: Term
-    ty: Ty
-
-
-@dataclass(frozen=True)
-class Derivation:
-    rule: str  # Ax | TopU | ArrI | ArrE | CapI | Le
-    conclusion: Judgment
-    children: tuple["Derivation", ...] = ()
-    sub: SubProof | None = None
-
-
-def _node_reason(t: TheorySpec, seen: set[int], d: Derivation) -> str | None:
-    g, m, a = d.conclusion.basis, d.conclusion.term, canonicalize(d.conclusion.ty)
-    r = d.rule
-    kids = d.children
-    if r != "Le" and d.sub is not None:
-        return "only Le nodes carry a subtyping certificate"
-
-    if r == "Ax":
-        if kids or not isinstance(m, Var):
-            return "Ax types a variable with no children"
-        bound = g.get(m.name)
-        if bound is None or canonicalize(bound) != a:
-            return f"basis does not bind {m.name} at the concluded type"
-    elif r == "TopU":
-        if kids or a != TOP:
-            return "TopU concludes type U with no children"
-    elif r == "ArrI":
-        if len(kids) != 1 or not isinstance(m, Abs):
-            return "ArrI types an abstraction from one child"
-        if not isinstance(a, Arrow):
-            return "ArrI concludes an arrow type"
-        ch = kids[0].conclusion
-        if g.get(m.binder) is not None:
-            return f"binder {m.binder!r} shadows a basis variable"
-        # the bindings g.extend(binder, a.dom) would have: g's are sorted and
-        # canonical, and a.dom is canonical as a part of the canonical a
-        if ch.basis.bindings != tuple(sorted(g.bindings + ((m.binder, a.dom),))):
-            return "ArrI child basis must extend the conclusion basis by the binder"
-        if ch.term != m.body:
-            return "ArrI child must type the abstraction body"
-        if canonicalize(ch.ty) != a.cod:
-            return "ArrI child type must be the arrow codomain"
-    elif r == "ArrE":
-        if len(kids) != 2 or not isinstance(m, App):
-            return "ArrE types an application from two children"
-        cf, cx = kids[0].conclusion, kids[1].conclusion
-        if cf.basis != g or cx.basis != g:
-            return "ArrE children share the conclusion basis"
-        if cf.term != m.fun or cx.term != m.arg:
-            return "ArrE children must type the function and the argument"
-        fty = canonicalize(cf.ty)
-        if not isinstance(fty, Arrow):
-            return "ArrE function child needs an arrow type"
-        if fty.dom != canonicalize(cx.ty) or fty.cod != a:
-            return "ArrE argument/result types must match the function arrow"
-    elif r == "CapI":
-        if len(kids) != 2:
-            return "CapI joins exactly two children"
-        c1, c2 = kids[0].conclusion, kids[1].conclusion
-        if c1.basis != g or c2.basis != g or c1.term != m or c2.term != m:
-            return "CapI children type the same term under the same basis"
-        if canonicalize(Inter(c1.ty, c2.ty)) != a:
-            return "CapI concludes the & of its children's types"
-    elif r == "Le":
-        if len(kids) != 1 or d.sub is None:
-            return "Le has one child and a subtyping certificate"
-        ch = kids[0].conclusion
-        if ch.basis != g or ch.term != m:
-            return "Le keeps basis and term"
-        lo, hi = d.sub.conclusion
-        if canonicalize(lo) != canonicalize(ch.ty) or canonicalize(hi) != a:
-            return "Le certificate must prove child type <= concluded type"
-        sub_ok = check_subproof(t, d.sub, seen)
-        if sub_ok != Valid():
-            return f"subtyping certificate invalid: {sub_ok.reason}"
-    else:
-        return f"unknown rule {r!r}"
-    return None
-
-
-def check_derivation(t: TheorySpec, d: Derivation) -> Valid | Invalid:
-    """Validate every node against the six schemata; Le via check_subproof.
-
-    Each distinct derivation node is checked once, and so is each distinct
-    proof node: the Le certificates share one set of validated nodes."""
-    seen: set[int] = set()
-    return check_tree(d, attrgetter("children"), partial(_node_reason, t, seen))
 
 
 # -- bounded goal-directed search ---------------------------------------------

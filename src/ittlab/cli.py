@@ -18,7 +18,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .assignment import DEFAULT_FUEL, Found, check_derivation, infer_bounded
+from .assignment import DEFAULT_FUEL, Found, infer_bounded
 from .embedding import (
     ConstantMap,
     Failed,
@@ -27,6 +27,7 @@ from .embedding import (
     verify_embedding,
 )
 from .errors import IttError, ParseError, UndeclaredConstant, UniverseTooLarge
+from .kernel import Valid, check_derivation, check_subproof
 from .lexer import Tokens, parse, statements
 from .polarity import (
     PolarityPass,
@@ -54,7 +55,7 @@ from .sexpr import (
     unparse_derivation,
     unparse_subproof,
 )
-from .subtyping import DEFAULT_WIDTH, Proven, Valid, check_subproof, derive_le
+from .subtyping import DEFAULT_WIDTH, Proven, derive_le
 from .terms import (
     Reached,
     head_reduce,
@@ -398,12 +399,7 @@ def _cmd_corpus(args, inputs: _Inputs) -> _Result:
     results: dict[str, dict] = {}
     all_match = True
     for name in names:
-        v = verdict(
-            reg.lookup(name).spec,
-            fuel=args.fuel,
-            inter_width=args.width,
-            depth=args.depth,
-        )
+        v = verdict(reg.lookup(name).spec)
         got = {"verdict": type(v).__name__, "evidence": evidence_summary(v)}
         match = got == golden.get(name)
         results[name] = {**got, "golden": golden.get(name), "match": match}
@@ -490,9 +486,6 @@ def _build_parser() -> _Parser:
     p = add("corpus", "run the pipeline over built-in theories and diff goldens")
     p.add_argument("names", nargs="*", help="theory names (default: all)")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
-    p.add_argument("--depth", type=int, default=DEFAULT_CHAIN_DEPTH)
 
     return parser
 

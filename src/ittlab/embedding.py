@@ -12,13 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import InvalidInput, PreconditionFailed
-from .subtyping import (
-    DEFAULT_WIDTH,
-    Proven,
-    SubProof,
-    context_for,
-    is_top_equiv,
-)
+from .kernel import SubProof
+from .subtyping import DEFAULT_WIDTH, Proven, context_for, is_top_equiv
 from .theory import TheorySpec
 from .types import TOP, Const, Ty, canonicalize, constants_of, map_consts, print_ty
 

@@ -1,10 +1,11 @@
-"""Finite filter representations and a bounded term interpretation.
+"""Finite filter representations: membership, up-closure and application.
 
 A filter is represented by its generators inside a fixed universe; membership
 means some finite & of generators provably sits below the candidate.  All
 operations under-approximate the unbounded notions: absent members prove
-nothing, present members are always backed by saturated subtyping facts or
-checkable derivations.
+nothing, present members are always backed by saturated subtyping facts.
+Which types a term gets is infer_bounded's question, answered with
+derivations; this module interprets no terms.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidInput
-from .subtyping import (
-    DEFAULT_WIDTH,
-    SubtypeCtx,
-    Universe,
-    build_universe,
-    saturated_ctx,
-)
-from .terms import Term, free_vars
+from .subtyping import SubtypeCtx, Universe, saturated_ctx
 from .theory import TheorySpec
 from .types import TOP, Arrow, Ty, canonicalize, make_inter, ty_key
 
@@ -97,60 +91,3 @@ def filter_apply(t: TheorySpec, f: FilterRep, g: FilterRep) -> FilterRep:
         if isinstance(arr, Arrow) and arr.dom in g_members and arr in f_members
     }
     return filter_up(t, u, raw)
-
-
-_BASIS_BUDGET = 64  # cap on candidate bases tried per universe member
-
-
-def _basis_candidates(ctx: SubtypeCtx, f: FilterRep) -> list[Ty]:
-    gens = sorted(f.generators, key=ty_key)
-    if not gens:
-        return [TOP]
-    out: list[Ty] = []
-    meet = canonicalize(make_inter(gens))
-    if meet in ctx.universe.members:
-        out.append(meet)
-    out.extend(g for g in gens if g not in out)
-    if TOP not in out:
-        out.append(TOP)
-    return out
-
-
-def interpret_term_bounded(
-    t: TheorySpec,
-    m: Term,
-    env: dict[str, FilterRep],
-    fuel: int = 2_000,
-    inter_width: int = DEFAULT_WIDTH,
-) -> FilterRep:
-    """Bounded denotation: the filter of types derivable for m under bases
-    drawn from the environment filters.  Fuel bounds each individual search."""
-    from .assignment import Basis, Found, infer_bounded
-
-    fv = sorted(free_vars(m))
-    missing = [x for x in fv if x not in env]
-    if missing:
-        raise InvalidInput(f"environment misses free variables: {missing}")
-    universes = {env[x].universe for x in fv}
-    if len(universes) > 1:
-        raise InvalidInput("environment filters must share a universe")
-    u = universes.pop() if universes else build_universe(t, [], inter_width)
-    ctx = saturated_ctx(t, u)
-
-    per_var = [_basis_candidates(ctx, env[x]) for x in fv]
-    bases: list[Basis] = [Basis()]
-    for x, cands in zip(fv, per_var):
-        grown = [b.extend(x, c) for b in bases for c in cands]
-        bases = grown[:_BASIS_BUDGET]
-
-    found: set[Ty] = set()
-    for a in sorted(u.members, key=ty_key):
-        if ctx.holds(TOP, a):
-            found.add(a)
-            continue
-        for b in bases:
-            out = infer_bounded(t, b, m, a, fuel, inter_width)
-            if isinstance(out, Found):
-                found.add(a)
-                break
-    return filter_up(t, u, found)

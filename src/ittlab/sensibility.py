@@ -17,9 +17,10 @@ from functools import cache
 from importlib import resources
 from typing import Union
 
-from .assignment import DEFAULT_FUEL, Basis, Derivation, Found, infer_bounded
+from .assignment import DEFAULT_FUEL, Found, infer_bounded
 from .embedding import ConstantMap, TransferCertificate, compose_maps, transfer
 from .errors import InvalidInput
+from .kernel import Basis, Derivation
 from .polarity import PolarityPass, PolarityVerdict, check_positive_polarity, completion
 from .subtyping import DEFAULT_WIDTH, Proven, is_top_equiv
 from .terms import FuelExhausted, Term, head_reduce, parse_term

@@ -12,10 +12,9 @@ into the whole text; unparsers emit a deterministic indented layout.
 
 from __future__ import annotations
 
-from .assignment import Basis, Derivation, Judgment
 from .errors import ParseError
+from .kernel import Basis, Derivation, Judgment, SubProof
 from .lexer import IDENT, Tokens, parse, statements
-from .subtyping import SubProof
 from .terms import print_term, read_fresh_term
 from .types import Ty, print_ty, read_le, read_ty
 

@@ -6,7 +6,8 @@ schemes the theory enables, then reads the queried pair off the fixed point.
 Verdicts are three-valued by design: Proven carries a replayable certificate,
 UnknownWithin only says the pair was not reached inside this universe.  Trans
 can pass through types outside any finite universe, so refutation is never
-asserted.
+asserted.  The certificate, a SubProof, is defined and checked in kernel;
+this module re-exports SubProof, Valid, Invalid and check_subproof.
 
 Every universe of one theory and width holds the same base: the subterm
 closure of U and the axiom sides, widened by its meets.  build_universe builds
@@ -30,13 +31,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 from weakref import WeakValueDictionary
 
 from .errors import InvalidInput, UniverseTooLarge
+from .kernel import Invalid, SubProof, Valid, check_subproof
 from .theory import RuleFlag, TheorySpec
 from .types import (
     TOP,
@@ -133,13 +134,6 @@ def build_universe(
     if len(members) > DEFAULT_CAP:
         raise UniverseTooLarge(DEFAULT_CAP)
     return Universe(frozenset(members), base)
-
-
-@dataclass(frozen=True)
-class SubProof:
-    rule: str
-    conclusion: tuple[Ty, Ty]
-    premises: tuple["SubProof", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -569,159 +563,3 @@ def is_top_equiv(
 ) -> SubtypeVerdict:
     """A <= U always holds, so A ~ U reduces to U <= A."""
     return derive_le(t, TOP, a, inter_width)
-
-
-# -- certificate checking --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Valid:
-    pass
-
-
-@dataclass(frozen=True)
-class Invalid:
-    path: tuple[int, ...]
-    reason: str
-
-
-def check_tree(
-    root, children: Callable, reason: Callable, seen: set[int] | None = None
-) -> Valid | Invalid:
-    """The first node, depth first and last child first, whose reason(node)
-    is not None, as Invalid at its path of child indices; else Valid.
-
-    Each node object is checked once: a node met again is skipped.  The
-    walk has finished a node's whole subtree before it meets that node
-    again, so on a DAG with shared nodes the answer is the tree walk's.
-    seen holds the ids of the nodes already met; calls that share one set
-    over live structures skip each other's nodes, which is exact as long
-    as every earlier call sharing it returned Valid."""
-    if seen is None:
-        seen = set()
-    # each entry's link is (parent's link, child index), None at the root
-    stack: list[tuple[object, tuple | None]] = [(root, None)]
-    while stack:
-        node, link = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        why = reason(node)
-        if why is not None:
-            path: list[int] = []
-            while link is not None:
-                link, i = link
-                path.append(i)
-            return Invalid(tuple(reversed(path)), why)
-        stack.extend((ch, (link, i)) for i, ch in enumerate(children(node)))
-    return Valid()
-
-
-_FLAG_FOR_RULE = {
-    "ArrowTop": RuleFlag.ARROW_TOP,
-    "ArrowCap": RuleFlag.ARROW_CAP,
-    "ArrowRule": RuleFlag.ARROW,
-    "TopLe": RuleFlag.TOP_LE,
-}
-
-
-def _node_error(t: TheorySpec, node: SubProof) -> str | None:
-    a, b = (canonicalize(node.conclusion[0]), canonicalize(node.conclusion[1]))
-    prems = [
-        (canonicalize(ch.conclusion[0]), canonicalize(ch.conclusion[1]))
-        for ch in node.premises
-    ]
-    r = node.rule
-    flag = _FLAG_FOR_RULE.get(r)
-    if flag is not None and flag not in t.flags:
-        return f"rule {r} needs flag {flag.value!r}"
-
-    if r == "Refl":
-        if prems or a != b:
-            return "Refl concludes A <= A with no premises"
-    elif r == "Axiom":
-        if prems:
-            return "Axiom takes no premises"
-        if (a, b) not in t.canonical_pairs:
-            return "conclusion is not an instance of a declared axiom"
-    elif r in ("IncL", "IncR"):
-        if prems or not isinstance(a, Inter) or b not in inter_parts(a):
-            return "Inc concludes Z <= P for a part P of intersection Z"
-    elif r == "Utop":
-        if prems or b != TOP:
-            return "Utop concludes A <= U with no premises"
-    elif r == "ArrowTop":
-        if prems or a != TOP or not (isinstance(b, Arrow) and b.cod == TOP):
-            return "ArrowTop concludes U <= B -> U"
-    elif r == "ArrowCap":
-        if prems:
-            return "ArrowCap takes no premises"
-        z, w = (a, b) if isinstance(a, Inter) else (b, a)
-        parts = inter_parts(z) if isinstance(z, Inter) else ()
-        ok = (
-            isinstance(z, Inter)
-            and isinstance(w, Arrow)
-            and all(isinstance(p, Arrow) for p in parts)
-            and len({p.dom for p in parts}) == 1
-            and parts[0].dom == w.dom
-            and canonicalize(make_inter([p.cod for p in parts])) == w.cod
-        )
-        if not ok:
-            return "ArrowCap relates (B->A1)&..&(B->Ak) and B -> A1&..&Ak"
-    elif r == "ArrowRule":
-        ok = (
-            isinstance(a, Arrow)
-            and isinstance(b, Arrow)
-            and prems == [(b.dom, a.dom), (a.cod, b.cod)]
-        )
-        if not ok:
-            return "ArrowRule needs premises B' <= B and A <= A'"
-    elif r == "TopLe":
-        ok = (
-            a == TOP
-            and len(prems) == 1
-            and prems[0][0] == TOP
-            and isinstance(prems[0][1], Arrow)
-            and prems[0][1].cod == b
-        )
-        if not ok:
-            return "TopLe needs premise U <= B -> A and concludes U <= A"
-    elif r == "ArrCong":
-        if not (isinstance(a, Arrow) and isinstance(b, Arrow)):
-            return "ArrCong relates two arrows"
-        needed = {
-            (b.dom, a.dom),
-            (a.dom, b.dom),
-            (a.cod, b.cod),
-            (b.cod, a.cod),
-        }
-        if not needed <= set(prems):
-            return "ArrCong needs both directions of dom and cod equivalence"
-    elif r == "Glb":
-        ok = (
-            len(prems) >= 2
-            and all(p[0] == a for p in prems)
-            and canonicalize(make_inter([p[1] for p in prems])) == b
-        )
-        if not ok:
-            return "Glb joins B <= A_i into B <= A_1&..&A_k"
-    elif r == "Trans":
-        ok = (
-            len(prems) == 2
-            and prems[0][0] == a
-            and prems[1][1] == b
-            and prems[0][1] == prems[1][0]
-        )
-        if not ok:
-            return "Trans chains B <= A and A <= A'"
-    else:
-        return f"unknown rule {r!r}"
-    return None
-
-
-def check_subproof(
-    t: TheorySpec, p: SubProof, seen: set[int] | None = None
-) -> Valid | Invalid:
-    """Re-validate every node against its rule schema; no search, no engine.
-    seen is check_tree's: nodes already validated by an earlier call."""
-    return check_tree(p, attrgetter("premises"), partial(_node_error, t), seen)

@@ -316,26 +316,40 @@ def freshen(t: Term, avoid: set[str] | None = None) -> Term:
     is returned as the same object.
     """
     used = set(avoid or ()) | free_vars(t)
-
-    # ren holds only the binders that were renamed: a binder whose name is
-    # used already is renamed, and every binder's name is used once visited
-    def go(t: Term, ren: dict[str, str]) -> Term:
-        if type(t) is Var:
-            new = ren.get(t.name)
-            return t if new is None else Var(new)
-        if type(t) is Abs:
-            new = fresh_name(t.binder, used)
+    # Walks an explicit stack, function before argument, so that no length
+    # of spine can exhaust the interpreter's.  ren holds only the binders
+    # that were renamed: a binder whose name is used already is renamed, and
+    # every binder's name is used once visited.  An entry (_BUILD, (u, new))
+    # rebuilds u from the last results, an abstraction whose binder becomes
+    # new or, with new None, an application, and keeps u if nothing changed.
+    done: list[Term] = []
+    todo: list[tuple] = [(t, {})]
+    while todo:
+        u, ren = todo.pop()
+        if u is _BUILD:
+            u, new = ren
+            if new is None:
+                arg = done.pop()
+                fun = done.pop()
+                done.append(u if fun is u.fun and arg is u.arg else App(fun, arg))
+            else:
+                body = done.pop()
+                done.append(u if body is u.body and new == u.binder else Abs(new, body))
+        elif type(u) is Var:
+            new = ren.get(u.name)
+            done.append(u if new is None else Var(new))
+        elif type(u) is Abs:
+            new = fresh_name(u.binder, used)
             used.add(new)
-            if new != t.binder:
-                ren = {**ren, t.binder: new}
-            body = go(t.body, ren)
-            return t if body is t.body and new == t.binder else Abs(new, body)
-        if type(t) is App:
-            fun, arg = go(t.fun, ren), go(t.arg, ren)
-            return t if fun is t.fun and arg is t.arg else App(fun, arg)
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, {})
+            todo.append((_BUILD, (u, new)))
+            todo.append((u.body, ren if new == u.binder else {**ren, u.binder: new}))
+        elif type(u) is App:
+            todo.append((_BUILD, (u, None)))
+            todo.append((u.arg, ren))
+            todo.append((u.fun, ren))
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return done[0]
 
 
 def read_term(tk: Tokens) -> Term:

@@ -255,15 +255,19 @@ def ty_size(t: Ty) -> int:
 
 
 def subterms(t: Ty) -> Iterator[Ty]:
-    """All subterms including t itself, parents before children."""
-    yield t
-    match t:
-        case Arrow(dom, cod):
-            yield from subterms(dom)
-            yield from subterms(cod)
-        case Inter(left, right):
-            yield from subterms(left)
-            yield from subterms(right)
+    """All subterms including t itself, parents before children and left
+    before right.  Walks an explicit stack, so no width of & can exhaust the
+    interpreter's."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Arrow):
+            stack.append(t.cod)
+            stack.append(t.dom)
+        elif isinstance(t, Inter):
+            stack.append(t.right)
+            stack.append(t.left)
 
 
 def constants_of(t: Ty) -> frozenset[str]:
@@ -271,17 +275,31 @@ def constants_of(t: Ty) -> frozenset[str]:
 
 
 def map_consts(t: Ty, fn) -> Ty:
-    """Replace each constant leaf by fn(name); fn returns a whole Ty."""
-    match t:
-        case Const(name):
-            return fn(name)
-        case Top():
-            return t
-        case Arrow(dom, cod):
-            return Arrow(map_consts(dom, fn), map_consts(cod, fn))
-        case Inter(left, right):
-            return Inter(map_consts(left, fn), map_consts(right, fn))
-    raise TypeError(f"not a type: {t!r}")
+    """Replace each constant leaf by fn(name); fn returns a whole Ty.
+
+    Walks an explicit stack, left before right, and maps each distinct
+    subterm once."""
+    done: dict[Ty, Ty] = {}
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in done:
+            pass
+        elif isinstance(u, Const):
+            done[u] = fn(u.name)
+        elif isinstance(u, Top):
+            done[u] = u
+        elif isinstance(u, (Arrow, Inter)):
+            kids = [getattr(u, f) for f in u.__match_args__]
+            todo = [k for k in kids if k not in done]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            done[u] = type(u)(*(done[k] for k in kids))
+        else:
+            raise TypeError(f"not a type: {u!r}")
+        stack.pop()
+    return done[t]
 
 
 def read_ty(tk: Tokens) -> Ty:

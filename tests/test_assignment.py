@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ittlab
-from ittlab import assignment
+from ittlab import kernel
 from ittlab.assignment import (
     Basis,
     Derivation,
@@ -39,15 +39,12 @@ from ittlab.filters import (
     filter_contains,
     filter_members,
     filter_up,
-    interpret_term_bounded,
 )
 from ittlab.subtyping import (
     Invalid,
-    Proven,
     SubProof,
     Valid,
     build_universe,
-    is_top_equiv,
 )
 from ittlab.terms import Abs, App, Var, alpha_eq, parse_term, print_term, substitute
 from ittlab.theory import parse_theory
@@ -387,7 +384,7 @@ def _tree_check(t, d: Derivation):
     stack = [(d, ())]
     while stack:
         node, path = stack.pop()
-        why = assignment._node_reason(t, set(), node)
+        why = kernel._node_reason(t, set(), node)
         if why is not None:
             return Invalid(path, why)
         stack.extend((ch, path + (i,)) for i, ch in enumerate(node.children))
@@ -411,8 +408,8 @@ class TestSharedNodes:
             checked.append(node)
             return reason(t, seen, node)
 
-        reason = assignment._node_reason
-        monkeypatch.setattr(assignment, "_node_reason", counted)
+        reason = kernel._node_reason
+        monkeypatch.setattr(kernel, "_node_reason", counted)
         assert check_derivation(PARK, d) == Valid()
         assert len(checked) == len({id(n) for n in checked}) == len(
             {id(n) for n in _nodes(d)}
@@ -698,25 +695,6 @@ class TestFilters:
         lo = filter_members(T1, filter_apply(T1, small_f, small_g))
         hi = filter_members(T1, filter_apply(T1, big_f, big_g))
         assert lo <= hi
-
-    def test_interpret_variable(self):
-        u = build_universe(T1, [parse_ty("a"), parse_ty("b")], 2)
-        env = {"x": filter_up(T1, u, [parse_ty("a")])}
-        out = interpret_term_bounded(T1, Var("x"), env)
-        assert filter_contains(T1, out, parse_ty("a"))
-
-    def test_interpret_omega_in_park(self):
-        out = interpret_term_bounded(PARK, OMEGA, {}, fuel=1500)
-        assert filter_contains(PARK, out, parse_ty("c"))
-
-    def test_interpret_omega_in_tcdz_is_bottom(self):
-        out = interpret_term_bounded(TCDZ, OMEGA, {}, fuel=300)
-        for member in filter_members(TCDZ, out):
-            assert isinstance(is_top_equiv(TCDZ, member), Proven)
-
-    def test_interpret_requires_covering_env(self):
-        with pytest.raises(InvalidInput):
-            interpret_term_bounded(T1, Var("x"), {})
 
 
 # -- memoised hashes across processes --------------------------------------------

@@ -290,7 +290,7 @@ def test_parsers_match_recorded_fingerprints():
     "parse, text",
     [
         (parse_ty, "(" * 600 + "c0" + ")" * 600),
-        (parse_term, "x " * 3000),
+        (parse_term, "x (" * 600 + "x" + ")" * 600),
         (parse_term, "\\x." * 600 + "x"),
         (parse_subproof, "(R (c0 <= c0) " * 1000 + ")" * 1000),
     ],

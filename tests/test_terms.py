@@ -394,6 +394,18 @@ def test_print_term_long_spine_is_iterative():
     assert print_term(t) == "f" + " x" * 5000
 
 
+def test_flat_spine_parses_without_recursion():
+    # a spine is not nested, however long; its head's binder collides with
+    # the free x and is renamed
+    m = parse_term(r"(\x.x)" + " x" * 20_000)
+    n = 0
+    while isinstance(m, App):
+        assert m.arg == Var("x")
+        m, n = m.fun, n + 1
+    assert n == 20_000
+    assert m == I and m.binder == "x_1"
+
+
 def test_solvable_probe_omega_unknown():
     # Solvability of Omega stays unknown at any fuel: head reduction exhausts.
     assert head_reduce(OMEGA, 100) == FuelExhausted(OMEGA, 100)

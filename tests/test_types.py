@@ -144,6 +144,15 @@ def test_map_consts():
     assert out == Arrow(Const("A"), Inter(Const("A"), TOP))
 
 
+def test_wide_intersection_walks_without_recursion():
+    # parse_ty nests A1 & ... & An to the right, as make_inter does
+    parts = [Const(f"c{i % 3}") for i in range(20_000)]
+    t = make_inter(parts)
+    assert constants_of(t) == {"c0", "c1", "c2"}
+    out = map_consts(t, lambda n: Const(n.upper()))
+    assert inter_parts(out) == tuple(Const(p.name.upper()) for p in parts)
+
+
 # -- hash-consing ---------------------------------------------------------------
 
 
