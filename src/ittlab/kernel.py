@@ -13,15 +13,54 @@ compare by alpha-equivalence, types modulo canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect
+from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable
 
 from .errors import InvalidInput
 from .terms import Abs, App, Term, Var
 from .theory import RuleFlag, TheorySpec
 from .types import TOP, Arrow, Inter, Ty, canonicalize, inter_parts, make_inter
+
+
+# -- records ----------------------------------------------------------------------
+
+
+class _Record:
+    """What a frozen dataclass gives the certificate records, for the price
+    of a slotted class.  A constructor writes each field once through its
+    slot descriptor; repr, ==, hash, copy and pickle read the fields in
+    __match_args__ order, as a dataclass's would; assignment and deletion
+    raise FrozenInstanceError."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # -- verdicts and the one certificate walk ------------------------------------
@@ -73,11 +112,20 @@ def check_tree(
 # -- subtyping certificates ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubProof:
-    rule: str
-    conclusion: tuple[Ty, Ty]
-    premises: tuple["SubProof", ...] = ()
+class SubProof(_Record):
+    __slots__ = __match_args__ = ("rule", "conclusion", "premises")
+
+    def __init__(
+        self, rule: str, conclusion: tuple[Ty, Ty], premises: tuple["SubProof", ...] = ()
+    ):
+        _set_proof_rule(self, rule)
+        _set_proof_conclusion(self, conclusion)
+        _set_premises(self, premises)
+
+
+_set_proof_rule = SubProof.rule.__set__
+_set_proof_conclusion = SubProof.conclusion.__set__
+_set_premises = SubProof.premises.__set__
 
 
 _FLAG_FOR_RULE = {
@@ -193,20 +241,37 @@ def check_subproof(
 # -- typing derivations -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Finite map from variables to canonical types, at most one binding each."""
+class Basis(_Record):
+    """Finite map from variables to canonical types, at most one binding each.
 
-    bindings: tuple[tuple[str, Ty], ...] = ()
+    The constructor validates and normalises its bindings; extend builds
+    through _sorted, since it keeps them sorted, canonical and bound once."""
 
-    def __post_init__(self):
+    __slots__ = __match_args__ = ("bindings",)
+
+    def __init__(self, bindings: tuple[tuple[str, Ty], ...] = ()):
         seen = set()
-        for x, _ in self.bindings:
+        for x, _ in bindings:
             if x in seen:
                 raise InvalidInput(f"variable {x!r} bound twice in basis")
             seen.add(x)
-        norm = tuple(sorted((x, canonicalize(a)) for x, a in self.bindings))
-        object.__setattr__(self, "bindings", norm)
+        _set_bindings(self, tuple(sorted((x, canonicalize(a)) for x, a in bindings)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Basis:
+            return NotImplemented
+        return self.bindings == other.bindings
+
+    def __hash__(self) -> int:
+        return hash((self.bindings,))
+
+    @staticmethod
+    def _sorted(bindings: tuple[tuple[str, Ty], ...]) -> "Basis":
+        """The Basis of bindings that are already sorted by name, canonical
+        and bound once, built without checking them again."""
+        g = object.__new__(Basis)
+        _set_bindings(g, bindings)
+        return g
 
     @staticmethod
     def of(mapping: dict[str, Ty] | None = None, **kw: Ty) -> "Basis":
@@ -226,13 +291,22 @@ class Basis:
     def extend(self, x: str, a: Ty) -> "Basis":
         if self.get(x) is not None:
             raise InvalidInput(f"variable {x!r} already bound")
-        return Basis(self.bindings + ((x, a),))
+        return Basis._sorted(_bind(self.bindings, x, canonicalize(a)))
 
     def without(self, x: str) -> "Basis":
         return Basis(tuple(b for b in self.bindings if b[0] != x))
 
     def types(self) -> tuple[Ty, ...]:
         return tuple(a for _, a in self.bindings)
+
+
+_set_bindings = Basis.bindings.__set__
+
+
+def _bind(bindings: tuple[tuple[str, Ty], ...], x: str, a: Ty) -> tuple:
+    """bindings, sorted by name and not binding x, with (x, a) in its place."""
+    i = bisect(bindings, x, key=itemgetter(0))
+    return (*bindings[:i], (x, a), *bindings[i:])
 
 
 def basis_join(g1: Basis, g2: Basis) -> Basis:
@@ -243,19 +317,38 @@ def basis_join(g1: Basis, g2: Basis) -> Basis:
     return Basis(tuple(out.items()))
 
 
-@dataclass(frozen=True)
-class Judgment:
-    basis: Basis
-    term: Term
-    ty: Ty
+class Judgment(_Record):
+    __slots__ = __match_args__ = ("basis", "term", "ty")
+
+    def __init__(self, basis: Basis, term: Term, ty: Ty):
+        _set_basis(self, basis)
+        _set_term(self, term)
+        _set_ty(self, ty)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str  # Ax | TopU | ArrI | ArrE | CapI | Le
-    conclusion: Judgment
-    children: tuple["Derivation", ...] = ()
-    sub: SubProof | None = None
+class Derivation(_Record):
+    __slots__ = __match_args__ = ("rule", "conclusion", "children", "sub")
+
+    def __init__(
+        self,
+        rule: str,  # Ax | TopU | ArrI | ArrE | CapI | Le
+        conclusion: Judgment,
+        children: tuple["Derivation", ...] = (),
+        sub: SubProof | None = None,
+    ):
+        _set_rule(self, rule)
+        _set_conclusion(self, conclusion)
+        _set_children(self, children)
+        _set_sub(self, sub)
+
+
+_set_basis = Judgment.basis.__set__
+_set_term = Judgment.term.__set__
+_set_ty = Judgment.ty.__set__
+_set_rule = Derivation.rule.__set__
+_set_conclusion = Derivation.conclusion.__set__
+_set_children = Derivation.children.__set__
+_set_sub = Derivation.sub.__set__
 
 
 def _node_reason(t: TheorySpec, seen: set[int], d: Derivation) -> str | None:
@@ -282,9 +375,9 @@ def _node_reason(t: TheorySpec, seen: set[int], d: Derivation) -> str | None:
         ch = kids[0].conclusion
         if g.get(m.binder) is not None:
             return f"binder {m.binder!r} shadows a basis variable"
-        # the bindings g.extend(binder, a.dom) would have: g's are sorted and
-        # canonical, and a.dom is canonical as a part of the canonical a
-        if ch.basis.bindings != tuple(sorted(g.bindings + ((m.binder, a.dom),))):
+        # the bindings g.extend(binder, a.dom) has, built as a tuple alone:
+        # a.dom is canonical as a part of the canonical a
+        if ch.basis.bindings != _bind(g.bindings, m.binder, a.dom):
             return "ArrI child basis must extend the conclusion basis by the binder"
         if ch.term != m.body:
             return "ArrI child must type the abstraction body"

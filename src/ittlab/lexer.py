@@ -4,9 +4,11 @@
 A token is an identifier, one of the symbols `->`, `<=` and `|-`, or any
 other single non-space character.  Readers take tokens off one Tokens
 cursor and stop at the first token they cannot use, so a judgment is read
-as a basis, a term and a type in turn, with no substring scanned twice.
+as a basis, a term and a type in turn, with no substring read twice.
 statements splits the line formats (theories, maps, pools) alike, and every
-offset, in a token or in a ParseError, indexes the whole text.
+offset, in a token or in a ParseError, indexes the whole text.  A cursor
+finds its offsets only when an error or a rule name asks for one, so a text
+that reads cleanly pays for none.
 """
 
 from __future__ import annotations
@@ -18,45 +20,64 @@ from .errors import ParseError
 
 IDENT = "identifier"
 END = "end of input"
-_TOKEN = re.compile(r"([A-Za-z_$][A-Za-z0-9_'$]*)|->|<=|\|-|\S")
+_TOKEN = re.compile(r"[A-Za-z_$][A-Za-z0-9_'$]*|->|<=|\|-|\S")
 _STATEMENT = re.compile(r"[^;]+")
+# the first characters of an identifier: every other token is a symbol
+IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
 
 T = TypeVar("T")
 
 
 class Tokens:
-    """A cursor over the tokens of src[start:stop], each (kind, text, offset)
-    with kind IDENT, END or the symbol itself; offsets index all of src."""
+    """A cursor over the tokens of src[start:stop].  A token's kind is IDENT,
+    END or the symbol itself; its offset indexes all of src.
 
-    __slots__ = ("toks", "pos")
+    The cursor keeps only the token texts, END's the empty string, from one
+    regex call.  Offsets are found when something asks for one, an error or
+    word(), by one more pass over the same text."""
+
+    __slots__ = ("texts", "pos", "src", "start", "stop", "_offsets")
 
     def __init__(self, src: str, start: int = 0, stop: int | None = None):
         stop = len(src) if stop is None else stop
-        self.toks = [
-            (IDENT if m.lastindex else m[0], m[0], m.start())
-            for m in _TOKEN.finditer(src, start, stop)
-        ]
-        self.toks.append((END, "", stop))
+        self.texts = _TOKEN.findall(src, start, stop)
+        self.texts.append("")
         self.pos = 0
+        self.src, self.start, self.stop = src, start, stop
+        self._offsets: list[int] | None = None
 
     def peek(self) -> str:
         """The kind of the next token."""
-        return self.toks[self.pos][0]
+        text = self.texts[self.pos]
+        return IDENT if text[:1] in IDENT_START else text or END
+
+    def _offset(self, i: int) -> int:
+        """The offset of token i."""
+        if self._offsets is None:
+            self._offsets = [
+                m.start() for m in _TOKEN.finditer(self.src, self.start, self.stop)
+            ]
+            self._offsets.append(self.stop)
+        return self._offsets[i]
 
     def at(self) -> int:
         """The offset of the next token."""
-        return self.toks[self.pos][2]
+        return self._offset(self.pos)
+
+    def last(self) -> int:
+        """The offset of the token taken last."""
+        return self._offset(self.pos - 1)
 
     def take(self, kind: str) -> str:
         """Consume the next token, which must be of kind; return its text."""
-        got, text, at = self.toks[self.pos]
-        if got != kind:
-            raise ParseError(f"expected {kind!r}, got {text or END!r}", at)
+        text = self.texts[self.pos]
+        if (IDENT if text[:1] in IDENT_START else text or END) != kind:
+            raise ParseError(f"expected {kind!r}, got {text or END!r}", self.at())
         self.pos += 1
         return text
 
     def end(self, what: str) -> None:
-        if self.peek() != END:
+        if self.texts[self.pos]:
             raise ParseError(f"trailing input after {what}", self.at())
 
     def word(self) -> str:
@@ -66,7 +87,7 @@ class Tokens:
             stop += len(self.take(self.peek()))
         if self.pos == first:
             raise ParseError("expected a rule name", stop)
-        return "".join(text for _, text, _ in self.toks[first:self.pos])
+        return "".join(self.texts[first:self.pos])
 
 
 def parse(tk: Tokens, read: Callable[[Tokens], T], what: str) -> T:

@@ -28,10 +28,9 @@ def _read_basis(tk: Tokens) -> Basis:
     if tk.peek() != IDENT:
         return Basis()
     while True:
-        at = tk.at()
         x = tk.take(IDENT)
         if x in bindings:
-            raise ParseError(f"variable {x!r} bound twice in basis", at)
+            raise ParseError(f"variable {x!r} bound twice in basis", tk.last())
         tk.take(":")
         bindings[x] = read_ty(tk)
         if tk.peek() != ",":

@@ -7,14 +7,20 @@ variables by name, bound ones by de Bruijn index), so the freshening is
 unobservable to clients.
 
 Terms pay for alpha-equality once, as types pay for structural equality once
-by hash-consing.  Building a term writes its fields and computes nothing;
-its free variables and its skeleton, whose first field is its hash, are
+by hash-consing.  A constructor writes its fields and computes nothing; a
+term's free variables and its skeleton, whose first field is its hash, are
 memoised on it the first time they are asked for, each made from its
-children's memoised values.  An application shares its children's skeletons, an abstraction
-rebuilds only the paths that reach its binder, and == compares the stored
-hashes before the shared skeletons.  freshen returns every subterm that it
-does not rename as the same object, so a parsed term keeps the memos of its
-subterms.
+children's memoised values.  An application shares its children's
+skeletons, an abstraction rebuilds only the paths that reach its binder, and
+== compares the stored hashes before the shared skeletons.
+
+Every term text is read by one reader, read_fresh_term, which fills each
+node's free variables as it builds it, from its children's, so a parsed
+term never walks itself for them.  When no binder repeats or is a free name
+of the term, the common case, the term already obeys the convention and
+freshen is not run.  freshen returns every subterm that it does not rename
+as the same object and fills the memo of every node it builds, so a parsed
+term keeps the memos of its subterms either way.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
 from .errors import InvalidInput, ParseError
-from .lexer import IDENT, Tokens, parse
+from .lexer import IDENT, IDENT_START, Tokens, parse
 
 Term = Union["Var", "Abs", "App"]
 
@@ -35,7 +41,8 @@ class _Term:
     A constructor writes its fields and leaves the memo slots None; each is
     filled, without a lock, the first time it is read:
 
-    - _fv, the free variables, from the children's sets (free_vars);
+    - _fv, the free variables, from the children's sets (free_vars); the
+      reader and freshen write it as they build each node;
     - _sk, the skeleton (Abs and App only), from the children's skeletons
       (_skeleton).
 
@@ -140,6 +147,44 @@ _set_abs_sk = Abs._sk.__set__
 _set_fun = App.fun.__set__
 _set_arg = App.arg.__set__
 _set_app_sk = App._sk.__set__
+_new = object.__new__
+
+
+def _abs_fv(binder: str, body: frozenset[str]) -> frozenset[str]:
+    return body - {binder} if binder in body else body
+
+
+def _app_fv(fun: frozenset[str], arg: frozenset[str]) -> frozenset[str]:
+    return fun if arg <= fun else arg if fun <= arg else fun | arg
+
+
+# The builders of the reader and of freshen: each writes a node's fields and
+# its free variables, made from its children's, which must be filled.
+
+
+def _var(name: str) -> Var:
+    u = _new(Var)
+    _set_name(u, name)
+    _set_fv(u, frozenset((name,)))
+    return u
+
+
+def _abs(binder: str, body: Term) -> Abs:
+    u = _new(Abs)
+    _set_binder(u, binder)
+    _set_body(u, body)
+    _set_fv(u, _abs_fv(binder, body._fv))
+    _set_abs_sk(u, None)
+    return u
+
+
+def _app(fun: Term, arg: Term) -> App:
+    u = _new(App)
+    _set_fun(u, fun)
+    _set_arg(u, arg)
+    _set_fv(u, _app_fv(fun._fv, arg._fv))
+    _set_app_sk(u, None)
+    return u
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -162,7 +207,7 @@ def free_vars(t: Term) -> frozenset[str]:
             if inner is None:
                 stack.append(u.body)
                 continue
-            fv = inner - {u.binder} if u.binder in inner else inner
+            fv = _abs_fv(u.binder, inner)
         else:
             f, a = u.fun._fv, u.arg._fv
             if f is None or a is None:
@@ -171,7 +216,7 @@ def free_vars(t: Term) -> frozenset[str]:
                 if a is None:
                     stack.append(u.arg)
                 continue
-            fv = f if a <= f else a if f <= a else f | a
+            fv = _app_fv(f, a)
         _set_fv(u, fv)
         stack.pop()
     return t._fv
@@ -299,9 +344,9 @@ _SUFFIX = re.compile(r"_\d+$")
 
 def fresh_name(base: str, avoid: set[str]) -> str:
     """Smallest variant of base (base, base_1, base_2, ...) not in avoid."""
-    stem = _SUFFIX.sub("", base) or "x"
     if base not in avoid:
         return base
+    stem = _SUFFIX.sub("", base) or "x"
     n = 1
     while f"{stem}_{n}" in avoid:
         n += 1
@@ -313,7 +358,8 @@ def freshen(t: Term, avoid: set[str] | None = None) -> Term:
 
     Binder names that cause no collision are kept, so round-tripping through
     the printer stays readable, and every subterm with nothing renamed in it
-    is returned as the same object.
+    is returned as the same object.  Every node it builds has its free
+    variables memoised, like the subterms it keeps.
     """
     used = set(avoid or ()) | free_vars(t)
     # Walks an explicit stack, function before argument, so that no length
@@ -331,13 +377,13 @@ def freshen(t: Term, avoid: set[str] | None = None) -> Term:
             if new is None:
                 arg = done.pop()
                 fun = done.pop()
-                done.append(u if fun is u.fun and arg is u.arg else App(fun, arg))
+                done.append(u if fun is u.fun and arg is u.arg else _app(fun, arg))
             else:
                 body = done.pop()
-                done.append(u if body is u.body and new == u.binder else Abs(new, body))
+                done.append(u if body is u.body and new == u.binder else _abs(new, body))
         elif type(u) is Var:
             new = ren.get(u.name)
-            done.append(u if new is None else Var(new))
+            done.append(u if new is None else _var(new))
         elif type(u) is Abs:
             new = fresh_name(u.binder, used)
             used.add(new)
@@ -352,63 +398,78 @@ def freshen(t: Term, avoid: set[str] | None = None) -> Term:
     return done[0]
 
 
-def read_term(tk: Tokens) -> Term:
+def read_fresh_term(tk: Tokens) -> Term:
     """Read `t ::= ident | \\ ident+ . t | t t | (t)` off tk, up to the first
-    token that cannot start an atom.
+    token that cannot start an atom, with its binders freshened: the one
+    reader of every term text.
 
     Application associates left; an abstraction body extends as far right as
-    possible.  Binders are read as written, not freshened.
+    possible.  Each node is built with its free variables memoised.  Binders
+    keep their names when none repeats or is a free name of the term, the
+    common case, in which freshen would change nothing and is not run.
     """
-    if tk.peek() == "\\":
-        return _read_lambda(tk)
-    out = _read_atom(tk)
-    while (kind := tk.peek()) == IDENT or kind == "(":
-        out = App(out, _read_atom(tk))
-    if kind == "\\":
-        out = App(out, _read_lambda(tk))
+    binders: list[str] = []
+    t = _read_term(tk, binders)
+    if len(set(binders)) == len(binders) and t._fv.isdisjoint(binders):
+        return t
+    return freshen(t)
+
+
+# Each nesting level of a term costs the reader the frames it always has, a
+# term and an atom or a lambda, with a variable built by its constructor and
+# its name read by _read_name, so that input nested too deep for the
+# interpreter's stack fails at the offset where it always has (lexer.parse).
+
+
+def _read_term(tk: Tokens, binders: list[str]) -> Term:
+    texts = tk.texts
+    if texts[tk.pos] == "\\":
+        return _read_lambda(tk, binders)
+    out = _read_atom(tk, binders)
+    while (text := texts[tk.pos]) == "(" or text[:1] in IDENT_START:
+        out = _app(out, _read_atom(tk, binders))
+    if text == "\\":
+        out = _app(out, _read_lambda(tk, binders))
     return out
 
 
-def _read_lambda(tk: Tokens) -> Term:
+def _read_lambda(tk: Tokens, binders: list[str]) -> Term:
     tk.take("\\")
-    binders = [_read_name(tk)]
-    while tk.peek() == IDENT:
-        binders.append(_read_name(tk))
+    names = [_read_name(tk)]
+    while tk.texts[tk.pos][:1] in IDENT_START:
+        names.append(_read_name(tk))
     tk.take(".")
-    body = read_term(tk)
-    for b in reversed(binders):
-        body = Abs(b, body)
+    body = _read_term(tk, binders)
+    binders += names
+    for b in reversed(names):
+        body = _abs(b, body)
     return body
 
 
-def _read_atom(tk: Tokens) -> Term:
-    kind = tk.peek()
-    if kind == "(":
+def _read_atom(tk: Tokens, binders: list[str]) -> Term:
+    text = tk.texts[tk.pos]
+    if text == "(":
         tk.take("(")
-        inner = read_term(tk)
+        inner = _read_term(tk, binders)
         tk.take(")")
         return inner
-    if kind != IDENT:
+    if text[:1] not in IDENT_START:
         raise ParseError("empty term", tk.at())
-    return Var(_read_name(tk))
+    u = Var(_read_name(tk))
+    _set_fv(u, frozenset((u.name,)))
+    return u
 
 
 def _read_name(tk: Tokens) -> str:
-    at = tk.at()
     name = tk.take(IDENT)
     if "$" in name:
-        raise ParseError(f"reserved name {name!r}", at)
+        raise ParseError(f"reserved name {name!r}", tk.last())
     return name
 
 
-def read_fresh_term(tk: Tokens) -> Term:
-    """read_term with the binders freshened: the form every term text is
-    read in."""
-    return freshen(read_term(tk))
-
-
 def parse_term(src: str) -> Term:
-    """The term that is all of src, with its binders freshened; see read_term."""
+    """The term that is all of src, with its binders freshened; see
+    read_fresh_term."""
     return parse(Tokens(src), read_fresh_term, "term")
 
 

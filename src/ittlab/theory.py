@@ -133,20 +133,18 @@ class TheorySpec:
 
 
 def _read_name(tk: Tokens, what: str) -> str:
-    at = tk.at()
     name = tk.take(IDENT)
     if not _CONST_NAME.match(name):
-        raise ParseError(f"bad {what} {name!r}", at)
+        raise ParseError(f"bad {what} {name!r}", tk.last())
     return name
 
 
 def _read_statement(tk: Tokens, spec: dict) -> None:
     """Read one statement off tk into spec, the TheorySpec fields so far."""
-    at = tk.at()
     head = tk.take(IDENT)
     if head == "theory":
         if spec["name"] is not None:
-            raise ParseError("duplicate theory statement", at)
+            raise ParseError("duplicate theory statement", tk.last())
         spec["name"] = _read_name(tk, "theory name")
     elif head == "natural":
         spec["natural"] = True
@@ -171,7 +169,7 @@ def _read_statement(tk: Tokens, spec: dict) -> None:
         tk.take("<=")
         spec["order"].append((lo, _read_name(tk, "constant name in order clause")))
     else:
-        raise ParseError(f"unknown statement {head!r}", at)
+        raise ParseError(f"unknown statement {head!r}", tk.last())
 
 
 def parse_theory(src: str) -> TheorySpec:

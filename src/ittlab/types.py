@@ -330,12 +330,11 @@ def _read_atom(tk: Tokens) -> Ty:
         inner = read_ty(tk)
         tk.take(")")
         return inner
-    at = tk.at()
     name = tk.take(IDENT)
     if name == "U":
         return TOP
     if is_reserved(name):
-        raise ParseError(f"reserved name {name!r}", at)
+        raise ParseError(f"reserved name {name!r}", tk.last())
     return Const(name)
 
 

@@ -178,13 +178,22 @@ class TestCheckDerivation:
         m = parse_term(r"(\x. x x) (\x. x x)")
         r = infer_bounded(t, Basis.of(), m, parse_ty("c3"), fuel=500)
         assert isinstance(r, Found)
+        # a basis is built by the validating constructor or, by extend,
+        # through Basis._sorted; the checker must use neither
         built = []
-        original = Basis.__post_init__
+        original = Basis.__init__
         monkeypatch.setattr(
-            Basis, "__post_init__", lambda self: built.append(self) or original(self)
+            Basis, "__init__", lambda self, b=(): built.append(self) or original(self, b)
+        )
+        sorted_ = Basis._sorted
+        monkeypatch.setattr(
+            Basis, "_sorted", staticmethod(lambda b: built.append(b) or sorted_(b))
         )
         assert check_derivation(t, r.derivation) == Valid()
         assert built == []
+        # the probe itself sees both ways of building
+        Basis.of(x=parse_ty("c3")).extend("y", parse_ty("c3"))
+        assert len(built) == 2
 
 
 class TestInferBounded:

@@ -1,13 +1,25 @@
-"""The certificate kernel stays independent of the engines it checks, and the
-package exports its names lazily."""
+"""The certificate kernel stays independent of the engines it checks, its
+records behave as the frozen dataclasses they replaced, and the package
+exports its names lazily."""
 
 import ast
+import copy
+import dataclasses
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 import ittlab
 from ittlab import kernel
+from ittlab.errors import InvalidInput
+from ittlab.kernel import Basis, Derivation, Judgment, SubProof
+from ittlab.terms import parse_term
+from ittlab.types import TOP, Arrow, Const, Inter, parse_ty
 
 SRC = Path(ittlab.__file__).resolve().parents[1]
 
@@ -84,3 +96,88 @@ def test_exports_resolve_and_bind_once():
     # bound in the package, so a later read is a plain attribute lookup
     assert vars(ittlab)["verdict"] is ittlab.sensibility.verdict
     assert ittlab.check_subproof is kernel.check_subproof
+
+
+# -- records: what a frozen dataclass with the same fields would do ------------
+
+# each record class -> the frozen dataclass it must behave as, field for field
+REFERENCE_RECORDS = {
+    cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    for cls, fields in (
+        (Basis, ["bindings"]),
+        (Judgment, ["basis", "term", "ty"]),
+        (Derivation, ["rule", "conclusion", "children", "sub"]),
+        (SubProof, ["rule", "conclusion", "premises"]),
+    )
+}
+
+A, B = parse_ty("a"), parse_ty("b -> a")
+G = Basis.of(x=A, f=B)
+M = parse_term(r"\y. f (x y)")
+PROOF = SubProof("Trans", (A, A), (SubProof("Refl", (A, A)), SubProof("Refl", (A, A))))
+JUDGMENT = Judgment(G, M, Arrow(A, A))
+RECORDS = [
+    Basis(),
+    G,
+    JUDGMENT,
+    Derivation("ArrI", JUDGMENT),
+    Derivation("Le", JUDGMENT, (Derivation("TopU", Judgment(G, M, TOP)),), PROOF),
+    PROOF,
+    SubProof("Refl", (A, A)),
+]
+
+
+def reference_of(r):
+    """r as the frozen dataclass its class replaced."""
+    return REFERENCE_RECORDS[type(r)](*(getattr(r, f) for f in type(r).__match_args__))
+
+
+@pytest.mark.parametrize("r", RECORDS, ids=repr)
+def test_record_matches_a_frozen_dataclass(r):
+    ref = reference_of(r)
+    assert repr(r) == repr(ref)
+    assert hash(r) == hash(ref)
+    assert (r == ref) is False and (r != ref) is True  # another class
+    fields = type(r).__match_args__
+    assert fields == tuple(f.name for f in dataclasses.fields(ref))
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, f, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, f)
+    for clone in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(clone) is type(r) and clone == r and hash(clone) == hash(r)
+        assert repr(clone) == repr(r)
+
+
+def test_records_compare_field_by_field():
+    for i, r in enumerate(RECORDS):
+        for j, s in enumerate(RECORDS):
+            assert (r == s) == (i == j) == (reference_of(r) == reference_of(s))
+    # a rebuilt record is equal, and a record never equals its field tuple
+    assert Judgment(Basis.of(f=B, x=A), parse_term(r"\z. f (x z)"), Arrow(A, A)) == JUDGMENT
+    assert JUDGMENT != (G, M, Arrow(A, A))
+    match Derivation("Ax", JUDGMENT):
+        case Derivation(rule, Judgment(g, _, ty), children, sub):
+            assert (rule, g, ty, children, sub) == ("Ax", G, Arrow(A, A), (), None)
+
+
+names = st.sampled_from(["x", "y", "z", "f", "g", "x_1", "y'"])
+types = st.recursive(
+    st.one_of(st.just(TOP), st.builds(Const, st.sampled_from(["a", "b", "c"]))),
+    lambda sub: st.one_of(st.builds(Arrow, sub, sub), st.builds(Inter, sub, sub)),
+    max_leaves=5,
+)
+bases = st.dictionaries(names, types, max_size=4).map(lambda d: Basis(tuple(d.items())))
+
+
+@given(bases, names, types)
+def test_extend_is_the_validating_constructor(g, x, a):
+    if g.get(x) is not None:
+        with pytest.raises(InvalidInput, match=f"variable {x!r} already bound"):
+            g.extend(x, a)
+        return
+    out = g.extend(x, a)
+    want = Basis(g.bindings + ((x, a),))
+    assert out == want and out.bindings == want.bindings and hash(out) == hash(want)
+    assert out.get(x) == want.get(x)
