@@ -19,13 +19,21 @@ Computes, with the ittlab on sys.path:
 - cli_fingerprints.json: the exit code and the sha256 of the standard output
   of each command of tests/test_cli.py's pinned list, as text and as --json.
 
-The fixtures pin answers across engine and parser changes, so run this on a
-checkout whose answers are trusted, for example a clean clone of the commit
-before the change, then copy the files into the changed tree:
+The fixtures pin answers across engine and parser changes.  With --check
+it writes nothing: it prints, per file, how many entries (leaves of the JSON
+value) differ from the checked-in file and their keys, and exits 1 when any
+does.
 
+    PYTHONPATH=src python3 scripts/regen_fixtures.py --check
     PYTHONPATH=src python3 scripts/regen_fixtures.py
+
+A change that must keep every answer regenerates nothing: --check must find
+no difference.  A change that declares new answers or certificates runs
+--check on the changed tree, quotes its counts where the change is
+described, then regenerates the files on the changed tree.
 """
 
+import argparse
 import json
 import pathlib
 import sys
@@ -66,12 +74,49 @@ FIXTURES = (
 )
 
 
-def main() -> None:
+def leaves(value, key: tuple = ()) -> dict[tuple, object]:
+    """The leaves of a JSON value, by their path of keys and list indices."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {key: value}
+    out: dict[tuple, object] = {}
+    for k, v in items:
+        out.update(leaves(v, key + (k,)))
+    return out
+
+
+def differing(old, new) -> list[str]:
+    """The keys of the leaves that differ between old and new, or that only
+    one of them has, each printed as its path joined by ' / '."""
+    a, b = leaves(old), leaves(new)
+    keys = sorted((k for k in a.keys() | b.keys() if a.get(k, a) != b.get(k, b)), key=repr)
+    return [" / ".join(map(str, k)) for k in keys]
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument(
+        "--check", action="store_true",
+        help="write nothing; report the entries that differ and exit 1 if any does",
+    )
+    args = p.parse_args(argv)
+    changed = False
     for path, compute, layout in FIXTURES:
         data = compute()
-        path.write_text(json.dumps(data, **layout) + "\n", encoding="utf-8")
-        print(f"wrote {len(data)} entries to {path}")
+        if args.check:
+            keys = differing(json.loads(path.read_text(encoding="utf-8")), data)
+            changed = changed or bool(keys)
+            print(f"{path.name}: {len(keys)} of {len(leaves(data))} entries differ")
+            for k in keys:
+                print(f"  {k}")
+        else:
+            path.write_text(json.dumps(data, **layout) + "\n", encoding="utf-8")
+            print(f"wrote {len(data)} entries to {path}")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -111,31 +111,41 @@ def beta_soundness_probe(
     arrows = [Arrow(b, a) for b in pool for a in pool]
     lhs_list = _arrow_meets(arrows, 2 * depth + 1, inter_width)
 
+    # each left side's subset meets (meet(Bj), meet(Aj)), in subset order,
+    # built once for both the seeds and the witness search
     seeds: set[Ty] = set(pool) | set(arrows)
+    meets: list[list[tuple[Ty, Ty]]] = []
     for ty, combo in lhs_list:
         seeds.add(ty)
-        for js in _nonempty_subsets(combo):
-            seeds.add(canonicalize(make_inter([x.dom for x in js])))
-            seeds.add(canonicalize(make_inter([x.cod for x in js])))
+        sub = [
+            (
+                canonicalize(make_inter([x.dom for x in js])),
+                canonicalize(make_inter([x.cod for x in js])),
+            )
+            for js in _nonempty_subsets(combo)
+        ]
+        meets.append(sub)
+        for pair in sub:
+            seeds.update(pair)
     ctx = context_for(t, seeds, inter_width=1)
 
     # the right sides whose codomain is not provably ~ U; arrows is in ty_key
     # order, which is id order, so walking a row's bits visits them as a walk
-    # of arrows would
+    # of arrows would.  Every meet and every side is a member, so each
+    # subset test reads two bits of the relation.
     top_row = ctx.row(TOP)
-    idx = ctx.idx
+    idx, succ = ctx.idx, ctx.succ
     rhs_mask = sum(1 << idx[rhs] for rhs in arrows if not top_row >> idx[rhs.cod] & 1)
-    for ty, combo in lhs_list:
-        for j in bits(ctx.row(ty) & rhs_mask):
+    for (ty, _), sub in zip(lhs_list, meets):
+        hits = ctx.row(ty) & rhs_mask
+        if not hits:
+            continue
+        sub_ids = [(idx[meet_b], idx[meet_a]) for meet_b, meet_a in sub]
+        for j in bits(hits):
             rhs = ctx.members[j]
-            witnessed = False
-            for js in _nonempty_subsets(combo):
-                meet_b = canonicalize(make_inter([x.dom for x in js]))
-                meet_a = canonicalize(make_inter([x.cod for x in js]))
-                if ctx.holds(rhs.dom, meet_b) and ctx.holds(meet_a, rhs.cod):
-                    witnessed = True
-                    break
-            if not witnessed:
+            d, c = idx[rhs.dom], idx[rhs.cod]
+            # rhs.dom <= meet_b and meet_a <= rhs.cod for some subset
+            if not any(succ[d] >> b & 1 and succ[a] >> c & 1 for b, a in sub_ids):
                 return CounterexampleFound(
                     ty,
                     rhs,

@@ -17,6 +17,19 @@ so its members are exactly those of a universe built from scratch.  The base
 is indexed weakly and held by the universes built on it, so it dies with
 their contexts.
 
+Every rule is a monotone Horn rule over universe members, so the base's
+fixed point lies inside the fixed point of every universe that contains the
+base.  The base owns its saturated context, built from nothing on first need
+outside the saturated_ctx LRU; a universe equal to the base gets that same
+context.  A larger universe starts from it (semi-naive evaluation): it
+copies the base's rows, seeds the premise-free facts of its new members,
+fires the few rule instances whose premises are all base facts but which
+relate a new member, and runs the worklist on what that adds.  A base fact
+keeps the justification the base context recorded for it, and predates
+every new fact, so proofs still rebuild without search.  The fixed point is
+the one a context saturated from nothing reaches; only the first
+derivation of a fact may differ.
+
 Saturated contexts are cached per (theory, universe) by the saturated_ctx
 LRU.  Queries reach them through context_for, which indexes each context by
 the theory, the set of canonical seeds and the width that built its
@@ -58,11 +71,19 @@ DEFAULT_CAP = 20_000
 @dataclass(frozen=True, eq=False)
 class _Base:
     """The part of every universe of one theory and width that no seed adds:
-    build_universe(t, (), width), kept with the closure it widens."""
+    build_universe(t, (), width), kept with the closure it widens and, once
+    a query needs it, its saturated context."""
 
+    theory: TheorySpec
     closed: frozenset[Ty]  # subterm closure of U and the canonical axiom sides
     pool: tuple[Ty, ...]  # closed in ty_key order
     members: frozenset[Ty]  # closed plus the meets of its 2..width-subsets
+
+    @cached_property
+    def ctx(self) -> SubtypeCtx:
+        """The base universe saturated from nothing, outside the
+        saturated_ctx LRU; it lives as long as the base."""
+        return SubtypeCtx(self.theory, Universe(self.members, self))
 
 
 @dataclass(frozen=True)
@@ -104,7 +125,7 @@ def _build_base(t: TheorySpec, width: int) -> _Base:
     pool = sorted(closed, key=ty_key)
     members = set(closed)
     _add_meets(members, pool, (), width)
-    return _Base(frozenset(closed), tuple(pool), frozenset(members))
+    return _Base(t, frozenset(closed), tuple(pool), frozenset(members))
 
 
 def build_universe(
@@ -188,6 +209,13 @@ class SubtypeCtx:
     always predate their consequence, so justifications form a DAG and proofs
     rebuild without search.  A pair outside the universe has no id and is
     never recorded.
+
+    A universe that strictly contains its theory's base extends the base's
+    context, base_ctx: it copies the base's rows through the id map, and
+    just holds only the facts the extension adds.  justification reads a
+    base fact's entry from base_ctx and maps its ids back; base facts
+    predate every fact the extension adds, so the DAG order holds.  Any
+    other universe is saturated from nothing, and base_ctx is None.
     """
 
     def __init__(self, theory: TheorySpec, universe: Universe):
@@ -226,7 +254,17 @@ class SubtypeCtx:
                     mask |= 1 << p
                     self.part_to_inters[p].append(i)
                 self.mask[i] = mask
-        self._seed()
+        # the base context this one extends; None when saturated from nothing
+        self.base_ctx: SubtypeCtx | None = None
+        # ArrowCap's sides (z, rhs) whose rhs is not a member; set by _seed
+        self.caps_outside: list[tuple[Ty, Ty]] = []
+        base = universe.base
+        if base is not None and base.theory == theory and base.members < universe.members:
+            new = self._extend(base.ctx)
+            self._seed(new)
+            self._fire_over_base(new)
+        else:
+            self._seed(range(n))
         self._saturate()
 
     def _add(self, a: int, b: int, rule: int) -> None:
@@ -243,25 +281,73 @@ class SubtypeCtx:
         if i is not None and j is not None:
             self._add(i, j, rule)
 
-    def _seed(self) -> None:
-        """The rule instances with no premises, in this order: Refl, the
-        axioms, IncL/IncR, Utop, then the flagged ArrowTop and ArrowCap.  The
-        Refl, Inc and Utop facts are written straight into the tables, and
-        each skips a fact that is already there, so the queue and the
-        justifications are those of one _add per fact."""
+    def _extend(self, b: SubtypeCtx) -> list[int]:
+        """Start from the saturated base context b: copy its rows into this
+        context's ids and return the ids of the members b lacks.  Both
+        contexts number their members in ty_key order, so each run of
+        consecutive base ids lands on consecutive ids and moves with one
+        mask and one shift.  The base facts' justifications stay in b."""
+        n, nb = len(self.members), len(b.members)
+        from_base = list(map(self.idx.__getitem__, b.members))
+        runs: list[tuple[int, int]] = []  # (mask of base ids, shift)
+        start = 0
+        for i in range(1, nb + 1):
+            if i == nb or from_base[i] != from_base[i - 1] + 1:
+                runs.append((((1 << i) - 1) ^ ((1 << start) - 1), from_base[start] - start))
+                start = i
+
+        succ, pred = self.succ, self.pred
+        to_base: list[int | None] = [None] * n
+        for i, j in enumerate(from_base):
+            row_s, row_p = b.succ[i], b.pred[i]
+            s = p = 0
+            for mask, shift in runs:
+                s |= (row_s & mask) << shift
+                p |= (row_p & mask) << shift
+            succ[j], pred[j] = s, p
+            to_base[j] = i
+        # base id -> id, and id -> base id or None, for justification
+        self.base_ctx, self._from_base, self._to_base = b, from_base, to_base
+        return [m for m, i in enumerate(to_base) if i is None]
+
+    def _arrow_caps(self, inters: Iterable[int]) -> Iterator[tuple[Ty, Ty]]:
+        """ArrowCap's sides (B->A1)&..&(B->Ak) and B -> A1&..&Ak, canonical,
+        for each intersection of inters whose parts are arrows of one
+        domain.  The right side need not be a member."""
+        for z in inters:
+            z_ty = self.members[z]
+            parts = inter_parts(z_ty)
+            if all(isinstance(p, Arrow) for p in parts):
+                doms = {p.dom for p in parts}
+                if len(doms) == 1:
+                    yield z_ty, canonicalize(
+                        Arrow(parts[0].dom, make_inter([p.cod for p in parts]))
+                    )
+
+    def _seed(self, new: Iterable[int]) -> None:
+        """The rule instances with no premises that relate a member of new,
+        in this order: Refl, the axioms, IncL/IncR, Utop, then the flagged
+        ArrowTop and ArrowCap.  The Refl, Inc and Utop facts are written
+        straight into the tables, and each skips a fact that is already
+        there, so the queue and the justifications are those of one _add
+        per fact.  new is every member of a context saturated from nothing,
+        and the members an extension adds to its base, whose facts the
+        tables already hold."""
         flags = self.theory.flags
         n = len(self.members)
         top = self.idx[TOP]
         succ, pred, just, queue = self.succ, self.pred, self.just, self.queue
-        diagonal = range(0, n * n, n + 1)
-        succ[:] = pred[:] = [1 << m for m in range(n)]
+        diagonal = [m * (n + 1) for m in new]
+        for m in new:
+            succ[m] = pred[m] = 1 << m
         just.update(dict.fromkeys(diagonal, REFL))
         queue.extend(diagonal)
         for lhs, rhs in self.theory.canonical_pairs:
             self._add_types(lhs, rhs, AXIOM)
-        for z, parts in self.parts.items():
+        inters = [z for z in new if z in self.parts]
+        for z in inters:
             rule = INC_L
-            for p in parts:
+            for p in self.parts[z]:
                 if not succ[z] >> p & 1:
                     succ[z] |= 1 << p
                     pred[p] |= 1 << z
@@ -282,17 +368,51 @@ class SubtypeCtx:
                 if c == top:
                     self._add(top, m, ARROW_TOP)
         if RuleFlag.ARROW_CAP in flags:
-            for z in self.parts:
-                z_ty = self.members[z]
-                parts = inter_parts(z_ty)
-                if all(isinstance(p, Arrow) for p in parts):
-                    doms = {p.dom for p in parts}
-                    if len(doms) == 1:
-                        rhs = canonicalize(
-                            Arrow(parts[0].dom, make_inter([p.cod for p in parts]))
-                        )
-                        self._add_types(z_ty, rhs, ARROW_CAP)
-                        self._add_types(rhs, z_ty, ARROW_CAP)
+            caps = list(self._arrow_caps(inters))
+            if self.base_ctx is not None:
+                caps += self.base_ctx.caps_outside
+            for z_ty, rhs in caps:
+                self._add_types(z_ty, rhs, ARROW_CAP)
+                self._add_types(rhs, z_ty, ARROW_CAP)
+            # the instances a universe that extends this one fires when it
+            # holds their right side
+            self.caps_outside = [cap for cap in caps if cap[1] not in self.idx]
+
+    def _fire_over_base(self, new: list[int]) -> None:
+        """The rule instances whose premises are all base facts but which
+        relate a member of new: Glb into a new intersection of base members,
+        from the members below all its parts, and (->) and congruence
+        between two arrows whose domains and codomains are base members,
+        one arrow new.  Every other instance with base premises lies in the
+        base, whose fixed point holds its conclusion already."""
+        succ, pred, dom, cod = self.succ, self.pred, self.dom, self.cod
+        fresh = sum(1 << m for m in new)
+        for z in new:
+            parts = self.parts.get(z)
+            if parts is not None and not self.mask[z] & fresh:
+                below = pred[parts[0]]
+                for p in parts[1:]:
+                    below &= pred[p]
+                for x in bits(below & ~pred[z]):
+                    self._add(x, z, GLB)
+        arrow_rule = RuleFlag.ARROW in self.theory.flags
+        over_base = [f for f in dom if not (fresh >> dom[f] | fresh >> cod[f]) & 1]
+        for f in over_base:
+            if not fresh >> f & 1:
+                continue
+            df, cf = dom[f], cod[f]
+            for g in over_base:
+                dg, cg = dom[g], cod[g]
+                dom_le, dom_ge = succ[dg] >> df & 1, succ[df] >> dg & 1
+                cod_le, cod_ge = succ[cf] >> cg & 1, succ[cg] >> cf & 1
+                if arrow_rule:
+                    if dom_le and cod_le:
+                        self._add(f, g, ARROW_RULE)
+                    if dom_ge and cod_ge:
+                        self._add(g, f, ARROW_RULE)
+                if dom_le and dom_ge and cod_le and cod_ge:
+                    self._add(f, g, ARR_CONG)
+                    self._add(g, f, ARR_CONG_REV)
 
     def _saturate(self) -> None:
         """The worklist loop: each fact popped fires, in this order, the (->)
@@ -451,7 +571,13 @@ class SubtypeCtx:
         """The rule that first produced the fact a <= b, and its premise
         facts in the order the rule read them."""
         a, b = fact
-        k, rule = divmod(self.just[a * len(self.members) + b], 1 << RULE_BITS)
+        key = a * len(self.members) + b
+        if key not in self.just and self.base_ctx is not None:
+            # a base fact keeps the base context's justification
+            ids, back = self._from_base, self._to_base
+            rule_name, prems = self.base_ctx.justification((back[a], back[b]))
+            return rule_name, tuple((ids[x], ids[y]) for x, y in prems)
+        k, rule = divmod(self.just[key], 1 << RULE_BITS)
         dom, cod = self.dom, self.cod
         if rule == TRANS:
             prems: tuple[IdPair, ...] = ((a, k), (k, b))
@@ -503,6 +629,11 @@ class SubtypeCtx:
 
 @lru_cache(maxsize=256)
 def saturated_ctx(theory: TheorySpec, universe: Universe) -> SubtypeCtx:
+    """The saturated context of universe; a universe equal to its theory's
+    base gets the base's own context."""
+    base = universe.base
+    if base is not None and base.theory == theory and base.members == universe.members:
+        return base.ctx
     return SubtypeCtx(theory, universe)
 
 

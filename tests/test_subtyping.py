@@ -532,6 +532,94 @@ def test_proofs_validate_and_relation_is_preordered(setup):
             assert (x, z) in ctx.facts
 
 
+# -- contexts that extend their theory's base ------------------------------------
+
+
+def assert_extension_is_the_fixed_point(t: TheorySpec, seeds, width: int) -> None:
+    """The context of seeds has the rows of the same universe saturated from
+    nothing, and every fact's proof checks."""
+    ctx = context_for(t, seeds, width)
+    base = ctx.universe.base
+    assert (ctx.base_ctx is not None) == (base.members < ctx.universe.members)
+    alone = SubtypeCtx(t, subtyping.Universe(ctx.universe.members))
+    assert alone.base_ctx is None
+    assert ctx.members == alone.members
+    assert ctx.succ == alone.succ
+    assert ctx.pred == alone.pred
+    seen: set[int] = set()
+    for a, row in enumerate(ctx.succ):
+        for b in bits(row):
+            proof = ctx.proof(ctx.members[a], ctx.members[b])
+            assert check_subproof(t, proof, seen) == Valid()
+
+
+@st.composite
+def extension_queries(draw):
+    """A built-in theory, a width of 1 or 2, and one to three seeds: arrows
+    and intersections of up to three leaves over its constants and U."""
+    t = BUILTINS[draw(st.sampled_from(sorted(BUILTINS)))]
+    leaves = st.sampled_from([TOP, *(Const(c) for c in sorted(t.constants))])
+    node = st.builds(Arrow, leaves, leaves) | st.builds(Inter, leaves, leaves)
+    seed = node | st.builds(Arrow, node, leaves) | st.builds(Inter, node, leaves)
+    seeds = draw(st.lists(seed, min_size=1, max_size=3))
+    return t, seeds, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60)
+@given(extension_queries())
+def test_extension_reaches_the_fixed_point_on_builtin_theories(query):
+    assert_extension_is_the_fixed_point(*query)
+
+
+@settings(max_examples=150)
+@given(tiny_setup())
+def test_extension_reaches_the_fixed_point_on_random_theories(setup):
+    t, seeds, width = setup
+    assert_extension_is_the_fixed_point(t, seeds, width)
+
+
+def test_a_universe_equal_to_its_base_gets_the_base_context(monkeypatch):
+    saturated_ctx.cache_clear()
+    t = BUILTINS["TCDZ"]
+    own = context_for(t, (), 2)
+    # a seed the base holds already adds nothing to the universe
+    assert context_for(t, (Const("c3"),), 2) is own
+    assert own is own.universe.base.ctx and own.base_ctx is None
+    grown = context_for(t, (parse_ty("c3 -> c3 -> c4"),), 2)
+    assert grown.base_ctx is own
+    # two universes on the base and the base's own: three saturations by the
+    # LRU's count, and the base saturated once, before the first extension
+    built = []
+    real = subtyping.SubtypeCtx.__init__
+
+    def counting(self, *args):
+        real(self, *args)
+        built.append(len(self.members))
+
+    monkeypatch.setattr(subtyping.SubtypeCtx, "__init__", counting)
+    size = len(own.members)
+    del own, grown
+    saturated_ctx.cache_clear()
+    gc.collect()
+    derive_le(t, parse_ty("c4 -> c4"), Const("c3"))
+    derive_le(t, parse_ty("c3 -> c3"), Const("c3"))
+    derive_le(t, parse_ty("c4 -> c3"), Const("c4"))  # the base's own universe
+    assert built[0] == size and size not in built[1:]
+    assert len(built) == 3
+    assert saturated_ctx.cache_info().misses == 3
+
+
+def test_the_base_context_dies_with_the_cache():
+    saturated_ctx.cache_clear()
+    ctx = context_for(T0, (parse_ty("c1 -> c1"),))
+    base = weakref.ref(ctx.base_ctx)
+    assert saturated_ctx.cache_info().misses == 1  # the base is off the LRU
+    del ctx
+    saturated_ctx.cache_clear()
+    gc.collect()
+    assert base() is None
+
+
 def test_repeated_proofs_are_one_shared_object():
     t = builtin_theories().lookup("TCDZ").spec
     universe = build_universe(t, [parse_ty("c3 -> c4"), parse_ty("c4 & U")], 2)
