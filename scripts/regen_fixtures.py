@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the seven pinned fixtures under tests/data.
+"""Regenerate the pinned fixtures: seven under tests/data, two corpus goldens.
 
 Computes, with the ittlab on sys.path:
 
@@ -11,13 +11,18 @@ Computes, with the ittlab on sys.path:
   probe_verdicts.json: the saturated fact set of every built-in theory's own
   universe at widths 1-3; the rule and premises recorded for each fact of
   those universes, of the universes of CERTIFIED_PAIRS and of a small TopLe
-  theory; and both probes' verdicts over probe_cases, all from
+  theory; and the beta probe's verdicts over probe_cases, all from
   tests/test_subtyping.py;
 - transformation_fingerprints.json: the sha256 of the printed output (or
-  the refusal) of weaken, strengthen, le_left and expand_derivation on seeded
+  the refusal) of weaken, le_left and expand_derivation on seeded
   infer_bounded derivations, from tests/test_assignment.py;
 - cli_fingerprints.json: the exit code and the sha256 of the standard output
-  of each command of tests/test_cli.py's pinned list, as text and as --json.
+  of each command of tests/test_cli.py's pinned list, as text and as --json;
+- src/ittlab/corpus/verdicts.json: the expected verdict of every built-in
+  theory, at verdict's default fuel, width and chain depth, the only budgets
+  `ittlab corpus` runs at;
+- src/ittlab/corpus/derivations/omega2omega2_c3.drv: the golden typing
+  derivation of the unsolvable self-application in T4, one text entry.
 
 The fixtures pin answers across engine and parser changes.  With --check
 it writes nothing: it prints, per file, how many entries (leaves of the JSON
@@ -38,15 +43,45 @@ import json
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+REPO = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = REPO / "src" / "ittlab" / "corpus"
+sys.path.insert(0, str(REPO / "tests"))
 
 import test_answers  # noqa: E402
 import test_assignment  # noqa: E402
 import test_cli  # noqa: E402
 import test_parsing  # noqa: E402
 import test_subtyping  # noqa: E402
+from ittlab.assignment import Found, infer_bounded  # noqa: E402
+from ittlab.kernel import Basis, Valid, check_derivation  # noqa: E402
+from ittlab.sensibility import builtin_theories, evidence_summary, verdict  # noqa: E402
+from ittlab.sexpr import unparse_derivation  # noqa: E402
+from ittlab.terms import parse_term  # noqa: E402
+from ittlab.types import parse_ty  # noqa: E402
 
-# (file, compute, json.dumps keywords): each file keeps its own layout
+
+def verdict_table() -> dict[str, dict]:
+    """Each built-in theory's verdict class and evidence summary, at
+    verdict's defaults."""
+    table = {}
+    for name, entry in builtin_theories().entries:
+        v = verdict(entry.spec)
+        table[name] = {"verdict": type(v).__name__, "evidence": evidence_summary(v)}
+    return table
+
+
+def golden_derivation() -> str:
+    """The printed derivation the search finds for T4 |- omega2 omega2 : c3."""
+    t4 = builtin_theories().lookup("T4").spec
+    term = parse_term(r"(\x. x x) (\x. x x)")
+    r = infer_bounded(t4, Basis.of(), term, parse_ty("c3"), fuel=500)
+    assert isinstance(r, Found), r
+    assert check_derivation(t4, r.derivation) == Valid(), r
+    return unparse_derivation(r.derivation) + "\n"
+
+
+# (file, compute, json.dumps keywords or None for a text file): each file
+# keeps its own layout
 FIXTURES = (
     (test_answers.FINGERPRINTS, test_answers.answer_fingerprints, {"indent": 1}),
     (test_parsing.PARSE_FINGERPRINTS, test_parsing.parse_fingerprints, {"indent": 1}),
@@ -71,6 +106,8 @@ FIXTURES = (
         {"indent": 2, "sort_keys": True},
     ),
     (test_cli.CLI_FINGERPRINTS, test_cli.cli_fingerprints, {"indent": 2, "sort_keys": True}),
+    (CORPUS / "verdicts.json", verdict_table, {"indent": 2, "sort_keys": True}),
+    (CORPUS / "derivations" / "omega2omega2_c3.drv", golden_derivation, None),
 )
 
 
@@ -107,14 +144,16 @@ def main(argv: list[str] | None = None) -> int:
     for path, compute, layout in FIXTURES:
         data = compute()
         if args.check:
-            keys = differing(json.loads(path.read_text(encoding="utf-8")), data)
+            text = path.read_text(encoding="utf-8")
+            keys = differing(text if layout is None else json.loads(text), data)
             changed = changed or bool(keys)
             print(f"{path.name}: {len(keys)} of {len(leaves(data))} entries differ")
             for k in keys:
                 print(f"  {k}")
         else:
-            path.write_text(json.dumps(data, **layout) + "\n", encoding="utf-8")
-            print(f"wrote {len(data)} entries to {path}")
+            text = data if layout is None else json.dumps(data, **layout) + "\n"
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {len(leaves(data))} entries to {path}")
     return 1 if changed else 0
 
 

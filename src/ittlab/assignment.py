@@ -3,10 +3,10 @@ transformations, and subject expansion.
 
 Rules: Ax, TopU (every term gets U), ArrI, ArrE, CapI, Le (subsumption via a
 subtyping certificate).  Derivations and their checker live in kernel; this
-module re-exports Basis, basis_join, Judgment, Derivation and
-check_derivation.  The transformations never search.  infer_bounded is the
-only searcher and is honest about its bounds: Found carries a checkable
-derivation, NotFoundWithinFuel asserts nothing.
+module re-exports Basis, Judgment, Derivation and check_derivation.  The
+transformations never search.  infer_bounded is the only searcher and is
+honest about its bounds: Found carries a checkable derivation,
+NotFoundWithinFuel asserts nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .kernel import (
     Judgment,
     SubProof,
     Valid,
-    basis_join,
     check_derivation,
 )
 from .subtyping import DEFAULT_WIDTH, Proven, bits, context_for, derive_le
@@ -298,7 +297,6 @@ def subject_reduction_probe(
     t: TheorySpec,
     d: Derivation,
     fuel: int = DEFAULT_FUEL,
-    inter_width: int = DEFAULT_WIDTH,
 ) -> Found | NotFoundWithinFuel:
     """Contract the head redex of d's subject and re-search the same judgment."""
     ok = check_derivation(t, d)
@@ -307,9 +305,7 @@ def subject_reduction_probe(
     reduct = head_step(d.conclusion.term)
     if reduct is None:
         raise InvalidInput("subject has no head redex")
-    return infer_bounded(
-        t, d.conclusion.basis, reduct, d.conclusion.ty, fuel, inter_width
-    )
+    return infer_bounded(t, d.conclusion.basis, reduct, d.conclusion.ty, fuel)
 
 
 # -- admissible transformations -------------------------------------------------
@@ -359,31 +355,12 @@ def weaken(t: TheorySpec, d: Derivation, x: str, b: Ty) -> Derivation:
     return out
 
 
-def strengthen(t: TheorySpec, d: Derivation, x: str) -> Derivation:
-    """Drop an unused binding x from the whole derivation."""
-    if d.conclusion.basis.get(x) is None:
-        raise InvalidInput(f"{x!r} not bound at the root")
-    if x in free_vars(d.conclusion.term):
-        raise InvalidInput(f"{x!r} occurs free in the subject")
-    out = _rebuild(d, None, d.conclusion.basis.without(x))
-    ok = check_derivation(t, out)
-    if ok != Valid():
-        raise InvalidInput(f"strengthening broke the derivation: {ok.reason}")
-    return out
-
-
-def le_left(
-    t: TheorySpec,
-    d: Derivation,
-    x: str,
-    b_new: Ty,
-    inter_width: int = DEFAULT_WIDTH,
-) -> Derivation:
+def le_left(t: TheorySpec, d: Derivation, x: str, b_new: Ty) -> Derivation:
     """Admissible (<=-L): replace x's binding by a smaller type b_new."""
     b_old = d.conclusion.basis.get(x)
     if b_old is None:
         raise InvalidInput(f"{x!r} not bound at the root")
-    verdict = derive_le(t, b_new, b_old, inter_width)
+    verdict = derive_le(t, b_new, b_old)
     if not isinstance(verdict, Proven):
         raise InvalidInput(
             f"{print_ty(b_new)} <= {print_ty(b_old)} not derivable within bounds"

@@ -227,24 +227,18 @@ def transfer(
     return TransferCertificate(kind, k, verdict, evidence)
 
 
-def _transfer_or_raise(
-    k: ConstantMap, kind: str, evidence: object, inter_width: int
-) -> TransferCertificate:
-    cert = transfer(k, kind, evidence, inter_width)
+def _transfer_or_raise(k: ConstantMap, kind: str, evidence: object) -> TransferCertificate:
+    cert = transfer(k, kind, evidence)
     if not isinstance(cert, TransferCertificate):
         raise PreconditionFailed(f"embedding not verified: {cert}")
     return cert
 
 
-def transfer_sensible(
-    k: ConstantMap, target_evidence: object, inter_width: int = DEFAULT_WIDTH
-) -> TransferCertificate:
+def transfer_sensible(k: ConstantMap, target_evidence: object) -> TransferCertificate:
     """Target sensible plus verified embedding yields source sensible."""
-    return _transfer_or_raise(k, "sensible", target_evidence, inter_width)
+    return _transfer_or_raise(k, "sensible", target_evidence)
 
 
-def transfer_nonsensible(
-    k: ConstantMap, source_evidence: object, inter_width: int = DEFAULT_WIDTH
-) -> TransferCertificate:
+def transfer_nonsensible(k: ConstantMap, source_evidence: object) -> TransferCertificate:
     """Source non-sensible plus verified embedding yields target non-sensible."""
-    return _transfer_or_raise(k, "nonsensible", source_evidence, inter_width)
+    return _transfer_or_raise(k, "nonsensible", source_evidence)

@@ -309,14 +309,6 @@ def _bind(bindings: tuple[tuple[str, Ty], ...], x: str, a: Ty) -> tuple:
     return (*bindings[:i], (x, a), *bindings[i:])
 
 
-def basis_join(g1: Basis, g2: Basis) -> Basis:
-    """Shared variables get the & of their types; the rest carry over."""
-    out = dict(g1.bindings)
-    for x, a in g2.bindings:
-        out[x] = canonicalize(Inter(out[x], a)) if x in out else a
-    return Basis(tuple(out.items()))
-
-
 class Judgment(_Record):
     __slots__ = __match_args__ = ("basis", "term", "ty")
 

@@ -1,9 +1,9 @@
-"""Bounded falsification probes for two global properties of an itt.
+"""Bounded falsification probe for beta soundness, a global property of an itt.
 
-Both properties quantify over all types, so these probes only ever refute
+The property quantifies over all types, so the probe only ever refutes
 within an enumerated fragment; NoCounterexampleUpTo certifies nothing beyond
-it.  The subset/witness checks inside use Proven as "holds" and UnknownWithin
-as "fails within universe", which can only make the probe report spurious
+it.  The subset checks inside use Proven as "holds" and UnknownWithin as
+"fails within universe", which can only make the probe report spurious
 counterexamples, never hide real ones; reports are therefore marked
 bounded_only.
 """
@@ -11,14 +11,13 @@ bounded_only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Union
 
 from .errors import InvalidInput
 from .subtyping import DEFAULT_WIDTH, bits, context_for
 from .theory import TheorySpec
 from .types import (
-    inter_parts,
     TOP,
     Arrow,
     Const,
@@ -154,92 +153,3 @@ def beta_soundness_probe(
                 )
     return NoCounterexampleUpTo(depth)
 
-
-def _chain(bs: tuple[Ty, ...], end: Ty) -> Ty:
-    out = end
-    for b in reversed(bs):
-        out = Arrow(b, out)
-    return out
-
-
-def set_condition_probe(
-    t: TheorySpec,
-    depth: int = 3,
-    inter_width: int = DEFAULT_WIDTH,
-) -> ProbeVerdict:
-    """Search for Proven instances of A1&..&Ak <= B1->..->Bn->C, with C not
-    provably ~ U, lacking a j and D with Aj ~ B1->..->Bn->D, D not ~ U and
-    C&D ~ C.  Left sides range over types of size <= depth and their
-    <= inter_width-fold intersections; each is decomposed into its canonical
-    &-parts (the A_i), the Bi range over atoms, n <= depth, and D over the
-    pool.  Coarser regroupings of the A_i are not probed: a grouped part
-    A_j&A_k rarely stays equivalent to a single chain, so the literal
-    any-grouping reading fails already for two incomparable constants."""
-    if depth < 1:
-        raise InvalidInput("depth must be >= 1")
-    pool = _types_up_to(t.constants, depth)
-    atoms: list[Ty] = [TOP] + [Const(c) for c in sorted(t.constants)]
-    cs: list[Ty] = [Const(c) for c in sorted(t.constants)]
-
-    lhs_set: set[Ty] = set(pool)
-    for k in range(2, min(inter_width, len(pool)) + 1):
-        for combo in combinations(pool, k):
-            lhs_set.add(canonicalize(make_inter(combo)))
-    lhs_list: list[tuple[Ty, tuple[Ty, ...]]] = [
-        (ty, inter_parts(ty) if isinstance(ty, Inter) else (ty,))
-        for ty in sorted(lhs_set, key=ty_key)
-    ]
-
-    b_seqs: list[tuple[Ty, ...]] = [()]
-    for n in range(1, depth + 1):
-        b_seqs.extend(product(atoms, repeat=n))
-
-    seeds: set[Ty] = set(pool)
-    for ty, _ in lhs_list:
-        seeds.add(ty)
-    for bs in b_seqs:
-        for end in set(cs) | set(pool):
-            seeds.add(_chain(bs, end))
-    for c in cs:
-        for d in pool:
-            seeds.add(canonicalize(Inter(c, d)))
-    ctx = context_for(t, seeds, inter_width=1)
-
-    # the right sides B1->..->Bn->C with C not provably ~ U: each one's id
-    # maps to its position in (bs, c) order, which a left side's hits are
-    # sorted back into; distinct chains are distinct members
-    top_row = ctx.row(TOP)
-    idx = ctx.idx
-    live = [c for c in cs if not top_row >> idx[c] & 1]
-    rhs_at: dict[int, tuple[int, tuple[Ty, ...], Ty]] = {}
-    for bs in b_seqs:
-        for c in live:
-            rhs_at[idx[_chain(bs, c)]] = (len(rhs_at), bs, c)
-    rhs_mask = sum(1 << j for j in rhs_at)
-    for ty, parts in lhs_list:
-        hits = sorted(rhs_at[j] for j in bits(ctx.row(ty) & rhs_mask))
-        for _, bs, c in hits:
-            if _set_witness(ctx, parts, bs, c, pool):
-                continue
-            rhs = _chain(bs, c)
-            return CounterexampleFound(
-                ty,
-                rhs,
-                f"{print_ty(ty)} <= {print_ty(rhs)} is derivable but no "
-                f"part is equivalent to a chain ending in a suitable D",
-            )
-    return NoCounterexampleUpTo(depth)
-
-
-def _set_witness(ctx, parts: tuple[Ty, ...], bs: tuple[Ty, ...], c: Ty, pool) -> bool:
-    for a_j in parts:
-        for d in pool:
-            if ctx.holds(TOP, d):
-                continue
-            chain_d = _chain(bs, d)
-            if not (ctx.holds(a_j, chain_d) and ctx.holds(chain_d, a_j)):
-                continue
-            cd = canonicalize(Inter(c, d))
-            if ctx.holds(c, cd) and ctx.holds(cd, c):
-                return True
-    return False

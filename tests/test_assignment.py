@@ -21,12 +21,10 @@ from ittlab.assignment import (
     Found,
     Judgment,
     NotFoundWithinFuel,
-    basis_join,
     check_derivation,
     expand_derivation,
     infer_bounded,
     le_left,
-    strengthen,
     subject_reduction_probe,
     weaken,
 )
@@ -74,15 +72,6 @@ class TestBasis:
     def test_extend_shadow_rejected(self):
         with pytest.raises(InvalidInput):
             Basis.of(x=parse_ty("a")).extend("x", parse_ty("b"))
-
-    def test_join_shared_variable_meets(self):
-        g = basis_join(Basis.of(x=parse_ty("a")), Basis.of(x=parse_ty("b"), y=parse_ty("a")))
-        assert g.get("x") == canonicalize(parse_ty("a & b"))
-        assert g.get("y") == parse_ty("a")
-
-    def test_join_empty_identity(self):
-        g = Basis.of(x=parse_ty("a"))
-        assert basis_join(Basis(), g) == g
 
 
 class TestCheckDerivation:
@@ -463,16 +452,6 @@ class TestAdmissible:
         with pytest.raises(InvalidInput):
             weaken(T0, d, "y", parse_ty("c0"))
 
-    def test_strengthen_inverts_weaken(self):
-        d = self._some_derivation()
-        out = strengthen(T0, weaken(T0, d, "z", parse_ty("c0")), "z")
-        assert out == d
-
-    def test_strengthen_rejects_used_variable(self):
-        d = self._some_derivation()
-        with pytest.raises(InvalidInput):
-            strengthen(T0, d, "y")
-
     def test_le_left_revalidates(self):
         g = Basis.of(y=parse_ty("a"))
         d = infer_bounded(T1, g, Var("y"), parse_ty("a"), fuel=10).derivation
@@ -508,7 +487,6 @@ class TestAdmissible:
         own = {print_term(node.conclusion.term) for node in self._nodes(d)}
         for out in (
             weaken(T1, d, "x", parse_ty("b")),
-            strengthen(T1, d, "z"),
             le_left(T1, d, "f", parse_ty("((a -> a) -> a) & b")),
         ):
             assert check_derivation(T1, out) == Valid()
@@ -529,7 +507,6 @@ class TestAdmissible:
         d = infer_bounded(T1, g, parse_term(r"f (\y.y)"), parse_ty("a"), fuel=50).derivation
         for out in (
             weaken(T1, d, "x", parse_ty("b")),
-            strengthen(T1, d, "y"),
             le_left(T1, d, "y", parse_ty("a & b")),
         ):
             assert check_derivation(T1, out) == Valid()
@@ -616,8 +593,6 @@ def transformation_fingerprints() -> dict[str, str]:
         runs = {
             "weaken w": lambda: weaken(t, d, "w", c),
             "weaken v1": lambda: weaken(t, d, "v1", c),  # v1 binds in s, if any
-            "strengthen z": lambda: strengthen(t, d, "z"),
-            "strengthen y": lambda: strengthen(t, d, "y"),
             "le_left z": lambda: le_left(t, d, "z", Inter(g.get("z"), c)),
             "le_left y": lambda: le_left(t, d, "y", Inter(g.get("y"), c)),
             "expand m=z": lambda: expand_derivation(t, d, "z", Var("z"), s),

@@ -103,7 +103,7 @@ class TestDerivationText:
         assert again == d
 
     def test_golden_file_is_what_search_finds(self):
-        # the same query scripts/regen_goldens.py writes the file from
+        # the same query scripts/regen_fixtures.py writes the file from
         t4 = builtin_theories().lookup("T4").spec
         omega = parse_term(r"(\x. x x) (\x. x x)")
         r = infer_bounded(t4, Basis.of(), omega, parse_ty("c3"), fuel=500)
