@@ -38,8 +38,6 @@ from .polarity import (
 )
 from .sensibility import (
     DEFAULT_CHAIN_DEPTH,
-    KnownNonSensible,
-    KnownSensible,
     NonSensible,
     Sensible,
     Witness,
@@ -306,7 +304,9 @@ def _cmd_embed(args, inputs: _Inputs) -> _Result:
     return payload, [], 2, [f"UnknownWithin: could not discharge {v.obligation}"]
 
 
-def _evidence_json(e: object, about: TheorySpec) -> tuple[dict, list[dict]]:
+def _evidence_json(
+    e: PolarityPass | TransferCertificate | Witness, about: TheorySpec
+) -> tuple[dict, list[dict]]:
     """The JSON of evidence about a theory, and its re-checked certificates,
     outermost first.
 
@@ -316,8 +316,6 @@ def _evidence_json(e: object, about: TheorySpec) -> tuple[dict, list[dict]]:
     """
     if isinstance(e, PolarityPass):
         return {"kind": "PolarityPass", "caveats": list(e.caveats)}, []
-    if isinstance(e, (KnownSensible, KnownNonSensible)):
-        return {"kind": "RegistryFact", "citation": e.citation}, []
     if isinstance(e, TransferCertificate):
         k = e.map
         certs = [
@@ -332,19 +330,17 @@ def _evidence_json(e: object, about: TheorySpec) -> tuple[dict, list[dict]]:
         inner, inner_certs = _evidence_json(e.evidence, other)
         payload = {"kind": kind, side: other.name, f"{side}_evidence": inner}
         return payload, certs + inner_certs
-    if isinstance(e, Witness):
-        payload = {
-            "kind": "UnsolvableTyped",
-            "term": print_term(e.term),
-            "ty": print_ty(e.ty),
-            "head_trace": {
-                "result": "FuelExhausted",
-                "steps": e.head_trace.steps,
-                "last": print_term(e.head_trace.last),
-            },
-        }
-        return payload, [_derivation_cert(about, e.derivation)]
-    return {"kind": type(e).__name__}, []
+    payload = {
+        "kind": "UnsolvableTyped",
+        "term": print_term(e.term),
+        "ty": print_ty(e.ty),
+        "head_trace": {
+            "result": "FuelExhausted",
+            "steps": e.head_trace.steps,
+            "last": print_term(e.head_trace.last),
+        },
+    }
+    return payload, [_derivation_cert(about, e.derivation)]
 
 
 def _cmd_sensibility(args, inputs: _Inputs) -> _Result:

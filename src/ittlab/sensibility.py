@@ -6,8 +6,8 @@ syntactic polarity check (sufficient for sensibility of natural theories),
 verified embeddings (sensibility transfers backward, non-sensibility
 forward), and a bounded search for a typed unsolvable witness.  Each
 criterion's own result is the verdict's evidence: a PolarityPass, a
-TransferCertificate, or a Witness; a registry status (KnownSensible,
-KnownNonSensible) is the evidence that crosses an embedding.
+TransferCertificate, or a Witness.  What crosses an embedding is computed
+too: the target's PolarityPass, or a Witness the probe found in the source.
 """
 
 from __future__ import annotations
@@ -35,27 +35,8 @@ DEFAULT_CHAIN_DEPTH = 3
 
 
 @dataclass(frozen=True)
-class KnownSensible:
-    citation: str
-
-
-@dataclass(frozen=True)
-class KnownNonSensible:
-    citation: str
-
-
-@dataclass(frozen=True)
-class Open:
-    pass
-
-
-KnownStatus = Union[KnownSensible, KnownNonSensible, Open]
-
-
-@dataclass(frozen=True)
 class RegistryEntry:
     spec: TheorySpec
-    status: KnownStatus
 
 
 @dataclass(frozen=True)
@@ -101,20 +82,6 @@ _BUILTIN_NAMES = (
     "Ainf5",
 )
 
-_KNOWN_STATUSES: dict[str, KnownStatus] = {
-    "TCDZ": KnownSensible(
-        "Coppo, Dezani-Ciancaglini and Zacchi (1987): the filter model over "
-        "two ordered constants, each equivalent to an arrow on the other, "
-        "equates all unsolvable terms with the top."
-    ),
-    "Park": KnownNonSensible(
-        "Park (1976); as a filter model, Honsell and Ronchi Della Rocca "
-        "(1992): the self-arrow constant types the unsolvable term "
-        "(\\x. x x)(\\x. x x), so not all unsolvables collapse to top."
-    ),
-}
-
-
 def _corpus_text(*relpath: str) -> str:
     node = resources.files("ittlab").joinpath("corpus")
     for part in relpath:
@@ -126,8 +93,7 @@ def _corpus_text(*relpath: str) -> str:
 def builtin_theories() -> TheoryRegistry:
     entries = []
     for name in _BUILTIN_NAMES:
-        spec = parse_theory(_corpus_text(f"{name}.itt"))
-        entries.append((name, RegistryEntry(spec, _KNOWN_STATUSES.get(name, Open()))))
+        entries.append((name, RegistryEntry(parse_theory(_corpus_text(f"{name}.itt")))))
     return TheoryRegistry(tuple(entries))
 
 
@@ -248,9 +214,7 @@ def evidence_summary(v: SensibilityVerdict) -> dict | None:
         if e.kind == "sensible":
             return {"kind": "EmbeddingInto", "detail": e.map.target.name}
         return {"kind": "EmbeddingFrom", "detail": e.map.source.name}
-    if isinstance(e, Witness):
-        return {"kind": "UnsolvableTyped", "detail": print_ty(e.ty)}
-    return {"kind": type(e).__name__, "detail": ""}
+    return {"kind": "UnsolvableTyped", "detail": print_ty(e.ty)}
 
 _ORDER_CAVEAT = (
     "order axioms present: the polarity criterion covers the characteristic "
@@ -268,29 +232,6 @@ def polarity_stage(t: TheorySpec) -> PolarityVerdict | None:
     if isinstance(pol, PolarityPass) and t.order:
         return PolarityPass(pol.caveats + (_ORDER_CAVEAT,))
     return pol
-
-
-def _known(
-    spec: TheorySpec, reg: TheoryRegistry, status: type
-) -> KnownSensible | KnownNonSensible | None:
-    """The first registry status of the given class on a copy of spec."""
-    for _, entry in reg.entries:
-        if isinstance(entry.status, status) and entry.spec.key == spec.key:
-            return entry.status
-    return None
-
-
-def _map_pool(
-    reg: TheoryRegistry, extra_maps: tuple[ConstantMap, ...]
-) -> tuple[ConstantMap, ...]:
-    identities = tuple(
-        ConstantMap.of(
-            entry.spec, entry.spec, {c: Const(c) for c in entry.spec.constants}
-        )
-        for _, entry in reg.entries
-        if not isinstance(entry.status, Open)
-    )
-    return registered_maps() + tuple(extra_maps) + identities
 
 
 def _chains(
@@ -347,13 +288,13 @@ def verdict(
     extra_maps: tuple[ConstantMap, ...] = (),
     extra_pool: tuple[Term, ...] = (),
 ) -> SensibilityVerdict:
-    """Polarity, then embeddings into known-sensible targets, then witness
-    search plus embeddings from known-nonsensible sources, else Unknown."""
+    """Polarity, then embeddings into targets that pass polarity, then
+    witness search plus embeddings from sources in which the probe finds a
+    witness, else Unknown."""
     if depth < 1:
         raise InvalidInput("chain depth must be >= 1")
     if fuel < 0 or inter_width < 1:
         raise InvalidInput("fuel must be nonnegative and inter_width >= 1")
-    reg = builtin_theories()
     tried: list[str] = []
 
     pol = polarity_stage(t)
@@ -365,14 +306,15 @@ def verdict(
         else "polarity: not applicable (theory not marked natural)"
     )
 
-    pool = _map_pool(reg, extra_maps)
+    pool = registered_maps() + tuple(extra_maps)
     for k in _chains(t, pool, depth, into=False):
-        known = _known(k.target, reg, KnownSensible)
-        target_evidence = known or polarity_stage(k.target)
-        if not isinstance(target_evidence, (KnownSensible, PolarityPass)):
-            tried.append(f"embedding into {k.target.name}: target not known sensible")
+        target_pol = polarity_stage(k.target)
+        if not isinstance(target_pol, PolarityPass):
+            tried.append(
+                f"embedding into {k.target.name}: target not sensible by polarity"
+            )
             continue
-        r = transfer(k, "sensible", target_evidence, inter_width)
+        r = transfer(k, "sensible", target_pol, inter_width)
         if isinstance(r, TransferCertificate):
             return Sensible(r)
         tried.append(f"embedding into {k.target.name}: {type(r).__name__}")
@@ -383,17 +325,13 @@ def verdict(
     tried.append(f"unsolvable-typing probe: NoneFound at fuel {fuel}")
 
     for k in _chains(t, pool, depth, into=True):
-        source_evidence = _known(k.source, reg, KnownNonSensible)
-        if source_evidence is None:
-            sw = probe_unsolvable_typing(k.source, fuel, inter_width)
-            if isinstance(sw, Witness):
-                source_evidence = sw
-        if source_evidence is None:
+        sw = probe_unsolvable_typing(k.source, fuel, inter_width)
+        if not isinstance(sw, Witness):
             tried.append(
-                f"embedding from {k.source.name}: source not known non-sensible"
+                f"embedding from {k.source.name}: source probe NoneFound at fuel {fuel}"
             )
             continue
-        r = transfer(k, "nonsensible", source_evidence, inter_width)
+        r = transfer(k, "nonsensible", sw, inter_width)
         if isinstance(r, TransferCertificate):
             return NonSensible(r)
         tried.append(f"embedding from {k.source.name}: {type(r).__name__}")

@@ -32,12 +32,12 @@ from ittlab.polarity import (
 )
 from ittlab.probes import CounterexampleFound, NoCounterexampleUpTo, beta_soundness_probe
 from ittlab.sensibility import (
-    KnownSensible,
     NoneFound,
     NonSensible,
     Witness,
     builtin_theories,
     evidence_summary,
+    polarity_stage,
     probe_unsolvable_typing,
     registered_maps,
     verdict,
@@ -220,9 +220,8 @@ def test_criterion_5_embedding_suite(capsys):
                 if proof is not None:
                     assert check_subproof(k.target, proof) == Valid(), key
 
-        reg = builtin_theories()
-        tcdz_fact = reg.lookup("TCDZ").status
-        assert isinstance(tcdz_fact, KnownSensible)
+        tcdz_fact = polarity_stage(spec("TCDZ"))
+        assert isinstance(tcdz_fact, PolarityPass)
         t2prime_fact = check_positive_polarity(
             completion(validate_natural(spec("T2prime")).axioms)
         )

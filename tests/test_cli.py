@@ -299,19 +299,24 @@ class TestSensibility:
         assert code == 0
         assert report["verdict"]["evidence"]["kind"] == "EmbeddingInto"
 
-    def test_embedding_from_a_registry_fact(self, capsys):
-        # at fuel 1 T2inv's own probe finds nothing; Park's status crosses
-        code, report = run_json(capsys, "sensibility", "T2inv", "--fuel", "1")
+    def test_embedding_from_a_computed_witness(self, capsys):
+        # at fuel 1 no probe finds a witness, and nothing else crosses
+        assert run(capsys, "sensibility", "T2inv", "--fuel", "1")[0] == 2
+        # at fuel 10 T2inv's own probe finds nothing; Park's witness crosses
+        code, report = run_json(capsys, "sensibility", "T2inv", "--fuel", "10")
         assert code == 1
         evidence = report["verdict"]["evidence"]
         assert evidence["kind"] == "EmbeddingFrom"
         assert evidence["source"] == "Park"
-        assert evidence["source_evidence"]["kind"] == "RegistryFact"
-        subproofs = [c for c in report["certificates"] if c["kind"] == "subproof"]
-        assert subproofs and len(subproofs) == len(report["certificates"])
+        assert evidence["source_evidence"]["kind"] == "UnsolvableTyped"
+        *subproofs, derivation = report["certificates"]
+        assert subproofs and all(c["kind"] == "subproof" for c in subproofs)
         for cert in subproofs:
             proof = parse_subproof(cert["text"])
             assert check_subproof(spec("T2inv"), proof) == Valid()
+        assert derivation["kind"] == "derivation"
+        d = parse_derivation(derivation["text"])
+        assert check_derivation(spec("Park"), d) == Valid()
 
     def test_map_into_a_user_theory_named_like_a_builtin(self, capsys, tmp_path):
         # the verdict rests on the registered T3 -> TCDZ map, so its proofs
@@ -457,9 +462,11 @@ class TestDeterminismAndErrors:
             ("check_subproof", ["subtype", "T0", "c0 -> c0 <= c1 -> c0"]),
             ("check_subproof", ["embed", "T3", "TCDZ", corpus_path("maps", "t3_to_tcdz.map")]),
             ("check_subproof", ["sensibility", "T3"]),
-            ("check_subproof", ["sensibility", "T2inv", "--fuel", "1"]),
+            ("check_subproof", ["sensibility", "T2inv", "--fuel", "10"]),
             ("check_derivation", ["infer", "T0", r"\x.x", "c1 -> c0"]),
             ("check_derivation", ["sensibility", "T4"]),
+            # the witness nested inside an EmbeddingFrom
+            ("check_derivation", ["sensibility", "T2inv", "--fuel", "10"]),
         ],
     )
     def test_certificate_failing_its_recheck_exits_4(self, capsys, monkeypatch, checker, argv):
@@ -547,6 +554,7 @@ def cli_commands() -> list[list[str]]:
         *(["polarity", n] for n in names),
         ["sensibility", "T2inv", "--fuel", "1"],
         ["sensibility", "Park", "--fuel", "1"],
+        ["sensibility", "T2inv", "--fuel", "10"],
         *(["embed", s, t, f"maps/{m}.map"] for s, t, m in _MAPS),
         ["check", "T4", "derivations/omega2omega2_c3.drv"],
         ["subtype", "T0", "c0 -> c0 <= c1 -> c0"],
@@ -580,6 +588,6 @@ def cli_fingerprints() -> dict[str, dict]:
 def test_cli_output_matches_recorded_fingerprints():
     got = cli_fingerprints()
     want = json.loads(CLI_FINGERPRINTS.read_text(encoding="utf-8"))
-    assert len(want) == 2 * len(cli_commands()) == 110
+    assert len(want) == 2 * len(cli_commands()) == 112
     for command, w in want.items():
         assert got[command] == w, f"output changed for: ittlab {command}"
