@@ -7,6 +7,16 @@ module re-exports Basis, Judgment, Derivation and check_derivation.  The
 transformations never search.  infer_bounded is the only searcher and is
 honest about its bounds: Found carries a checkable derivation,
 NotFoundWithinFuel asserts nothing.
+
+The search is tabled: a goal's answer is stored, and a goal asked again
+while it is still being searched is cut off, answering None on that path.
+A None that leaned on such a cut-off is settled as a strongly connected
+component completes (Tarjan 1972; Chen and Warren, tabled resolution, 1996):
+it is stored once every running goal it leaned on has answered None, and
+dropped, to be expanded again when asked, when one of them is Found.  The
+Nones so stored form an unfounded set, so expanding one again could only
+answer None: no refuted goal is expanded twice, and the Found derivations
+are exactly those of a search that expands such goals again (see _Search).
 """
 
 from __future__ import annotations
@@ -68,10 +78,6 @@ class _FuelOut(Exception):
     pass
 
 
-# the table entry of a goal whose search is still running
-_BUSY = object()
-
-
 class _Search:
     """One bounded search.  A goal g |- m : a is keyed by three ints: the
     search's id for g, its id for m's alpha-class, and the identity of a,
@@ -79,15 +85,41 @@ class _Search:
     member, so the relation is read by a's member id, never through
     holds).  Each basis and term object is hashed once, when the search
     first meets it, and is kept alive so that its id stays its own; a term's
-    hash is memoised on it, so an alpha-class costs one lookup."""
+    hash is memoised on it, so an alpha-class costs one lookup.
+
+    Cycles are settled by SCC completion.  While a goal runs, its table
+    entry is its depth on the search stack.  Asking a running goal is a
+    cut-off: it answers None and lowers low, the shallowest running depth
+    that a cut-off below the current goal reached.  When a goal finishes:
+
+    - Found is stored, and the Nones waiting in pending below it are
+      dropped unstored, since they may have leaned on it;
+    - a None whose own low is not above its own depth is final: it is
+      stored, and so is every None waiting in pending below it;
+    - any other None joins pending unstored and passes its low up.
+
+    This is exact.  The stored Nones form an unfounded set: each candidate
+    of each has a premise that is a stored None or another member, so none
+    of them has a derivation.  A search that never stores a None that
+    leaned on a cut-off expands such a goal again each time it is asked;
+    there it answers None and stores nothing new.  This search's expansions
+    are therefore a subsequence of that search's, every Found derivation is
+    the same, byte for byte, and an answer can differ only where that
+    search runs out of fuel, from its NotFoundWithinFuel to Found."""
 
     def __init__(self, ctx, fuel: int):
         self.ctx = ctx
         self.fuel = fuel
         self.top = ctx.idx[TOP]
-        # goal key -> its derivation, None when it has none, _BUSY while it
-        # is being searched
+        # goal key -> its derivation, None when it has none, its stack depth
+        # (an int) while it is being searched
         self.table: dict[tuple[int, int, int], object] = {}
+        # the depth of the next goal expanded; the shallowest running depth
+        # that a cut-off below the current goal reached; and the keys of the
+        # Nones that leaned on a running goal, waiting for it to finish
+        self.depth = 0
+        self.low = 0
+        self.pending: list[tuple[int, int, int]] = []
         # id(basis or term) -> the id of its class: equal bases, and
         # alpha-equal terms, share one
         self.ids: dict[int, int] = {}
@@ -129,8 +161,10 @@ class _Search:
         table = self.table
         d = table.get(key, table)
         if d is not table:
-            if d is _BUSY:
+            if d.__class__ is int:  # running: cut the cycle off
                 self.cycle_events += 1
+                if d < self.low:
+                    self.low = d
                 return None
             self.hits += 1
             return d
@@ -138,14 +172,28 @@ class _Search:
             raise _FuelOut
         self.fuel -= 1
         self.expanded += 1
-        table[key] = _BUSY  # an exception ends the whole search
-        before = self.cycle_events
+        depth, low, pending = self.depth, self.low, self.pending
+        mark = len(pending)
+        table[key] = self.low = depth  # an exception ends the whole search
+        self.depth = depth + 1
         d = self._solve(g, m, a)
-        # a None that leaned on a cut-off cycle is not stored
-        if d is not None or self.cycle_events == before:
+        self.depth = depth
+        if d is not None:
+            # the Nones waiting below may have leaned on this goal
             table[key] = d
+            del pending[mark:]
+        elif self.low >= depth:
+            # no cut-off reached above this goal: it and the Nones waiting
+            # below it are final
+            table[key] = None
+            for k in pending[mark:]:
+                table[k] = None
+            del pending[mark:]
         else:
             del table[key]
+            pending.append(key)
+            low = min(low, self.low)
+        self.low = low
         return d
 
     def _solve(self, g: Basis, m: Term, a: Ty) -> Derivation | None:

@@ -16,11 +16,12 @@ skeletons, an abstraction rebuilds only the paths that reach its binder, and
 
 Every term text is read by one reader, read_fresh_term, which fills each
 node's free variables as it builds it, from its children's, so a parsed
-term never walks itself for them.  When no binder repeats or is a free name
-of the term, the common case, the term already obeys the convention and
-freshen is not run.  freshen returns every subterm that it does not rename
-as the same object and fills the memo of every node it builds, so a parsed
-term keeps the memos of its subterms either way.
+term never walks itself for them.  It gives each binder its fresh name as it
+reads it, so a parsed term is never walked to be freshened either; it reads
+a term a second time only when a free name turns out to be a name it gave a
+binder.  freshen, for terms built by substitution, returns every subterm
+that it does not rename as the same object and fills the memo of every node
+it builds.
 """
 
 from __future__ import annotations
@@ -404,59 +405,84 @@ def read_fresh_term(tk: Tokens) -> Term:
     reader of every term text.
 
     Application associates left; an abstraction body extends as far right as
-    possible.  Each node is built with its free variables memoised.  Binders
-    keep their names when none repeats or is a free name of the term, the
-    common case, in which freshen would change nothing and is not run.
+    possible.  Each node is built with its free variables memoised.  The
+    binders are freshened as they are read, to what freshen makes of the
+    term: each binder, in reading order, which is preorder, keeps its name
+    unless the name is taken, and takes fresh_name's otherwise.  A name is
+    taken once a binder has it, or when it is a free name of the term, which
+    is known only at the end: a term whose free names meet its binders' is
+    read again, with its free names taken from the start.
     """
-    binders: list[str] = []
-    t = _read_term(tk, binders)
-    if len(set(binders)) == len(binders) and t._fv.isdisjoint(binders):
+    start = tk.pos
+    free: set[str] = set()
+    taken: set[str] = set()
+    t = _read_term(tk, (taken, {}, free))
+    if free.isdisjoint(taken):
         return t
-    return freshen(t)
+    tk.pos = start
+    return _read_term(tk, (set(free), {}, set()))
 
 
 # Each nesting level of a term costs the reader the frames it always has, a
 # term and an atom or a lambda, with a variable built by its constructor and
 # its name read by _read_name, so that input nested too deep for the
 # interpreter's stack fails at the offset where it always has (lexer.parse).
+# The reader's state is (taken, scope, free): the names taken so far, each
+# enclosing binder's name as read mapped to the name it was given, and the
+# free names met so far.
 
 
-def _read_term(tk: Tokens, binders: list[str]) -> Term:
+def _read_term(tk: Tokens, state: tuple) -> Term:
     texts = tk.texts
     if texts[tk.pos] == "\\":
-        return _read_lambda(tk, binders)
-    out = _read_atom(tk, binders)
+        return _read_lambda(tk, state)
+    out = _read_atom(tk, state)
     while (text := texts[tk.pos]) == "(" or text[:1] in IDENT_START:
-        out = _app(out, _read_atom(tk, binders))
+        out = _app(out, _read_atom(tk, state))
     if text == "\\":
-        out = _app(out, _read_lambda(tk, binders))
+        out = _app(out, _read_lambda(tk, state))
     return out
 
 
-def _read_lambda(tk: Tokens, binders: list[str]) -> Term:
+def _read_lambda(tk: Tokens, state: tuple) -> Term:
     tk.take("\\")
     names = [_read_name(tk)]
     while tk.texts[tk.pos][:1] in IDENT_START:
         names.append(_read_name(tk))
     tk.take(".")
-    body = _read_term(tk, binders)
-    binders += names
-    for b in reversed(names):
-        body = _abs(b, body)
+    taken, scope, _ = state
+    bound = []
+    for b in names:
+        new = fresh_name(b, taken)
+        taken.add(new)
+        bound.append((b, new, scope.get(b)))
+        scope[b] = new
+    body = _read_term(tk, state)
+    for b, new, outer in reversed(bound):
+        if outer is None:
+            del scope[b]
+        else:
+            scope[b] = outer
+        body = _abs(new, body)
     return body
 
 
-def _read_atom(tk: Tokens, binders: list[str]) -> Term:
+def _read_atom(tk: Tokens, state: tuple) -> Term:
     text = tk.texts[tk.pos]
     if text == "(":
         tk.take("(")
-        inner = _read_term(tk, binders)
+        inner = _read_term(tk, state)
         tk.take(")")
         return inner
     if text[:1] not in IDENT_START:
         raise ParseError("empty term", tk.at())
-    u = Var(_read_name(tk))
-    _set_fv(u, frozenset((u.name,)))
+    name = _read_name(tk)
+    given = state[1].get(name)
+    if given is None:
+        state[2].add(name)
+        given = name
+    u = Var(given)
+    _set_fv(u, frozenset((given,)))
     return u
 
 

@@ -1,4 +1,5 @@
-"""Derivation checking, bounded inference, expansion, and filters."""
+"""Derivation checking, bounded inference and its exactness against a
+search that re-expands, expansion, and filters."""
 
 import hashlib
 import json
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ittlab
-from ittlab import kernel
+from ittlab import assignment, kernel
 from ittlab.assignment import (
+    DEFAULT_FUEL,
     Basis,
     Derivation,
     Found,
@@ -39,10 +42,12 @@ from ittlab.filters import (
     filter_up,
 )
 from ittlab.subtyping import (
+    DEFAULT_WIDTH,
     Invalid,
     SubProof,
     Valid,
     build_universe,
+    context_for,
 )
 from ittlab.terms import Abs, App, Var, alpha_eq, parse_term, print_term, substitute
 from ittlab.theory import parse_theory
@@ -551,7 +556,7 @@ def _seeded_term(rng: random.Random, n: int, scope: list[str]) -> str:
     binders are v1, v2, ... by depth."""
     if n == 1:
         return rng.choice(scope)
-    if n == 2 or rng.random() < 0.35:
+    if n == 2 or not scope or rng.random() < 0.35:
         v = f"v{len(scope)}"
         return f"(\\{v}. {_seeded_term(rng, n - 1, scope + [v])})"
     k = rng.randint(1, n - 2)
@@ -722,3 +727,173 @@ def test_pickled_terms_and_bases_hash_as_fresh_ones_under_another_hash_seed():
 
     dumped = run(_DUMP, "0")
     assert run(_LOAD, "4242", dumped).split() == ["1", "2", "3"]
+
+
+# -- the settled search against the search that re-expands ----------------------
+#
+# The search stores a None that leaned on a cut-off cycle once every goal it
+# leaned on has failed.  RefSearch is the rule it replaced, which stores such
+# a None never and expands the goal again each time it is asked.  Wherever
+# the reference finishes within its fuel, the settled search must give the
+# same answer, print the same derivation and expand no more goals.
+
+_RUNNING = object()
+
+
+class RefSearch(assignment._Search):
+    """The search that re-expands every None that leaned on a cut-off."""
+
+    def goal(self, g, m, a):
+        ids = self.ids
+        gi = ids.get(id(g))
+        if gi is None:
+            gi = self._class_id(g)
+        mi = ids.get(id(m))
+        if mi is None:
+            mi = self._class_id(m)
+        key = (gi, mi, id(a))
+        table = self.table
+        d = table.get(key, table)
+        if d is not table:
+            if d is _RUNNING:
+                self.cycle_events += 1
+                return None
+            self.hits += 1
+            return d
+        if self.fuel <= 0:
+            raise assignment._FuelOut
+        self.fuel -= 1
+        self.expanded += 1
+        table[key] = _RUNNING
+        before = self.cycle_events
+        d = self._solve(g, m, a)
+        if d is not None or self.cycle_events == before:
+            table[key] = d
+        else:
+            del table[key]
+        return d
+
+
+def run_search(cls, t, g: Basis, m, target, fuel: int, width: int = DEFAULT_WIDTH):
+    """infer_bounded's search, made by cls: (the search, its derivation or
+    None, whether it ran out of fuel)."""
+    search = cls(context_for(t, (target, *g.types()), width), fuel)
+    try:
+        return search, search.goal(g, m, canonicalize(target)), False
+    except assignment._FuelOut:
+        return search, None, True
+
+
+PARITY_CONSTS = ["c0", "c1", "c2", "c3"]
+PARITY_FLAGS = ("arrow", "arrow-U", "arrow-cap", "U-leq")
+
+
+def _parity_arrow(rng: random.Random) -> str:
+    def side():
+        if rng.random() < 0.6:
+            return rng.choice(PARITY_CONSTS)
+        return f"({rng.choice(PARITY_CONSTS)} -> {rng.choice(PARITY_CONSTS)})"
+
+    return f"({side()} -> {side()})"
+
+
+def random_theory(rng: random.Random) -> str:
+    """.itt text: four constants, random flags, 1-5 axioms whose sides are
+    arrows, meets of two arrows or, now and then, a constant."""
+    lines = [
+        "constants " + " ".join(PARITY_CONSTS),
+        "flags " + " ".join(f for f in PARITY_FLAGS if rng.random() < 0.5),
+    ]
+    for _ in range(rng.randint(1, 5)):
+        sides = []
+        for _ in range(2):
+            r = rng.random()
+            if r < 0.2:
+                sides.append(rng.choice(PARITY_CONSTS))
+            elif r < 0.6:
+                sides.append(_parity_arrow(rng))
+            else:
+                sides.append(f"({_parity_arrow(rng)} & {_parity_arrow(rng)})")
+        lines.append(f"axiom {sides[0]} {rng.choice(('<=', '~'))} {sides[1]}")
+    return "\n".join(lines) + "\n"
+
+
+def parity_queries(rng: random.Random, count: int, max_fuel: int) -> list[tuple]:
+    """(theory text, basis text, term, target, fuel, width) rows, alternating
+    between a built-in theory and a random one; half the terms are closed,
+    half have x free under a basis x : A."""
+    names = builtin_theories().names()
+    corpus = resources.files("ittlab").joinpath("corpus")
+    out = []
+    for i in range(count):
+        if i % 2:
+            text = corpus.joinpath(f"{rng.choice(names)}.itt").read_text()
+        else:
+            text = random_theory(rng)
+        consts = sorted(parse_theory(text).constants)
+        scope = ["x"] if rng.random() < 0.5 else []
+        basis = f"x : {_seeded_ty(rng, consts, rng.randint(1, 3))}" if scope else ""
+        term = _seeded_term(rng, rng.randint(2, 10), scope)
+        target = _seeded_ty(rng, consts, rng.randint(1, 2))
+        out.append((text, basis, term, target, rng.randint(0, max_fuel), rng.randint(1, 2)))
+    return out
+
+
+def search_parity(row: tuple) -> str | None:
+    """How the settled search differs from RefSearch on row, or None."""
+    text, basis, term, target, fuel, width = row
+    t = parse_theory(text)
+    g = Basis.of(x=parse_ty(basis.split(":", 1)[1])) if basis else Basis()
+    m, a = parse_term(term), parse_ty(target)
+    ref, d_ref, ref_out = run_search(RefSearch, t, g, m, a, fuel, width)
+    new, d_new, new_out = run_search(assignment._Search, t, g, m, a, fuel, width)
+    if d_new is not None and check_derivation(t, d_new) != Valid():
+        return "the settled search's derivation does not check"
+    if ref_out:  # only here may the settled search find more
+        return None
+    if new_out:
+        return f"ran out of fuel, where the reference finished in {ref.expanded}"
+    if (d_ref is None) != (d_new is None) or (
+        d_ref is not None and unparse_derivation(d_ref) != unparse_derivation(d_new)
+    ):
+        return "the answers differ"
+    if new.expanded > ref.expanded:
+        return f"expanded {new.expanded} goals, the reference {ref.expanded}"
+    return None
+
+
+# A None that leaned on a cut-off must wait for the goals it leaned on:
+# storing it at once, or storing it when the goal it waited on is Found,
+# loses this Found.
+UNFOUNDED_TRAP = parse_theory(
+    "constants c1 c2 c0 c3 c4 c5; flags arrow\n"
+    "axiom ((c1 -> c1) & (c2 -> c2)) <= ((c4 -> c5) -> c3)\n"
+    "axiom ((c4 -> c5) & (c0 -> c0)) <= ((c4 -> c5) -> c3)\n"
+    "axiom (((c4 -> c5) -> c3) & (c0 -> c0)) <= (c4 -> c5)\n"
+)
+
+
+class TestSettledSearch:
+    def test_cycle_waits_for_the_goals_it_leaned_on(self):
+        m, a = parse_term(r"(\x. x) (\x. x)"), parse_ty("c3")
+        out = infer_bounded(UNFOUNDED_TRAP, Basis(), m, a)
+        assert isinstance(out, Found)
+        assert check_derivation(UNFOUNDED_TRAP, out.derivation) == Valid()
+        ref, d_ref, _ = run_search(RefSearch, UNFOUNDED_TRAP, Basis(), m, a, DEFAULT_FUEL)
+        assert unparse_derivation(d_ref) == unparse_derivation(out.derivation)
+
+    def test_matches_the_search_that_re_expands(self):
+        rows = parity_queries(random.Random("settled-search"), 400, 200)
+        diffs = [(row, why) for row in rows if (why := search_parity(row))]
+        assert not diffs, diffs[:3]
+
+    def test_tcdz_does_not_expand_a_refuted_goal_again(self):
+        # c3 ~ c4 -> c3 sends the abstraction's pair fallback back to goals
+        # already refuted; the reference expands them again each time
+        t = builtin_theories().lookup("TCDZ").spec
+        m = parse_term(r"\x0. \x1. \x2. (\x3. \x4. \x5. \x6. \x7. \x8. x5 (\x9. x2)) ((\x3. x0) x1)")
+        a = parse_ty("c3")
+        ref, d_ref, ref_out = run_search(RefSearch, t, Basis(), m, a, DEFAULT_FUEL)
+        new, d_new, new_out = run_search(assignment._Search, t, Basis(), m, a, DEFAULT_FUEL)
+        assert d_ref is d_new is None and not ref_out and not new_out
+        assert new.expanded * 10 < ref.expanded

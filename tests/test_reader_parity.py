@@ -448,6 +448,21 @@ def test_term_reader_renames_as_the_reference_does(t, free):
     assert_same("derivation", f"(Ax ( |- {text} : c0))")
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        (r"(\x. \x. x) x_1", r"(\x x_2.x_2) x_1"),
+        (r"\x. \x. x_1", r"\x x_2.x_1"),  # x_1 would be captured
+        (r"\x. \x. x x_1", r"\x x_2.x_2 x_1"),
+    ],
+)
+def test_a_free_name_read_after_the_binders_renames_as_the_reference_does(text, printed):
+    # the reader meets the free name x_1 only after it has given that name
+    # to the inner x, so it reads the term again with x_1 taken
+    assert_same("term", text)
+    assert print_term(parse_term(text)) == printed
+
+
 # a certificate nests one reader call per node, a term or a type two or more
 # per level, so certificates nest twice as deep
 DEEP = 600
