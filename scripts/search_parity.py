@@ -4,11 +4,12 @@
 The search stores a None that leaned on a cut-off cycle once the goals it
 leaned on have failed; tests/test_assignment.py keeps the rule it replaced,
 RefSearch, which expands such a goal again each time it is asked.  This runs
-the comparison of TestSettledSearch as a long seeded sweep: built-in and
-random theories, closed and open terms, fuel 0-5000, widths 1-2.  Wherever
-the reference finishes within its fuel, the two must give the same answer
-and print the same derivation, and the search may expand no more goals;
-where the reference runs out, a Found must still check.
+the comparison of TestSettledSearch as a long seeded sweep: built-in
+theories, random ones, and random ones of the shape where a None waits on a
+goal that is later Found; closed and open terms, fuel 0-5000, widths 1-2.
+Wherever the reference finishes within its fuel, the two must give the
+same answer and print the same derivation, and the search may expand no
+more goals; where the reference runs out, a Found must still check.
 
     PYTHONPATH=src python3 scripts/search_parity.py --seed 1 --count 2000
 

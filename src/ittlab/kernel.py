@@ -14,7 +14,7 @@ compare by alpha-equivalence, types modulo canonical form.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Callable
@@ -23,44 +23,6 @@ from .errors import InvalidInput
 from .terms import Abs, App, Term, Var
 from .theory import RuleFlag, TheorySpec
 from .types import TOP, Arrow, Inter, Ty, canonicalize, inter_parts, make_inter
-
-
-# -- records ----------------------------------------------------------------------
-
-
-class _Record:
-    """What a frozen dataclass gives the certificate records, for the price
-    of a slotted class.  A constructor writes each field once through its
-    slot descriptor; repr, ==, hash, copy and pickle read the fields in
-    __match_args__ order, as a dataclass's would; assignment and deletion
-    raise FrozenInstanceError."""
-
-    __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__match_args__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # -- verdicts and the one certificate walk ------------------------------------
@@ -111,9 +73,16 @@ def check_tree(
 
 # -- subtyping certificates ----------------------------------------------------
 
+# The four certificate records are frozen slotted dataclasses with their own
+# constructors: each writes its fields once through their slot descriptors,
+# past the frozen __setattr__ that a generated __init__ would go through.
 
-class SubProof(_Record):
-    __slots__ = __match_args__ = ("rule", "conclusion", "premises")
+
+@dataclass(frozen=True, slots=True, init=False)
+class SubProof:
+    rule: str
+    conclusion: tuple[Ty, Ty]
+    premises: tuple[SubProof, ...]
 
     def __init__(
         self, rule: str, conclusion: tuple[Ty, Ty], premises: tuple["SubProof", ...] = ()
@@ -241,13 +210,14 @@ def check_subproof(
 # -- typing derivations -------------------------------------------------------
 
 
-class Basis(_Record):
+@dataclass(frozen=True, slots=True, init=False)
+class Basis:
     """Finite map from variables to canonical types, at most one binding each.
 
     The constructor validates and normalises its bindings; extend builds
     through _sorted, since it keeps them sorted, canonical and bound once."""
 
-    __slots__ = __match_args__ = ("bindings",)
+    bindings: tuple[tuple[str, Ty], ...]
 
     def __init__(self, bindings: tuple[tuple[str, Ty], ...] = ()):
         seen = set()
@@ -256,14 +226,6 @@ class Basis(_Record):
                 raise InvalidInput(f"variable {x!r} bound twice in basis")
             seen.add(x)
         _set_bindings(self, tuple(sorted((x, canonicalize(a)) for x, a in bindings)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Basis:
-            return NotImplemented
-        return self.bindings == other.bindings
-
-    def __hash__(self) -> int:
-        return hash((self.bindings,))
 
     @staticmethod
     def _sorted(bindings: tuple[tuple[str, Ty], ...]) -> "Basis":
@@ -309,8 +271,11 @@ def _bind(bindings: tuple[tuple[str, Ty], ...], x: str, a: Ty) -> tuple:
     return (*bindings[:i], (x, a), *bindings[i:])
 
 
-class Judgment(_Record):
-    __slots__ = __match_args__ = ("basis", "term", "ty")
+@dataclass(frozen=True, slots=True, init=False)
+class Judgment:
+    basis: Basis
+    term: Term
+    ty: Ty
 
     def __init__(self, basis: Basis, term: Term, ty: Ty):
         _set_basis(self, basis)
@@ -318,12 +283,16 @@ class Judgment(_Record):
         _set_ty(self, ty)
 
 
-class Derivation(_Record):
-    __slots__ = __match_args__ = ("rule", "conclusion", "children", "sub")
+@dataclass(frozen=True, slots=True, init=False)
+class Derivation:
+    rule: str  # Ax | TopU | ArrI | ArrE | CapI | Le
+    conclusion: Judgment
+    children: tuple[Derivation, ...]
+    sub: SubProof | None
 
     def __init__(
         self,
-        rule: str,  # Ax | TopU | ArrI | ArrE | CapI | Le
+        rule: str,
         conclusion: Judgment,
         children: tuple["Derivation", ...] = (),
         sub: SubProof | None = None,

@@ -190,8 +190,9 @@ def decorate_class(
 ) -> Decoration | NoDecoration:
     """Two-colour the class so signs agree with its axioms.
 
-    Domain position forces the opposite sign, codomain and & positions force
-    the same; solved and self-defined constants take ± and constrain nothing.
+    Each signed_graph edge between two constants of the class that are
+    neither solved nor self-defined forces their signs apart (-) or together
+    (+); solved and self-defined constants take ± and constrain nothing.
     Components are seeded + at their least constant.
     """
     _check_complete(axioms)
@@ -211,16 +212,8 @@ def decorate_class(
 
     active = sorted(c for c in cls if c not in flexible)
     same: dict[str, set[tuple[str, str]]] = {c: set() for c in active}
-    for c in active:
-        rhs = axioms[c]
-        pairs = []
-        if isinstance(rhs, ArrowC):
-            pairs = [(rhs.dom, MINUS), (rhs.cod, PLUS)]
-        elif isinstance(rhs, InterC):
-            pairs = [(rhs.left, PLUS), (rhs.right, PLUS)]
-        for d, rel in pairs:
-            if d in flexible:
-                continue
+    for c, d, rel in signed_graph(axioms).edges:
+        if c in same and d in same:
             same[c].add((d, rel))
             same[d].add((c, rel))
 

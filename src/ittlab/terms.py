@@ -330,14 +330,22 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def _all_names(t: Term) -> set[str]:
-    match t:
-        case Var(name):
-            return {name}
-        case Abs(binder, body):
-            return {binder} | _all_names(body)
-        case App(fun, arg):
-            return _all_names(fun) | _all_names(arg)
-    raise TypeError(f"not a term: {t!r}")
+    """Every name in t, free or bound."""
+    names: set[str] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Var:
+            names.add(u.name)
+        elif type(u) is Abs:
+            names.add(u.binder)
+            stack.append(u.body)
+        elif type(u) is App:
+            stack.append(u.arg)
+            stack.append(u.fun)
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return names
 
 
 _SUFFIX = re.compile(r"_\d+$")
@@ -500,69 +508,86 @@ def parse_term(src: str) -> Term:
 
 
 def print_term(t: Term) -> str:
-    """Minimal-parenthesis printer; inverse of parse_term up to alpha."""
-    match t:
-        case Var(name):
-            return name
-        case Abs(_, _):
+    """Minimal-parenthesis printer; inverse of parse_term up to alpha.
+
+    Walks an explicit stack of terms and of text to emit as it is, so that
+    no depth of term can exhaust the interpreter's."""
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is str:
+            out.append(u)
+        elif type(u) is Var:
+            out.append(u.name)
+        elif type(u) is Abs:
             binders = []
-            body = t
-            while isinstance(body, Abs):
-                binders.append(body.binder)
-                body = body.body
-            return f"\\{' '.join(binders)}.{print_term(body)}"
-        case App(_, _):
-            # walk the application spine iteratively, as classify_shape does,
-            # so a long head-reduction trace cannot exhaust the stack
-            args: list[Term] = []
-            while isinstance(t, App):
-                args.append(t.arg)
-                t = t.fun
-            parts = [f"({print_term(t)})" if isinstance(t, Abs) else print_term(t)]
-            for a in reversed(args):
-                text = print_term(a)
-                parts.append(f"({text})" if isinstance(a, (App, Abs)) else text)
-            return " ".join(parts)
-    raise TypeError(f"not a term: {t!r}")
+            while type(u) is Abs:
+                binders.append(u.binder)
+                u = u.body
+            out.append(f"\\{' '.join(binders)}.")
+            todo.append(u)
+        elif type(u) is App:
+            # the spine's arguments, last first, each after a space and
+            # parenthesised unless a variable; then its head
+            while type(u) is App:
+                a = u.arg
+                todo += (a, " ") if type(a) is Var else (")", a, " (")
+                u = u.fun
+            todo += (")", u, "(") if type(u) is Abs else (u,)
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return "".join(out)
 
 
 def substitute(m: Term, x: str, n: Term) -> Term:
-    """Capture-avoiding M[x:=N]."""
+    """Capture-avoiding M[x:=N].
+
+    Walks an explicit stack, function before argument, as freshen does.  sub
+    maps each name to what its free occurrences become: x to n, and each
+    binder renamed on the way down, because n goes below it with its name
+    free, to a name of neither m nor n nor an earlier rename, which captures
+    nothing.  Subterms where no name of sub is free are kept as they are,
+    and every node built has its free variables memoised.  An entry
+    (_BUILD, new) builds an abstraction with binder new from the last
+    result or, with new None, an application from the last two.
+    """
     if x not in free_vars(m):
         return m
-    avoid = _all_names(m) | _all_names(n)
-
-    def go(t: Term) -> Term:
-        if x not in free_vars(t):
-            return t
-        match t:
-            case Var(_):
-                return n
-            case Abs(binder, body):
-                if binder in free_vars(n):
-                    new = fresh_name(binder, avoid)
-                    avoid.add(new)
-                    body = _rename_free(body, binder, new)
-                    return Abs(new, go(body))
-                return Abs(binder, go(body))
-            case App(fun, arg):
-                return App(go(fun), go(arg))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(m)
-
-
-def _rename_free(t: Term, old: str, new: str) -> Term:
-    if old not in free_vars(t):
-        return t
-    match t:
-        case Var(_):
-            return Var(new)
-        case Abs(binder, body):
-            return Abs(binder, _rename_free(body, old, new))
-        case App(fun, arg):
-            return App(_rename_free(fun, old, new), _rename_free(arg, old, new))
-    raise TypeError(f"not a term: {t!r}")
+    # free_vars(m) has filled the memo of every subterm of m
+    n_free = free_vars(n)
+    avoid: set[str] | None = None
+    done: list[Term] = []
+    todo: list[tuple] = [(m, {x: n})]
+    while todo:
+        u, sub = todo.pop()
+        if u is _BUILD:
+            if sub is None:
+                arg = done.pop()
+                done.append(_app(done.pop(), arg))
+            else:
+                done.append(_abs(sub, done.pop()))
+        elif u._fv.isdisjoint(sub):
+            done.append(u)
+        elif type(u) is Var:
+            done.append(sub[u.name])
+        elif type(u) is Abs:
+            new = b = u.binder
+            if b in n_free and x in sub and x in u._fv:
+                if avoid is None:
+                    avoid = _all_names(m) | _all_names(n)
+                new = fresh_name(b, avoid)
+                avoid.add(new)
+                sub = {**sub, b: _var(new)}
+            elif b in sub:
+                sub = {k: v for k, v in sub.items() if k != b}
+            todo.append((_BUILD, new))
+            todo.append((u.body, sub))
+        else:
+            todo.append((_BUILD, None))
+            todo.append((u.arg, sub))
+            todo.append((u.fun, sub))
+    return done[0]
 
 
 @dataclass(frozen=True)

@@ -241,9 +241,6 @@ class CharacteristicSet:
     fresh_defs: dict[str, Ty] = field(default_factory=dict)
     aliases: dict[str, str] = field(default_factory=dict)
 
-    def constants(self) -> tuple[str, ...]:
-        return tuple(sorted(self.axioms))
-
 
 def validate_natural(t: TheorySpec) -> CharacteristicSet:
     """Rewrite a natural theory into restricted characteristic form.

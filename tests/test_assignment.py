@@ -797,35 +797,70 @@ def _parity_arrow(rng: random.Random) -> str:
     return f"({side()} -> {side()})"
 
 
-def random_theory(rng: random.Random) -> str:
-    """.itt text: four constants, random flags, 1-5 axioms whose sides are
-    arrows, meets of two arrows or, now and then, a constant."""
+def _random_axiom(rng: random.Random) -> str:
+    sides = []
+    for _ in range(2):
+        r = rng.random()
+        if r < 0.2:
+            sides.append(rng.choice(PARITY_CONSTS))
+        elif r < 0.6:
+            sides.append(_parity_arrow(rng))
+        else:
+            sides.append(f"({_parity_arrow(rng)} & {_parity_arrow(rng)})")
+    return f"{sides[0]} {rng.choice(('<=', '~'))} {sides[1]}"
+
+
+def random_theory(rng: random.Random, axioms: list[str] | None = None) -> str:
+    """.itt text: four constants, random flags, and the given axioms or
+    else 1-5 random ones, whose sides are arrows, meets of two arrows or,
+    now and then, a constant."""
+    if axioms is None:
+        axioms = [_random_axiom(rng) for _ in range(rng.randint(1, 5))]
     lines = [
         "constants " + " ".join(PARITY_CONSTS),
         "flags " + " ".join(f for f in PARITY_FLAGS if rng.random() < 0.5),
+        *(f"axiom {ax}" for ax in axioms),
     ]
-    for _ in range(rng.randint(1, 5)):
-        sides = []
-        for _ in range(2):
-            r = rng.random()
-            if r < 0.2:
-                sides.append(rng.choice(PARITY_CONSTS))
-            elif r < 0.6:
-                sides.append(_parity_arrow(rng))
-            else:
-                sides.append(f"({_parity_arrow(rng)} & {_parity_arrow(rng)})")
-        lines.append(f"axiom {sides[0]} {rng.choice(('<=', '~'))} {sides[1]}")
     return "\n".join(lines) + "\n"
 
 
+def trap_axioms(rng: random.Random) -> tuple[list[str], str]:
+    """UNFOUNDED_TRAP's shape over random constants, and its C: the arrow
+    T = (A -> B) -> C lies above a meet of two identity arrows and above a
+    meet of U = A -> B with a third, and U lies above T met with that third.
+    Typing (\\x. x) (\\x. x) : C tries \\x. x : T through U first, and U
+    leans on T while T runs; T is then Found through the identities, so
+    U's None must wait for T and not be stored."""
+    a, b = rng.sample(PARITY_CONSTS, 2)
+    c = rng.choice([k for k in PARITY_CONSTS if k != b])
+    p, q, r = (f"({k} -> {k})" for k in rng.sample(PARITY_CONSTS, 3))
+    u = f"({a} -> {b})"
+    t = f"({u} -> {c})"
+    return [f"({p} & {q}) <= {t}", f"({u} & {r}) <= {t}", f"({t} & {r}) <= {u}"], c
+
+
 def parity_queries(rng: random.Random, count: int, max_fuel: int) -> list[tuple]:
-    """(theory text, basis text, term, target, fuel, width) rows, alternating
-    between a built-in theory and a random one; half the terms are closed,
-    half have x free under a basis x : A."""
+    """(theory text, basis text, term, target, fuel, width) rows.  Half are
+    on a built-in theory, a quarter on a random one, and a quarter on the
+    trap's shape with 0-2 random axioms, typing (\\x. x) (\\x. x) at its C,
+    bare or under an abstraction.  Elsewhere half the terms are closed, half
+    have x free under a basis x : A."""
     names = builtin_theories().names()
     corpus = resources.files("ittlab").joinpath("corpus")
     out = []
     for i in range(count):
+        fuel_width = (rng.randint(0, max_fuel), rng.randint(1, 2))
+        if i % 4 == 2:
+            axioms, c = trap_axioms(rng)
+            axioms += [_random_axiom(rng) for _ in range(rng.randint(0, 2))]
+            rng.shuffle(axioms)
+            text = random_theory(rng, axioms)
+            if rng.random() < 0.5:
+                term, target = r"(\v0. v0) (\v0. v0)", c
+            else:
+                term, target = r"\v0. (\v1. v1) (\v1. v1)", f"({rng.choice(PARITY_CONSTS)} -> {c})"
+            out.append((text, "", term, target, *fuel_width))
+            continue
         if i % 2:
             text = corpus.joinpath(f"{rng.choice(names)}.itt").read_text()
         else:
@@ -835,7 +870,7 @@ def parity_queries(rng: random.Random, count: int, max_fuel: int) -> list[tuple]
         basis = f"x : {_seeded_ty(rng, consts, rng.randint(1, 3))}" if scope else ""
         term = _seeded_term(rng, rng.randint(2, 10), scope)
         target = _seeded_ty(rng, consts, rng.randint(1, 2))
-        out.append((text, basis, term, target, rng.randint(0, max_fuel), rng.randint(1, 2)))
+        out.append((text, basis, term, target, *fuel_width))
     return out
 
 

@@ -95,6 +95,17 @@ class TestReduce:
         assert parse_term(last) == head_reduce(parse_term(term), 1500).last
         assert main(["reduce", last, "--fuel", "1"]) == 2
 
+    def test_deep_reduct_is_inconclusive_not_a_usage_error(self, capsys):
+        # every two steps nest the argument one f deeper: substituting and
+        # printing it must not exhaust the interpreter's stack
+        term = r"(\x. \y. x x (f y)) (\x. \y. x x (f y)) q"
+        code, report = run_json(capsys, "reduce", term, "--fuel", "3000")
+        assert code == 2
+        assert report["verdict"]["result"] == "FuelExhausted"
+        assert report["verdict"]["steps"] == 3000
+        # 1,500 around q, and one in each copy of the function
+        assert report["verdict"]["last"].count("(f ") == 1502
+
 
 class TestSubtype:
     def test_proven_with_revalidating_certificate(self, capsys):

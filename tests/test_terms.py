@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ittlab.errors import ParseError
 from ittlab.terms import (
@@ -13,6 +13,7 @@ from ittlab.terms import (
     _same,
     alpha_eq,
     classify_shape,
+    fresh_name,
     free_vars,
     freshen,
     head_reduce,
@@ -291,6 +292,113 @@ def test_substitute_free_variable_equation(m, x, n):
 def test_substitute_respects_alpha(m, x, n):
     m2 = parse_term(print_term(m))  # alpha-variant with freshened binders
     assert alpha_eq(substitute(m, x, n), substitute(m2, x, n))
+
+
+def reference_names(t):
+    match t:
+        case Var(name):
+            return {name}
+        case Abs(binder, body):
+            return {binder} | reference_names(body)
+        case App(fun, arg):
+            return reference_names(fun) | reference_names(arg)
+
+
+def reference_rename_free(t, old, new):
+    if old not in free_vars(t):
+        return t
+    match t:
+        case Var(_):
+            return Var(new)
+        case Abs(binder, body):
+            return Abs(binder, reference_rename_free(body, old, new))
+        case App(fun, arg):
+            return App(reference_rename_free(fun, old, new), reference_rename_free(arg, old, new))
+
+
+def reference_substitute(m, x, n):
+    """Capture-avoiding M[x:=N] by a plain recursive walk: the binders that
+    capture a free name of N are renamed in preorder, function before
+    argument, each to the first fresh_name outside every name of M and N
+    and every name given before, its body renamed before it is walked."""
+    if x not in free_vars(m):
+        return m
+    avoid = reference_names(m) | reference_names(n)
+
+    def go(t):
+        if x not in free_vars(t):
+            return t
+        match t:
+            case Var(_):
+                return n
+            case Abs(binder, body):
+                if binder in free_vars(n):
+                    new = fresh_name(binder, avoid)
+                    avoid.add(new)
+                    return Abs(new, go(reference_rename_free(body, binder, new)))
+                return Abs(binder, go(body))
+            case App(fun, arg):
+                return App(go(fun), go(arg))
+
+    return go(m)
+
+
+def ap(*ts):
+    out = ts[0]
+    for t in ts[1:]:
+        out = App(out, t)
+    return out
+
+
+X, Y, Y1 = Var("x"), Var("y"), Var("y_1")
+
+
+# built by the constructors, so binders may shadow and meet free names
+@pytest.mark.parametrize(
+    "m, n, text",
+    [
+        (Abs("y", ap(X, Y)), Y, r"\y_1.y y_1"),
+        (Abs("y", Abs("y", ap(X, Y))), Y, r"\y_1 y_2.y y_2"),
+        (Abs("y", ap(X, Y1)), ap(Y, Y1), r"\y_2.y y_1 y_1"),
+        (ap(Abs("y", ap(X, Y)), Abs("y", ap(X, Y))), Y, r"(\y_1.y y_1) (\y_2.y y_2)"),
+        (Abs("y", ap(Y, Abs("y", ap(X, Y)))), Y, r"\y_1.y_1 (\y_2.y y_2)"),
+        (Abs("y", ap(X, Abs("y", ap(X, Y)), Y)), Y, r"\y_1.y (\y_2.y y_2) y_1"),
+        (Abs("y_1", Abs("y", ap(X, Y, Y1))), ap(Y, Y1), r"\y_2 y_3.y y_1 y_3 y_2"),
+        (Abs("y", Abs("x", ap(X, Y))), Y, r"\y x.x y"),
+        (ap(X, Abs("x", X)), Y, r"y (\x.x)"),
+    ],
+)
+def test_substitute_renames_capturing_binders_as_the_reference(m, n, text):
+    out = substitute(m, "x", n)
+    assert print_term(out) == text
+    assert repr(out) == repr(reference_substitute(m, "x", n))
+
+
+# over three names, so that binders often capture a free name of n
+few_names = st.sampled_from(["x", "y", "z"])
+crowded_terms = st.recursive(
+    st.builds(Var, few_names),
+    lambda sub: st.one_of(st.builds(Abs, few_names, sub), st.builds(App, sub, sub)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(crowded_terms, few_names, crowded_terms)
+def test_substitute_matches_the_recursive_reference(m, x, n):
+    # the same term by name, not only up to alpha: every fresh name agrees
+    assert repr(substitute(m, x, n)) == repr(reference_substitute(m, x, n))
+
+
+def test_deep_argument_substitutes_and_prints_without_recursion():
+    m = Var("x")
+    for _ in range(20_000):
+        m = App(Var("f"), m)
+    out = substitute(Abs("y", App(Var("z"), m)), "z", Var("y"))
+    assert isinstance(out, Abs) and out.binder == "y_1"
+    text = print_term(out)
+    assert text.startswith("\\y_1.y (f (f (f ") and text.count("(") == 20_000
+    assert free_vars(substitute(m, "x", Var("y"))) == {"f", "y"}
 
 
 # -- shapes and head reduction -----------------------------------------------
