@@ -27,7 +27,7 @@ from .embedding import (
     verify_embedding,
 )
 from .errors import IttError, ParseError, UndeclaredConstant, UniverseTooLarge
-from .kernel import Valid, check_derivation, check_subproof
+from .kernel import Derivation, SubProof, Valid, check_derivation, check_subproof
 from .lexer import Tokens, parse, statements
 from .polarity import (
     PolarityPass,
@@ -117,16 +117,15 @@ class _CertificateFailed(Exception):
     """A certificate the engine produced does not re-check: an internal error."""
 
 
-def _subproof_cert(t: TheorySpec, proof) -> dict:
-    if not isinstance(check_subproof(t, proof), Valid):
+def _certificate(t: TheorySpec, node: SubProof | Derivation) -> dict:
+    """The report entry of a subproof or derivation about t, once it re-checks."""
+    if isinstance(node, SubProof):
+        kind, check, unparse = "subproof", check_subproof, unparse_subproof
+    else:
+        kind, check, unparse = "derivation", check_derivation, unparse_derivation
+    if not isinstance(check(t, node), Valid):
         raise _CertificateFailed
-    return {"kind": "subproof", "text": unparse_subproof(proof)}
-
-
-def _derivation_cert(t: TheorySpec, d) -> dict:
-    if not isinstance(check_derivation(t, d), Valid):
-        raise _CertificateFailed
-    return {"kind": "derivation", "text": unparse_derivation(d)}
+    return {"kind": kind, "text": unparse(node)}
 
 
 # -- command handlers ------------------------------------------------------------
@@ -182,7 +181,7 @@ def _cmd_subtype(args, inputs: _Inputs) -> _Result:
     v = derive_le(t, a, b, args.width)
     if isinstance(v, Proven):
         payload = {"result": "Proven", "lhs": print_ty(a), "rhs": print_ty(b)}
-        certs = [_subproof_cert(t, v.proof)]
+        certs = [_certificate(t, v.proof)]
         lines = [f"Proven: {print_ty(a)} <= {print_ty(b)}", certs[0]["text"]]
         return payload, certs, 0, lines
     payload = {
@@ -223,7 +222,7 @@ def _cmd_infer(args, inputs: _Inputs) -> _Result:
     _check_declared(t, [a] + [ty for _, ty in g.bindings])
     r = infer_bounded(t, g, m, a, args.fuel, args.width)
     if isinstance(r, Found):
-        certs = [_derivation_cert(t, r.derivation)]
+        certs = [_certificate(t, r.derivation)]
         lines = [f"Found: {print_term(m)} : {print_ty(a)}", certs[0]["text"]]
         return {"result": "Found"}, certs, 0, lines
     payload = {"result": "NotFoundWithinFuel", "fuel": r.fuel}
@@ -293,7 +292,7 @@ def _cmd_embed(args, inputs: _Inputs) -> _Result:
                 for desc, proof in v.checks
             ],
         }
-        certs = [_subproof_cert(tgt, p) for _, p in v.checks if p is not None]
+        certs = [_certificate(tgt, p) for _, p in v.checks if p is not None]
         lines = [f"Verified: {src.name} embeds into {tgt.name}"]
         lines += [f"  {c['obligation']}" for c in payload["checks"]]
         return payload, certs, 0, lines
@@ -318,11 +317,7 @@ def _evidence_json(
         return {"kind": "PolarityPass", "caveats": list(e.caveats)}, []
     if isinstance(e, TransferCertificate):
         k = e.map
-        certs = [
-            _subproof_cert(k.target, proof)
-            for _, proof in e.embedding.checks
-            if proof is not None
-        ]
+        certs = [_certificate(k.target, p) for _, p in e.embedding.checks if p is not None]
         if e.kind == "sensible":
             kind, side, other = "EmbeddingInto", "target", k.target
         else:
@@ -340,7 +335,7 @@ def _evidence_json(
             "last": print_term(e.head_trace.last),
         },
     }
-    return payload, [_derivation_cert(about, e.derivation)]
+    return payload, [_certificate(about, e.derivation)]
 
 
 def _cmd_sensibility(args, inputs: _Inputs) -> _Result:

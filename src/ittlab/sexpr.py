@@ -42,83 +42,86 @@ def parse_basis(raw: str) -> Basis:
     return parse(Tokens(raw), _read_basis, "basis")
 
 
-def _read_node(tk: Tokens, read_rest):
-    """Read `(rule`, then what read_rest(tk, rule) makes of the rest."""
+def _read_certificate(tk: Tokens, derivation: bool) -> SubProof | Derivation:
+    """Read a derivation, or a subproof if derivation is false, off tk, with
+    the open nodes on an explicit stack as (rule, conclusion, children).  In
+    a derivation node, a child headed by a derivation rule is a derivation,
+    any other is the node's subproof and must come last, and every node
+    below a subproof is a subproof."""
     tk.take("(")
-    return read_rest(tk, tk.word())
-
-
-def _read_subproof(tk: Tokens, rule: str) -> SubProof:
-    tk.take("(")
-    lo, hi = read_le(tk)
-    tk.take(")")
-    premises = []
-    while tk.peek() == "(":
-        tk.take("(")
-        premises.append(_read_subproof(tk, tk.word()))
-    tk.take(")")
-    return SubProof(rule, (lo, hi), tuple(premises))
-
-
-def _read_derivation(tk: Tokens, rule: str) -> Derivation:
-    if rule not in _DERIVATION_RULES:
+    rule = tk.word()
+    if derivation and rule not in _DERIVATION_RULES:
         raise ParseError(f"unknown derivation rule {rule!r}", tk.at())
-    tk.take("(")
-    basis = _read_basis(tk)
-    tk.take("|-")
-    term = read_fresh_term(tk)
-    tk.take(":")
-    conclusion = Judgment(basis, term, read_ty(tk))
-    tk.take(")")
-    children = []
-    sub = None
-    while tk.peek() == "(":
+    stack: list[tuple[str, object, list]] = []
+    while True:
+        tk.take("(")
+        if derivation:
+            basis = _read_basis(tk)
+            tk.take("|-")
+            term = read_fresh_term(tk)
+            tk.take(":")
+            conclusion = Judgment(basis, term, read_ty(tk))
+        else:
+            conclusion = read_le(tk)
+        tk.take(")")
+        stack.append((rule, conclusion, []))
+        while tk.peek() != "(":  # close nodes until one has another child
+            tk.take(")")
+            rule, conclusion, kids = stack.pop()
+            if isinstance(conclusion, tuple):
+                node = SubProof(rule, conclusion, tuple(kids))
+            else:
+                sub = kids.pop() if kids and isinstance(kids[-1], SubProof) else None
+                node = Derivation(rule, conclusion, tuple(kids), sub)
+            if not stack:
+                return node
+            stack[-1][2].append(node)
         tk.take("(")
         at = tk.at()
-        head = tk.word()
-        if sub is not None:
+        rule = tk.word()
+        _, parent, kids = stack[-1]
+        if isinstance(parent, Judgment) and kids and isinstance(kids[-1], SubProof):
             raise ParseError("a node's subproof must come last", at)
-        if head in _DERIVATION_RULES:
-            children.append(_read_derivation(tk, head))
-        else:
-            sub = _read_subproof(tk, head)
-    tk.take(")")
-    return Derivation(rule, conclusion, tuple(children), sub)
+        derivation = isinstance(parent, Judgment) and rule in _DERIVATION_RULES
 
 
 def parse_subproof(text: str) -> SubProof:
-    return parse(Tokens(text), lambda tk: _read_node(tk, _read_subproof), "subproof")
+    return parse(Tokens(text), lambda tk: _read_certificate(tk, False), "subproof")
 
 
 def parse_derivation(text: str) -> Derivation:
-    return parse(Tokens(text), lambda tk: _read_node(tk, _read_derivation), "derivation")
+    return parse(Tokens(text), lambda tk: _read_certificate(tk, True), "derivation")
 
 
 def _unparse_basis(g: Basis) -> str:
     return ", ".join(f"{x}:{print_ty(a)}" for x, a in g.bindings)
 
 
-def unparse_subproof(p: SubProof, indent: int = 0) -> str:
-    pad = "  " * indent
-    lo, hi = p.conclusion
-    head = f"{pad}({p.rule} ({print_ty(lo)} <= {print_ty(hi)})"
-    if not p.premises:
-        return head + ")"
-    body = "\n".join(unparse_subproof(q, indent + 1) for q in p.premises)
-    return f"{head}\n{body})"
+def _unparse(node: SubProof | Derivation) -> str:
+    """A certificate's text, on an explicit stack: each node on a line of its
+    own, two spaces deeper than its parent, a subproof after its siblings."""
+    out: list[str] = []
+    stack: list[tuple] = [(node, "")]
+    while stack:
+        node, pad = stack.pop()
+        if node is None:  # a node's children are done
+            out.append(")")
+            continue
+        if isinstance(node, SubProof):
+            lo, hi = node.conclusion
+            judgment, kids = f"{print_ty(lo)} <= {print_ty(hi)}", node.premises
+        else:
+            c = node.conclusion
+            judgment = f"{_unparse_basis(c.basis)} |- {print_term(c.term)} : {print_ty(c.ty)}"
+            kids = node.children if node.sub is None else (*node.children, node.sub)
+        out.append(f"{pad}({node.rule} ({judgment})")
+        stack.append((None, ""))
+        stack.extend((kid, (pad or "\n") + "  ") for kid in reversed(kids))
+    return "".join(out)
 
 
-def unparse_derivation(d: Derivation, indent: int = 0) -> str:
-    pad = "  " * indent
-    c = d.conclusion
-    judg = f"{_unparse_basis(c.basis)} |- {print_term(c.term)} : {print_ty(c.ty)}"
-    head = f"{pad}({d.rule} ({judg})"
-    parts = [unparse_derivation(ch, indent + 1) for ch in d.children]
-    if d.sub is not None:
-        parts.append(unparse_subproof(d.sub, indent + 1))
-    if not parts:
-        return head + ")"
-    return head + "\n" + "\n".join(parts) + ")"
+# the one printer, under the name of each kind of certificate
+unparse_subproof = unparse_derivation = _unparse
 
 
 def _read_map_line(tk: Tokens) -> tuple[str, Ty]:

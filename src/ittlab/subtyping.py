@@ -678,15 +678,9 @@ def derive_le(
 def derive_equiv(
     t: TheorySpec, a: Ty, b: Ty, inter_width: int = DEFAULT_WIDTH
 ) -> tuple[SubtypeVerdict, SubtypeVerdict]:
-    """Both directions over one shared universe."""
-    ctx = context_for(t, (a, b), inter_width)
-    out = []
-    for lo, hi in ((a, b), (b, a)):
-        if ctx.holds(lo, hi):
-            out.append(Proven(ctx.proof(lo, hi)))
-        else:
-            out.append(UnknownWithin(len(ctx.members), inter_width))
-    return out[0], out[1]
+    """Both directions over one shared universe: both seed the same canonical
+    set, so context_for gives the second query the first one's context."""
+    return derive_le(t, a, b, inter_width), derive_le(t, b, a, inter_width)
 
 
 def is_top_equiv(

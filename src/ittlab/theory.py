@@ -276,24 +276,17 @@ def validate_natural(t: TheorySpec) -> CharacteristicSet:
                 rename[c] = TOP_CONST
         if not rename:
             break
+        # A renamed constant's representative is where its chain of renamings
+        # leaves the renamed set, or the least member of the cycle it enters.
         round_aliases: dict[str, str] = {}
         for c in rename:
-            if c in round_aliases:
-                continue
-            path = [c]
-            cur = rename[c]
-            while cur in rename and cur not in path and cur not in round_aliases:
-                path.append(cur)
+            chain, cur = {c: 0}, rename[c]
+            while cur in rename and cur not in chain:
+                chain[cur] = len(chain)
                 cur = rename[cur]
-            if cur in round_aliases:
-                rep = round_aliases[cur]
-            elif cur in path:
-                rep = min(path[path.index(cur):])
-            else:
-                rep = cur
-            for x in path:
-                if x != rep:
-                    round_aliases[x] = rep
+            rep = min(list(chain)[chain[cur]:]) if cur in chain else cur
+            if rep != c:
+                round_aliases[c] = rep
         subst = {
             x: (TOP if rep == TOP_CONST else Const(rep))
             for x, rep in round_aliases.items()

@@ -19,6 +19,7 @@ from ittlab.sensibility import builtin_theories, verdict
 from ittlab.sexpr import parse_derivation, parse_subproof
 from ittlab.subtyping import Invalid, Valid, check_subproof
 from ittlab.terms import head_reduce, parse_term
+from ittlab.theory import parse_theory
 
 
 def spec(name):
@@ -145,6 +146,18 @@ class TestSubtype:
         assert code == 0
         cert = report["certificates"][0]
         assert check_subproof(spec("T0"), parse_subproof(cert["text"])) == Valid()
+
+    def test_1000_step_chain_certificate_prints_and_reads_back(self, capsys, tmp_path):
+        # the proof nests about a thousand levels; it prints and reads back
+        n = 1000
+        lines = ["theory chain", "constants " + " ".join(f"c{i}" for i in range(n + 1))]
+        lines += [f"axiom c{i} <= c{i + 1}" for i in range(n)]
+        path = tmp_path / "chain.itt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, report = run_json(capsys, "subtype", str(path), f"c0 <= c{n}", "--width", "1")
+        assert code == 0
+        proof = parse_subproof(report["certificates"][0]["text"])
+        assert check_subproof(parse_theory(path.read_text()), proof) == Valid()
 
     def test_deeply_nested_query_is_a_usage_error(self, capsys):
         query = "c0 -> " * 3000 + "c0 <= U"
@@ -594,6 +607,46 @@ def cli_fingerprints() -> dict[str, dict]:
     finally:
         os.chdir(cwd)
     return out
+
+
+def _report_theories(argv: list[str], report: dict) -> list:
+    """The theories a report names: the command's own, an embedding's
+    target, and each theory its evidence crossed to."""
+    names = [argv[2] if argv[0] == "embed" else argv[1]]
+    stack = [report["verdict"]]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            names += [value[k] for k in ("target", "source") if k in value]
+            stack.extend(value.values())
+    return [spec(n) for n in names]
+
+
+def test_every_pinned_certificate_reads_back_and_re_checks():
+    # what re-checking a report from its text alone needs: each certificate
+    # of each pinned command parses back and is Valid in a theory the report
+    # names
+    checks = {"subproof": (parse_subproof, check_subproof),
+              "derivation": (parse_derivation, check_derivation)}
+    reports = []
+    cwd = os.getcwd()
+    os.chdir(corpus_path())
+    try:
+        for argv in cli_commands():
+            reports.append((argv, json.loads(_json_run(argv + ["--json"]))))
+    finally:
+        os.chdir(cwd)
+    kinds = []
+    for argv, report in reports:
+        if not report["certificates"]:
+            continue
+        theories = _report_theories(argv, report)
+        for cert in report["certificates"]:
+            read, check = checks[cert["kind"]]
+            node = read(cert["text"])
+            assert any(check(t, node) == Valid() for t in theories), (argv, cert)
+            kinds.append(cert["kind"])
+    assert kinds.count("subproof") > 10 and kinds.count("derivation") > 5
 
 
 def test_cli_output_matches_recorded_fingerprints():

@@ -13,6 +13,7 @@ carry the free variables a from-scratch walk finds.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Callable, Iterator, TypeVar
 
 import pytest
@@ -463,8 +464,7 @@ def test_a_free_name_read_after_the_binders_renames_as_the_reference_does(text, 
     assert print_term(parse_term(text)) == printed
 
 
-# a certificate nests one reader call per node, a term or a type two or more
-# per level, so certificates nest twice as deep
+# a term or a type nests two or more reader calls per level
 DEEP = 600
 
 
@@ -482,14 +482,35 @@ DEEP = 600
         ("type", "c0 -> " * DEEP + "c0"),
         ("type", "(c0 & " * DEEP + "c0" + ")" * DEEP),
         ("basis", "x : " + "(" * DEEP + "c0" + ")" * DEEP),
-        ("subproof", "(R (c0 <= c0) " * 2 * DEEP + ")" * 2 * DEEP),
-        ("derivation", "(Ax ( |- x : c0) " * 2 * DEEP + ")" * 2 * DEEP),
         ("derivation", "(Ax ( |- " + "(" * DEEP + "x" + ")" * DEEP + " : c0))"),
     ],
     ids=lambda v: v if len(v) < 20 else v[:12],
 )
 def test_deep_nesting_matches_the_reference(kind, text):
     assert_same(kind, text)
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("subproof", "(R (c0 <= c0) " * 2 * DEEP + ")" * 2 * DEEP),
+        ("derivation", "(Ax ( |- x : c0) " * 2 * DEEP + ")" * 2 * DEEP),
+        ("derivation", "(Le ( |- x : c0) " + "(R (c0 <= c0) " * 2 * DEEP + ")" * (2 * DEEP + 1)),
+    ],
+    ids=["subproof", "derivation", "subproof-in-derivation"],
+)
+def test_deep_certificate_reads_as_the_reference_reads_it_given_the_stack(kind, text):
+    # the reference reads a certificate node with an interpreter frame, the
+    # library with an entry on its own stack: the reference gets the frames
+    # it needs, the library runs under the default limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 8 * DEEP)
+    try:
+        want = outcome(kind, REFERENCE[kind], text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert want[0] == "ok"
+    assert outcome(kind, LIBRARY[kind], text) == want
 
 
 # ways to nest a text one level deeper, each as (opening, closing)

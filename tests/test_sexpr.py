@@ -139,6 +139,14 @@ class TestDerivationText:
         with pytest.raises(ParseError):
             parse_derivation(bad)
 
+    def test_nodes_below_a_subproof_are_subproofs(self):
+        # even one named like a derivation rule
+        d = parse_derivation("(Le ( |- x : c0) (Trans (c0 <= c0) (Ax (c0 <= c0))))")
+        assert d.children == ()
+        assert d.sub.premises == (SubProof("Ax", (parse_ty("c0"), parse_ty("c0"))),)
+        p = parse_subproof("(Trans (c0 <= c0) (Ax (c0 <= c0)))")
+        assert p == d.sub
+
     def test_judgment_needs_turnstile(self):
         with pytest.raises(ParseError):
             parse_derivation("(Ax (x : c0))")
@@ -201,6 +209,38 @@ def test_deep_subproof_round_trip():
     back = parse_subproof(text)
     assert back == p
     assert unparse_subproof(back) == text
+
+
+def test_2000_deep_subproof_text_round_trip():
+    # read and printed on explicit stacks: deeper than the interpreter's
+    c0 = parse_ty("c0")
+    p = SubProof("Refl", (c0, c0))
+    for _ in range(1999):
+        p = SubProof("Trans", (c0, c0), (p, SubProof("Refl", (c0, c0))))
+    text = unparse_subproof(p)
+    back = parse_subproof(text)
+    assert unparse_subproof(back) == text
+    depth = 1
+    while back.premises:
+        back, depth = back.premises[0], depth + 1
+    assert depth == 2000
+
+
+def test_2000_deep_derivation_text_round_trip():
+    c0 = parse_ty("c0")
+    sub = SubProof("Refl", (c0, c0))
+    d = Derivation("Ax", Judgment(Basis.of(x=c0), parse_term("x"), c0))
+    judgment = Judgment(Basis.of(x=c0), parse_term(r"(\y. y) x"), c0)
+    for _ in range(1999):
+        d = Derivation("Le", judgment, (d,), sub)
+    text = unparse_derivation(d)
+    back = parse_derivation(text)
+    assert unparse_derivation(back) == text
+    depth = 1
+    while back.children:
+        assert back.sub == sub
+        back, depth = back.children[0], depth + 1
+    assert (depth, back.sub) == (2000, None)
 
 
 @given(st.dictionaries(names, tys, max_size=4))
