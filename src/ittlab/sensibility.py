@@ -22,7 +22,7 @@ from .embedding import ConstantMap, TransferCertificate, compose_maps, transfer
 from .errors import InvalidInput
 from .kernel import Basis, Derivation
 from .polarity import PolarityPass, PolarityVerdict, check_positive_polarity, completion
-from .subtyping import DEFAULT_WIDTH, Proven, is_top_equiv
+from .subtyping import DEFAULT_WIDTH, refuted
 from .terms import FuelExhausted, Term, head_reduce, parse_term
 from .theory import TheorySpec, parse_theory, validate_natural
 from .types import TOP, Const, Ty, print_ty, ty_key
@@ -142,21 +142,15 @@ class NoneFound:
     inter_width: int
 
 
-def _probe_targets(t: TheorySpec, inter_width: int) -> tuple[Ty, ...]:
-    """Constants and axiom sides not provably equivalent to U."""
+def _probe_targets(t: TheorySpec) -> tuple[Ty, ...]:
+    """Constants and axiom sides certified below U: some two-element model
+    of t refutes U <= A, so A ~ U is underivable and a term typed at A is a
+    witness.  Past the bank's bound nothing is certified, and the probe has
+    no target."""
     raw: list[Ty] = [Const(c) for c in sorted(t.constants)]
     for pair in t.canonical_pairs:
         raw.extend(pair)
-    out: list[Ty] = []
-    seen: set[Ty] = set()
-    for ty in sorted(raw, key=ty_key):
-        if ty in seen or ty == TOP:
-            continue
-        seen.add(ty)
-        if isinstance(is_top_equiv(t, ty, inter_width), Proven):
-            continue
-        out.append(ty)
-    return tuple(out)
+    return tuple(ty for ty in sorted(set(raw), key=ty_key) if refuted(t, TOP, ty))
 
 
 def probe_unsolvable_typing(
@@ -170,7 +164,7 @@ def probe_unsolvable_typing(
     A Found derivation only counts with a fuel-exhausted head trace, so a
     solvable term slipped into extra_pool cannot fake a witness.
     """
-    targets = _probe_targets(t, inter_width)
+    targets = _probe_targets(t)
     empty = Basis.of()
     for term in UNSOLVABLE_POOL + tuple(extra_pool):
         for ty in targets:

@@ -35,9 +35,22 @@ LRU.  Queries reach them through context_for, which indexes each context by
 the theory, the set of canonical seeds and the width that built its
 universe, so a repeated seed set skips build_universe.  A hit still goes
 through saturated_ctx, so the LRU evicts and saturates exactly as if every
-query built its universe, and every answer is the same.  The index holds its
-contexts weakly, so it keeps no context alive: after
+query that saturates built its universe, and every answer is the same.  The
+index holds its contexts weakly, so it keeps no context alive: after
 saturated_ctx.cache_clear() the next query saturates afresh.
+
+Most pairs that stay unknown are not derivable at all, and a two-element
+model shows it without a saturation.  Each theory has a bank of every map
+into the lattice {0 < 1} that satisfies its axioms and enabled schemes
+(TwoElementModels, whose docstring gives the soundness argument), built on
+first need and kept as long as the theory; clearing saturated_ctx leaves it.
+A derive_le query whose seed set has no indexed context and whose universe
+strictly extends its base asks the bank first.  When some model separates
+the pair, the answer is the UnknownWithin saturation would give, and the
+query builds no context and never reaches saturated_ctx, so it adds no
+miss, no hit and no index entry.  Past DEFAULT_CAP models (more than 10
+constants) the bank is not built and every query saturates.  The answers
+stay those of saturation; the bank asserts no refutation either.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Union
-from weakref import WeakValueDictionary
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .errors import InvalidInput, UniverseTooLarge
 from .kernel import Invalid, SubProof, Valid, check_subproof
@@ -55,6 +68,7 @@ from .theory import RuleFlag, TheorySpec
 from .types import (
     TOP,
     Arrow,
+    Const,
     Inter,
     Ty,
     canonicalize,
@@ -600,20 +614,30 @@ class SubtypeCtx:
 
         Every fact's SubProof is built once per context and kept, so a
         repeated pair, or a premise two proofs share, is the same object:
-        the proofs of one context form one shared DAG."""
+        the proofs of one context form one shared DAG.  A base fact's proof
+        is the base context's own, shared by all its extensions; both
+        contexts hold the same member objects, so its text is the same."""
         i, j = self.idx.get(canonicalize(a)), self.idx.get(canonicalize(b))
         if i is None or j is None or not self.succ[i] >> j & 1:
             raise InvalidInput("no saturated fact for the requested pair")
-        root = (i, j)
+        return self._proof((i, j))
+
+    def _proof(self, root: IdPair) -> SubProof:
         memo = self.proofs
         done = memo.get(root)
         if done is not None:
             return done
-        ms = self.members
+        ms, n, just, base = self.members, len(self.members), self.just, self.base_ctx
         stack = [root]
         while stack:
             fact = stack[-1]
             if fact in memo:
+                stack.pop()
+                continue
+            a, b = fact
+            if base is not None and a * n + b not in just:
+                back = self._to_base
+                memo[fact] = base._proof((back[a], back[b]))
                 stack.pop()
                 continue
             rule, prems = self.justification(fact)
@@ -621,8 +645,7 @@ class SubtypeCtx:
             if missing:
                 stack.extend(missing)
             else:
-                conclusion = (ms[fact[0]], ms[fact[1]])
-                memo[fact] = SubProof(rule, conclusion, tuple(memo[p] for p in prems))
+                memo[fact] = SubProof(rule, (ms[a], ms[b]), tuple(memo[p] for p in prems))
                 stack.pop()
         return memo[root]
 
@@ -643,6 +666,15 @@ def saturated_ctx(theory: TheorySpec, universe: Universe) -> SubtypeCtx:
 _BY_SEEDS: WeakValueDictionary[tuple, SubtypeCtx] = WeakValueDictionary()
 
 
+def _indexed(key: tuple, known: SubtypeCtx | None, universe: Universe) -> SubtypeCtx:
+    """saturated_ctx of universe, indexed under key, the seed key that built
+    it; known is the context the index held for key, or None."""
+    ctx = saturated_ctx(key[0], universe)
+    if ctx is not known:
+        _BY_SEEDS[key] = ctx
+    return ctx
+
+
 def context_for(
     t: TheorySpec, seeds: Iterable[Ty], inter_width: int = DEFAULT_WIDTH
 ) -> SubtypeCtx:
@@ -657,19 +689,170 @@ def context_for(
     key = (t, canon, inter_width)
     known = _BY_SEEDS.get(key)
     if known is None:
-        universe = build_universe(t, canon, inter_width)
-    else:
-        universe = known.universe
-    ctx = saturated_ctx(t, universe)
-    if ctx is not known:
-        _BY_SEEDS[key] = ctx
-    return ctx
+        return _indexed(key, None, build_universe(t, canon, inter_width))
+    return _indexed(key, known, known.universe)
+
+
+# -- two-element models ----------------------------------------------------------
+
+# Table t of the sixteen arrow tables f: {0,1}^2 -> {0,1} has
+# f(x, y) = t >> (2 * x + y) & 1.
+TABLES = 16
+
+
+def _admits(flag: RuleFlag, table: int) -> bool:
+    """Whether the flag's schema holds when -> reads the table."""
+
+    def f(x: int, y: int) -> int:
+        return table >> (2 * x + y) & 1
+
+    if flag is RuleFlag.ARROW:  # falls as the domain rises, rises with the codomain
+        return all(f(1, y) <= f(0, y) and f(x, 0) <= f(x, 1) for x in (0, 1) for y in (0, 1))
+    if flag is RuleFlag.ARROW_TOP:  # f(x, 1) = 1
+        return f(0, 1) == f(1, 1) == 1
+    if flag is RuleFlag.ARROW_CAP:  # f(x, y) & f(x, y') = f(x, y & y')
+        return all(
+            f(x, y) & f(x, z) == f(x, y & z) for x in (0, 1) for y in (0, 1) for z in (0, 1)
+        )
+    # U-leq: f(x, y) = 1 implies y = 1
+    return not (f(0, 0) or f(1, 0))
+
+
+class TwoElementModels:
+    """Every model of a theory into the two-element lattice {0 < 1}, all
+    evaluated at once.
+
+    A model sends each declared constant to 0 or 1 and U to 1, reads & as
+    min, and reads -> as one of the sixteen tables f: {0,1}^2 -> {0,1}.  Bit
+    m = table * 2^k + assignment of a mask stands for one model, where bit i
+    of the assignment is the value of the i-th constant in sorted order, so
+    a type evaluates to the mask of the models in which it is 1.  sound
+    masks the models that are models of the theory: the table is admitted by
+    every enabled flag (_admits) and every canonical_pairs entry, order pairs
+    included, holds.
+
+    Soundness: every saturation rule holds in every model of sound.  Refl,
+    Trans, IncL/IncR, Glb and Utop hold in any meet-semilattice with a top;
+    Axiom holds because sound keeps only assignments that satisfy the
+    axioms; ArrCong holds because f is a function; ArrowRule, ArrowTop,
+    ArrowCap (both directions) and TopLe hold by the conditions _admits
+    puts on f for the flags that enable them.  So whatever a saturation
+    derives, in any universe, is 1 <= 1, 0 <= 1 or 0 <= 0 in every sound
+    model, and a pair that some sound model sends to 1 and 0 is never
+    derived.  A fault here could turn a Proven into UnknownWithin, never an
+    unknown into a Proven: the bank only ever stops a saturation."""
+
+    def __init__(self, t: TheorySpec):
+        block = 1 << len(t.constants)  # assignments per table
+        ones = (1 << block) - 1
+        self.full = (1 << TABLES * block) - 1
+        every_table = self.full // ones  # bit 0 of every table's block
+        self.consts: dict[str, int] = {}
+        for i, c in enumerate(sorted(t.constants)):
+            # assignment bit i is 1 on the upper half of each run of 2 * 2^i
+            half = 1 << i
+            run = ((1 << half) - 1) << half
+            self.consts[c] = run * (ones // ((1 << 2 * half) - 1)) * every_table
+        # per cell, the models whose table holds 1 there
+        self.cells = [
+            sum(ones << tab * block for tab in range(TABLES) if tab >> cell & 1)
+            for cell in range(4)
+        ]
+        sound = sum(
+            ones << tab * block
+            for tab in range(TABLES)
+            if all(_admits(flag, tab) for flag in t.flags)
+        )
+        for lhs, rhs in t.canonical_pairs:
+            sound &= ~(self.value(lhs) & ~self.value(rhs))
+        self.sound = sound
+
+    def value(self, a: Ty) -> int | None:
+        """The mask of the models in which a is 1, or None when a names a
+        constant the theory does not declare.  Walks an explicit stack."""
+        full, consts = self.full, self.consts
+        c00, c01, c10, c11 = self.cells
+        memo: dict[Ty, int] = {}
+        stack = [a]
+        while stack:
+            x = stack[-1]
+            if x in memo:
+                stack.pop()
+            elif isinstance(x, Const):
+                v = consts.get(x.name)
+                if v is None:
+                    return None
+                memo[stack.pop()] = v
+            elif isinstance(x, Arrow):
+                d, c = memo.get(x.dom), memo.get(x.cod)
+                if d is None or c is None:
+                    stack += [x.cod, x.dom]
+                    continue
+                nd, nc = full ^ d, full ^ c
+                memo[stack.pop()] = (
+                    nd & nc & c00 | nd & c & c01 | d & nc & c10 | d & c & c11
+                )
+            elif isinstance(x, Inter):
+                l, r = memo.get(x.left), memo.get(x.right)
+                if l is None or r is None:
+                    stack += [x.right, x.left]
+                    continue
+                memo[stack.pop()] = l & r
+            else:  # U
+                memo[stack.pop()] = full
+        return memo[a]
+
+    def refutes(self, a: Ty, b: Ty) -> bool:
+        """Whether some model of the theory sends a to 1 and b to 0, so that
+        no universe derives a <= b."""
+        va, vb = self.value(a), self.value(b)
+        return va is not None and vb is not None and va & ~vb & self.sound != 0
+
+
+# theory -> its bank, or None past the bound; kept as long as the theory lives
+_MODELS: WeakKeyDictionary[TheorySpec, TwoElementModels | None] = WeakKeyDictionary()
+
+
+def two_element_models(t: TheorySpec) -> TwoElementModels | None:
+    """The theory's bank, built on first need; None when its TABLES * 2^k
+    models, k the number of constants, pass DEFAULT_CAP, read at call time."""
+    try:
+        return _MODELS[t]
+    except KeyError:
+        pass
+    bank = TwoElementModels(t) if TABLES << len(t.constants) <= DEFAULT_CAP else None
+    _MODELS[t] = bank
+    return bank
+
+
+def refuted(t: TheorySpec, a: Ty, b: Ty) -> bool:
+    """Whether a two-element model of t separates a from b: then a <= b is
+    not derivable in any universe.  False past the bank's bound, and for a
+    type that names an undeclared constant."""
+    bank = two_element_models(t)
+    return bank is not None and bank.refutes(a, b)
 
 
 def derive_le(
     t: TheorySpec, a: Ty, b: Ty, inter_width: int = DEFAULT_WIDTH
 ) -> SubtypeVerdict:
-    ctx = context_for(t, (a, b), inter_width)
+    """Proven with a certificate when the saturated universe of {a, b}
+    derives a <= b, else UnknownWithin with its size.
+
+    A seed set with no indexed context whose universe strictly extends the
+    theory's base would be saturated anew; when a two-element model refutes
+    the pair first, the answer is UnknownWithin of that universe's size, as
+    the saturation would give, and no context is built."""
+    a, b = canonicalize(a), canonicalize(b)
+    key = (t, frozenset((a, b)), inter_width)
+    known = _BY_SEEDS.get(key)
+    if known is None:
+        universe = build_universe(t, key[1], inter_width)
+        if universe.base.members < universe.members and refuted(t, a, b):
+            return UnknownWithin(len(universe.members), inter_width)
+        ctx = _indexed(key, None, universe)
+    else:
+        ctx = _indexed(key, known, known.universe)
     if ctx.holds(a, b):
         return Proven(ctx.proof(a, b))
     return UnknownWithin(len(ctx.members), inter_width)

@@ -24,7 +24,8 @@ from ittlab.sensibility import (
     registered_maps,
     verdict,
 )
-from ittlab.subtyping import Valid, check_subproof
+from ittlab.cli import main
+from ittlab.subtyping import Proven, Valid, check_subproof, is_top_equiv
 from ittlab.terms import FuelExhausted, alpha_eq, head_reduce, parse_term
 from ittlab.theory import parse_theory
 from ittlab.types import Const, print_ty
@@ -103,6 +104,35 @@ class TestProbe:
         # the identity types at c1 -> c0 in T0, but it reaches an hnf
         r = probe_unsolvable_typing(spec("T0"), extra_pool=(parse_term(r"\x.x"),))
         assert isinstance(r, NoneFound)
+
+    def test_a_target_derivably_top_is_no_witness(self, tmp_path, capsys):
+        # U <= c1 -> U <= c1 -> c2 <= c3, so c3 ~ U, though the universe of
+        # {U, c3} lacks c1 -> U.  Every two-element model sends c3 to 1, so
+        # nothing certifies c3 below U and Omega : c3 is no witness.
+        text = (
+            "theory R\nnatural\nconstants c1 c2 c3\n"
+            "flags arrow arrow-U arrow-cap U-leq\n"
+            "axiom c2 ~ U\naxiom c1 ~ c1 -> c3\naxiom c3 ~ c1 -> c2\n"
+        )
+        r = parse_theory(text)
+        assert sensibility._probe_targets(r) == ()
+        assert probe_unsolvable_typing(r) == NoneFound(DEFAULT_FUEL, 2)
+        path = tmp_path / "R.itt"
+        path.write_text(text)
+        assert main(["sensibility", str(path)]) == 2
+        assert capsys.readouterr().out.startswith("Unknown")
+
+    def test_every_corpus_target_is_certified_below_top(self):
+        # a model certifies every side the bounded is_top_equiv leaves unproven
+        for name in builtin_theories().names():
+            t = spec(name)
+            sides = {Const(c) for c in t.constants}
+            sides.update(ty for pair in t.canonical_pairs for ty in pair)
+            unproven = {ty for ty in sides if not isinstance(is_top_equiv(t, ty), Proven)}
+            assert set(sensibility._probe_targets(t)) == unproven, name
+        # past the bank's bound no target is certified
+        wide = parse_theory("constants " + " ".join(f"c{i}" for i in range(11)))
+        assert sensibility._probe_targets(wide) == ()
 
 
 class TestVerdicts:

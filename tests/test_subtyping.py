@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Iterator
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ittlab
 from ittlab import subtyping
@@ -24,6 +24,7 @@ from ittlab.probes import (
     beta_soundness_probe,
 )
 from ittlab.sensibility import builtin_theories
+from ittlab.sexpr import unparse_subproof
 from ittlab.subtyping import (
     Invalid,
     Proven,
@@ -370,9 +371,146 @@ def test_index_hits_keep_their_context_recent():
     assert len({build_universe(t, pair, 1) for pair in [hot, *cold]}) == 1 + len(cold)
     saturated_ctx.cache_clear()
     for pair in cold:
-        derive_le(t, *hot, 1)
-        derive_le(t, *pair, 1)
+        context_for(t, hot, 1)
+        context_for(t, pair, 1)
     assert saturated_ctx.cache_info().misses == 1 + len(cold)
+
+
+# -- two-element models ----------------------------------------------------------
+
+
+def schema_tables(flag: RuleFlag) -> set[int]:
+    """The arrow tables under which every instance of the flag's schema, its
+    metavariables read over {0, 1}, takes true premises to a true
+    conclusion.  An instance is a list of premises and a conclusion, each a
+    pair lo <= hi; table t reads x -> y as t >> (2 * x + y) & 1."""
+    out = set()
+    for table in range(subtyping.TABLES):
+
+        def f(x, y):
+            return table >> (2 * x + y) & 1
+
+        if flag is RuleFlag.ARROW:  # B' <= B and A <= A' give B -> A <= B' -> A'
+            rules = [
+                ([(b2, b), (a, a2)], (f(b, a), f(b2, a2)))
+                for b, b2, a, a2 in product((0, 1), repeat=4)
+            ]
+        elif flag is RuleFlag.ARROW_TOP:  # U ~ A -> U
+            rules = [([], (1, f(a, 1))) for a in (0, 1)]
+        elif flag is RuleFlag.ARROW_CAP:  # (B -> A) & (B -> A') ~ B -> A & A'
+            rules = [
+                ([], pair)
+                for b, a, a2 in product((0, 1), repeat=3)
+                for both, meet in [(f(b, a) & f(b, a2), f(b, a & a2))]
+                for pair in ((both, meet), (meet, both))
+            ]
+        else:  # U <= B -> A gives U <= A
+            rules = [([(1, f(b, a))], (1, a)) for b, a in product((0, 1), repeat=2)]
+        if all(lo <= hi for prems, (lo, hi) in rules if all(p <= q for p, q in prems)):
+            out.add(table)
+    return out
+
+
+@pytest.mark.parametrize("flag", list(RuleFlag))
+def test_each_flag_admits_the_tables_its_schema_holds_in(flag):
+    admitted = {t for t in range(subtyping.TABLES) if subtyping._admits(flag, t)}
+    assert admitted == schema_tables(flag)
+
+
+@st.composite
+def model_queries(draw):
+    """A theory with any flags, order pairs and axioms, among them axioms
+    U <= d -> d, and a pair at width 1 or 2."""
+    consts = sorted(draw(st.sets(st.sampled_from(["c0", "c1", "c2"]), min_size=1)))
+    leaf = st.sampled_from([TOP, *map(Const, consts)])
+    tys = st.recursive(
+        leaf, lambda s: st.builds(Arrow, s, s) | st.builds(Inter, s, s), max_leaves=3
+    )
+    axiom = st.builds(AxiomDecl, st.sampled_from(["le", "eq"]), tys, tys) | st.builds(
+        lambda d: AxiomDecl("le", TOP, Arrow(d, d)), tys
+    )
+    pairs = st.tuples(st.sampled_from(consts), st.sampled_from(consts))
+    t = TheorySpec(
+        "rnd",
+        frozenset(consts),
+        draw(st.frozensets(st.sampled_from(list(RuleFlag)))),
+        tuple(draw(st.lists(axiom, max_size=3))),
+        tuple(draw(st.lists(pairs, max_size=2))),
+    )
+    return t, draw(tys), draw(tys), draw(st.integers(1, 2))
+
+
+def schema_query(flags: str, axiom: str, a: str, b: str) -> tuple:
+    text = f"constants c0 c1 c2; flags {flags}" + (f"; axiom {axiom}" if axiom else "")
+    return parse_theory(text), parse_ty(a), parse_ty(b), 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_queries())
+# one instance of each flag's schema, which random pairs rarely assemble
+@example(schema_query("arrow", "", "c0 -> c0", "c0 -> U"))
+@example(schema_query("arrow-U", "", "U", "c0 -> U"))
+@example(schema_query("arrow-cap", "", "c0 -> c1 & c2", "(c0 -> c1) & (c0 -> c2)"))
+@example(schema_query("U-leq", "U <= c0 -> c0", "U", "c0"))
+def test_no_model_refutes_a_saturated_fact(query):
+    t, a, b, width = query
+    universe = build_universe(t, (a, b), width)
+    assume(len(universe.members) <= 60)
+    ctx = SubtypeCtx(t, universe)
+    bank = subtyping.two_element_models(t)
+    value = {m: bank.value(m) for m in ctx.members}
+    for x, row in enumerate(ctx.succ):
+        one = value[ctx.members[x]] & bank.sound
+        for y in bits(row):
+            assert one & ~value[ctx.members[y]] == 0, (ctx.members[x], ctx.members[y])
+    assert not ctx.holds(a, b) or not bank.refutes(a, b)
+    got = derive_le(t, a, b, width)
+    if ctx.holds(a, b):
+        assert isinstance(got, Proven)
+        assert unparse_subproof(got.proof) == unparse_subproof(ctx.proof(a, b))
+    else:
+        assert got == UnknownWithin(len(universe.members), width)
+
+
+def test_a_refuted_query_builds_no_context():
+    a, b = parse_ty("c1 -> c1"), Const("c0")
+    assert subtyping.refuted(T0, a, b)
+    saturated_ctx.cache_clear()
+    universe = build_universe(T0, (a, b))
+    assert universe.base.members < universe.members
+    assert derive_le(T0, a, b) == UnknownWithin(len(universe.members), 2)
+    assert saturated_ctx.cache_info().misses == 0
+    assert (T0, frozenset((a, b)), 2) not in subtyping._BY_SEEDS
+    # the bank outlives the cache
+    bank = subtyping.two_element_models(T0)
+    saturated_ctx.cache_clear()
+    gc.collect()
+    assert subtyping.two_element_models(T0) is bank
+
+
+def test_the_bank_stops_at_the_member_bound():
+    wide = parse_theory("constants " + " ".join(f"c{i}" for i in range(11)))
+    assert subtyping.two_element_models(wide) is None
+    a, b = parse_ty("c1 -> c1"), Const("c0")
+    assert not subtyping.refuted(wide, a, b)
+    saturated_ctx.cache_clear()
+    assert isinstance(derive_le(wide, a, b), UnknownWithin)
+    assert saturated_ctx.cache_info().misses == 1
+    ten = parse_theory("constants " + " ".join(f"c{i}" for i in range(10)))
+    assert subtyping.refuted(ten, a, b)
+
+
+def test_an_undeclared_constant_skips_the_bank():
+    assert subtyping.refuted(T0, Const("c1"), Const("c0"))
+    assert not subtyping.refuted(T0, Const("z"), Const("c0"))
+    assert not subtyping.refuted(T0, Const("c1"), parse_ty("c0 & z"))
+
+
+def test_an_extension_shares_the_base_proofs():
+    ctx = context_for(T0, (parse_ty("c1 -> c1"),))
+    lo, hi = parse_ty("c0 -> c0"), parse_ty("c1 -> c0")
+    assert ctx.base_ctx is not None
+    assert ctx.proof(lo, hi) is ctx.base_ctx.proof(lo, hi)
 
 
 # -- checker -----------------------------------------------------------------
@@ -599,9 +737,9 @@ def test_a_universe_equal_to_its_base_gets_the_base_context(monkeypatch):
     del own, grown
     saturated_ctx.cache_clear()
     gc.collect()
-    derive_le(t, parse_ty("c4 -> c4"), Const("c3"))
-    derive_le(t, parse_ty("c3 -> c3"), Const("c3"))
-    derive_le(t, parse_ty("c4 -> c3"), Const("c4"))  # the base's own universe
+    context_for(t, (parse_ty("c4 -> c4"), Const("c3")))
+    context_for(t, (parse_ty("c3 -> c3"), Const("c3")))
+    context_for(t, (parse_ty("c4 -> c3"), Const("c4")))  # the base's own universe
     assert built[0] == size and size not in built[1:]
     assert len(built) == 3
     assert saturated_ctx.cache_info().misses == 3
