@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the two-element model bank against saturation and the witness probe.
+"""Check the chain model banks against saturation and the witness probe.
 
 A seeded sweep over random theories of the four constants c0-c3.  Half are
 natural: 1-4 definitions c ~ T with all four flags.  Half are general: each
@@ -8,8 +8,9 @@ probability 0.3 each, an axiom U <= d -> d.  Either kind declares an order
 pair with probability 0.3.  Each type has at most 4 leaves over the
 constants and U.  For each theory the sweep checks that
 
-- no two-element model refutes a fact that saturation derives, in the
-  theory's base universe and in the universes of three random pairs; and
+- no chain model, of height 2 or 3, refutes a fact that saturation
+  derives, in the theory's base universe and in the universes of three
+  random pairs; and
 - a NonSensible verdict with a witness does not type its witness at a type
   A that is ~ U through an intermediate: U <= X and X <= A both Proven, for
   X among D -> U and D1 -> D2 -> U with D, D1, D2 subterms of the theory's
@@ -28,7 +29,7 @@ import random
 import sys
 
 from ittlab.sensibility import NonSensible, Witness, verdict
-from ittlab.subtyping import Proven, bits, context_for, derive_le, two_element_models
+from ittlab.subtyping import HEIGHTS, Proven, bits, chain_models, context_for, derive_le
 from ittlab.theory import RuleFlag, TheorySpec, parse_theory
 from ittlab.types import TOP, Arrow, Const, Ty, parse_ty, print_ty, subterms, ty_key
 
@@ -66,19 +67,24 @@ def random_theory(rng: random.Random, natural: bool) -> str:
 
 
 def refuted_facts(t: TheorySpec, rng: random.Random) -> list[str]:
-    """The saturated facts some model of the bank refutes."""
-    bank = two_element_models(t)
+    """The saturated facts some chain model of the theory refutes."""
+    banks = [bank for h in HEIGHTS if (bank := chain_models(t, h)) is not None]
     out = []
     seeds = [()] + [
         tuple(parse_ty(random_ty(rng, rng.randint(1, 3))) for _ in range(2)) for _ in range(3)
     ]
     for pair in seeds:
         ctx = context_for(t, pair)
-        value = [bank.value(m) for m in ctx.members]
-        for x, row in enumerate(ctx.succ):
-            for y in bits(row):
-                if value[x] & ~value[y] & bank.sound:
-                    out.append(f"{print_ty(ctx.members[x])} <= {print_ty(ctx.members[y])}")
+        ms = ctx.members
+        for bank in banks:
+            # a model refutes x <= y when it gives x a value of at least j
+            # and y one below j, for some threshold j
+            value = [bank.value(m) for m in ms]
+            for x, row in enumerate(ctx.succ):
+                for y in bits(row):
+                    if any(a & ~b & bank.sound for a, b in zip(value[x], value[y])):
+                        fact = f"{print_ty(ms[x])} <= {print_ty(ms[y])}"
+                        out.append(f"height {bank.height} refutes the saturated {fact}")
     return out
 
 
@@ -110,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(args.count):
         text = random_theory(rng, natural=i % 2 == 0)
         t = parse_theory(text)
-        why = [f"model refutes the saturated {f}" for f in refuted_facts(t, rng)]
+        why = refuted_facts(t, rng)
         v = verdict(t, fuel=args.fuel)
         verdicts[type(v).__name__] = verdicts.get(type(v).__name__, 0) + 1
         if isinstance(v, NonSensible) and isinstance(v.evidence, Witness):

@@ -143,10 +143,10 @@ class NoneFound:
 
 
 def _probe_targets(t: TheorySpec) -> tuple[Ty, ...]:
-    """Constants and axiom sides certified below U: some two-element model
-    of t refutes U <= A, so A ~ U is underivable and a term typed at A is a
-    witness.  Past the bank's bound nothing is certified, and the probe has
-    no target."""
+    """Constants and axiom sides certified below U: some chain model of t,
+    of height 2 or 3, refutes U <= A (refuted), so A ~ U is underivable and
+    a term typed at A is a witness.  Where neither height has a bank nothing
+    is certified, and the probe has no target."""
     raw: list[Ty] = [Const(c) for c in sorted(t.constants)]
     for pair in t.canonical_pairs:
         raw.extend(pair)

@@ -14,8 +14,10 @@ closure of U and the axiom sides, widened by its meets.  build_universe builds
 that base once and shares it; a query's universe adds only its seeds' closure
 members that the base lacks and the meets of the sets that hold one of them,
 so its members are exactly those of a universe built from scratch.  The base
-is indexed weakly and held by the universes built on it, so it dies with
-their contexts.
+keeps the meets each combination of new members forms with its closure, so a
+member seen before costs its union, not its meets.  The base is indexed
+weakly and held by the universes built on it, so it dies with their
+contexts.
 
 Every rule is a monotone Horn rule over universe members, so the base's
 fixed point lies inside the fixed point of every universe that contains the
@@ -39,26 +41,31 @@ query that saturates built its universe, and every answer is the same.  The
 index holds its contexts weakly, so it keeps no context alive: after
 saturated_ctx.cache_clear() the next query saturates afresh.
 
-Most pairs that stay unknown are not derivable at all, and a two-element
-model shows it without a saturation.  Each theory has a bank of every map
-into the lattice {0 < 1} that satisfies its axioms and enabled schemes
-(TwoElementModels, whose docstring gives the soundness argument), built on
-first need and kept as long as the theory; clearing saturated_ctx leaves it.
-A derive_le query whose seed set has no indexed context and whose universe
-strictly extends its base asks the bank first.  When some model separates
+Most pairs that stay unknown are not derivable at all, and a map into a
+small chain shows it without a saturation.  Each theory has, per height h
+of HEIGHTS = (2, 3), a bank of every map into the chain 0 < .. < h - 1
+that satisfies its axioms and enabled schemes (ChainModels, whose docstring
+gives the soundness argument), built on first need and kept as long as the
+theory; clearing saturated_ctx leaves it.  A derive_le query whose seed set
+has no indexed context and whose universe strictly extends its base asks
+the height-2 bank first, then the height-3 one.  When some model separates
 the pair, the answer is the UnknownWithin saturation would give, and the
 query builds no context and never reaches saturated_ctx, so it adds no
-miss, no hit and no index entry.  Past DEFAULT_CAP models (more than 10
-constants) the bank is not built and every query saturates.  The answers
-stay those of saturation; the bank asserts no refutation either.
+miss, no hit and no index entry.  A bank that would pass DEFAULT_CAP models
+is not built (_fits decides it before any table is enumerated): height 2
+past 10 constants, height 3 sooner, unless arrow-U or U-leq fixes part of
+its arrow tables.  Where no bank is built every such query saturates.  The
+answers stay those of saturation; the banks assert no refutation either.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations, product
+from math import prod
+from operator import and_, or_, xor
 from typing import Iterable, Iterator, Union
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
@@ -85,19 +92,30 @@ DEFAULT_CAP = 20_000
 @dataclass(frozen=True, eq=False)
 class _Base:
     """The part of every universe of one theory and width that no seed adds:
-    build_universe(t, (), width), kept with the closure it widens and, once
-    a query needs it, its saturated context."""
+    build_universe(t, (), width), kept with the closure it widens, the meets
+    its queries' new members have formed with the closure, and, once a
+    query needs it, its saturated context."""
 
     theory: TheorySpec
+    width: int
     closed: frozenset[Ty]  # subterm closure of U and the canonical axiom sides
     pool: tuple[Ty, ...]  # closed in ty_key order
     members: frozenset[Ty]  # closed plus the meets of its 2..width-subsets
+    # a combination of new members, in ty_key order -> _meets(it, pool, width)
+    meets: dict[tuple[Ty, ...], frozenset[Ty]] = field(default_factory=dict, repr=False)
 
     @cached_property
     def ctx(self) -> SubtypeCtx:
         """The base universe saturated from nothing, outside the
         saturated_ctx LRU; it lives as long as the base."""
         return SubtypeCtx(self.theory, Universe(self.members, self))
+
+    def meets_with(self, fresh: tuple[Ty, ...]) -> frozenset[Ty]:
+        """_meets(fresh, pool, width), computed once per combination."""
+        got = self.meets.get(fresh)
+        if got is None:
+            got = self.meets[fresh] = frozenset(_meets(fresh, self.pool, self.width))
+        return got
 
 
 @dataclass(frozen=True)
@@ -113,22 +131,25 @@ class Universe:
 _BASES: WeakValueDictionary[tuple, _Base] = WeakValueDictionary()
 
 
-def _add_meets(
-    members: set[Ty], new: list[Ty], old: tuple[Ty, ...], width: int
-) -> None:
-    """Add to members the canonical meet of every set of 2..width distinct
-    canonical types of new and old that holds at least one of new, each set
-    once.  The meet is canonicalize(make_inter(set)), built from its parts."""
-    for j in range(1, min(width, len(new)) + 1):
-        for fresh in combinations(new, j):
-            for i in range(max(0, 2 - j), min(width - j, len(old)) + 1):
-                for rest in combinations(old, i):
-                    parts: set[Ty] = set()
-                    for m in fresh + rest:
-                        parts.update(inter_parts(m))
-                    members.add(make_inter(sorted(parts, key=ty_key)))
-                    if len(members) > DEFAULT_CAP:
-                        raise UniverseTooLarge(DEFAULT_CAP)
+def _meets(fresh: tuple[Ty, ...], pool: tuple[Ty, ...], width: int) -> set[Ty]:
+    """The canonical meet of every set of 2..width distinct canonical types
+    that holds all of fresh and otherwise members of pool, each set once.
+    The meet is canonicalize(make_inter(set)), built from its parts.  Past
+    DEFAULT_CAP meets, read at call time, it raises UniverseTooLarge."""
+    head: set[Ty] = set()
+    for m in fresh:
+        head.update(inter_parts(m))
+    out: set[Ty] = set()
+    j = len(fresh)
+    for i in range(max(0, 2 - j), min(width - j, len(pool)) + 1):
+        for rest in combinations(pool, i):
+            parts = set(head)
+            for m in rest:
+                parts.update(inter_parts(m))
+            out.add(make_inter(sorted(parts, key=ty_key)))
+            if len(out) > DEFAULT_CAP:
+                raise UniverseTooLarge(DEFAULT_CAP)
+    return out
 
 
 def _build_base(t: TheorySpec, width: int) -> _Base:
@@ -136,10 +157,9 @@ def _build_base(t: TheorySpec, width: int) -> _Base:
     for lhs, rhs in t.canonical_pairs:
         closed.update(subterms(lhs))
         closed.update(subterms(rhs))
-    pool = sorted(closed, key=ty_key)
-    members = set(closed)
-    _add_meets(members, pool, (), width)
-    return _Base(t, frozenset(closed), tuple(pool), frozenset(members))
+    pool = tuple(sorted(closed, key=ty_key))
+    members = closed | _meets((), pool, width)
+    return _Base(t, width, frozenset(closed), pool, frozenset(members))
 
 
 def build_universe(
@@ -151,7 +171,9 @@ def build_universe(
     The theory's base, the universe of no seeds, is built once and shared by
     the universes built on it while one of them lives.  A query adds the
     closure members of its seeds that the base lacks, and the meets of the
-    sets that hold at least one of them.
+    sets that hold at least one of them: for each combination of 1..width
+    of those new members, the meets it forms with the base's closure, which
+    the base computes once and keeps.  At width 1 no set meets.
 
     The one place the member bound is enforced: past DEFAULT_CAP members, read
     at call time, it raises UniverseTooLarge."""
@@ -165,7 +187,13 @@ def build_universe(
     new = {m for s in seeds for m in subterms(canonicalize(s))} - base.closed
     members = set(base.members)
     members.update(new)
-    _add_meets(members, sorted(new, key=ty_key), base.pool, inter_width)
+    if inter_width > 1:
+        new_sorted = sorted(new, key=ty_key)
+        for j in range(1, min(inter_width, len(new_sorted)) + 1):
+            for fresh in combinations(new_sorted, j):
+                members.update(base.meets_with(fresh))
+                if len(members) > DEFAULT_CAP:
+                    raise UniverseTooLarge(DEFAULT_CAP)
     if len(members) > DEFAULT_CAP:
         raise UniverseTooLarge(DEFAULT_CAP)
     return Universe(frozenset(members), base)
@@ -693,86 +721,127 @@ def context_for(
     return _indexed(key, known, known.universe)
 
 
-# -- two-element models ----------------------------------------------------------
+# -- chain models ---------------------------------------------------------------
 
-# Table t of the sixteen arrow tables f: {0,1}^2 -> {0,1} has
-# f(x, y) = t >> (2 * x + y) & 1.
-TABLES = 16
-
-
-def _admits(flag: RuleFlag, table: int) -> bool:
-    """Whether the flag's schema holds when -> reads the table."""
-
-    def f(x: int, y: int) -> int:
-        return table >> (2 * x + y) & 1
-
-    if flag is RuleFlag.ARROW:  # falls as the domain rises, rises with the codomain
-        return all(f(1, y) <= f(0, y) and f(x, 0) <= f(x, 1) for x in (0, 1) for y in (0, 1))
-    if flag is RuleFlag.ARROW_TOP:  # f(x, 1) = 1
-        return f(0, 1) == f(1, 1) == 1
-    if flag is RuleFlag.ARROW_CAP:  # f(x, y) & f(x, y') = f(x, y & y')
-        return all(
-            f(x, y) & f(x, z) == f(x, y & z) for x in (0, 1) for y in (0, 1) for z in (0, 1)
-        )
-    # U-leq: f(x, y) = 1 implies y = 1
-    return not (f(0, 0) or f(1, 0))
+# The heights of the chains each theory is mapped into, asked in this order.
+HEIGHTS = (2, 3)
 
 
-class TwoElementModels:
-    """Every model of a theory into the two-element lattice {0 < 1}, all
+def _cell_values(flags: frozenset[RuleFlag], h: int) -> list[range]:
+    """Per cell h * x + y of an arrow table on the chain 0 < .. < h - 1, the
+    values of x -> y that the flags which constrain one cell at a time
+    leave: arrow-U fixes x -> top to top (U ~ A -> U), and U-leq keeps
+    x -> y below top when y is (U <= B -> A gives U <= A)."""
+    top = h - 1
+    out = []
+    for _ in range(h):
+        for y in range(h):
+            if y == top and RuleFlag.ARROW_TOP in flags:
+                out.append(range(top, h))
+            elif y < top and RuleFlag.TOP_LE in flags:
+                out.append(range(top))
+            else:
+                out.append(range(h))
+    return out
+
+
+def _admits(flags: frozenset[RuleFlag], f: tuple[int, ...], h: int) -> bool:
+    """Whether the table f, where f[h * x + y] is x -> y on the chain
+    0 < .. < h - 1, meets the conditions of the flags that span cells:
+    arrow, f falls as the domain rises and rises with the codomain, and
+    arrow-cap, f(x, y) & f(x, y') = f(x, y & y')."""
+    top, r = h - 1, range(h)
+    if RuleFlag.ARROW in flags and not all(
+        f[h * (x + 1) + y] <= f[h * x + y] and f[h * y + x] <= f[h * y + x + 1]
+        for x in range(top)
+        for y in r
+    ):
+        return False
+    return RuleFlag.ARROW_CAP not in flags or all(
+        min(f[h * x + y], f[h * x + z]) == f[h * x + min(y, z)]
+        for x in r
+        for y in r
+        for z in r
+    )
+
+
+def _tables(flags: frozenset[RuleFlag], h: int) -> list[tuple[int, ...]]:
+    """The arrow tables of height h that every flag admits: those among the
+    values _cell_values leaves that _admits keeps, in lexicographic order."""
+    return [f for f in product(*_cell_values(flags, h)) if _admits(flags, f, h)]
+
+
+class ChainModels:
+    """Every model of a theory into the chain 0 < 1 < .. < h - 1, all
     evaluated at once.
 
-    A model sends each declared constant to 0 or 1 and U to 1, reads & as
-    min, and reads -> as one of the sixteen tables f: {0,1}^2 -> {0,1}.  Bit
-    m = table * 2^k + assignment of a mask stands for one model, where bit i
-    of the assignment is the value of the i-th constant in sorted order, so
-    a type evaluates to the mask of the models in which it is 1.  sound
-    masks the models that are models of the theory: the table is admitted by
-    every enabled flag (_admits) and every canonical_pairs entry, order pairs
-    included, holds.
+    A model sends each declared constant to a value of the chain and U to
+    its top h - 1, reads & as min, and reads -> as one of the tables f that
+    every enabled flag admits (_tables).  Bit m = table * h^k + assignment
+    of a mask stands for one model, where digit i, base h, of the
+    assignment is the value of the i-th constant in sorted order.  A type
+    evaluates to h - 1 threshold masks: the j-th, j = 1 .. h - 1, holds the
+    models in which the type's value is at least j.  sound masks the models
+    in which every canonical_pairs entry, order pairs included, holds.
 
     Soundness: every saturation rule holds in every model of sound.  Refl,
-    Trans, IncL/IncR, Glb and Utop hold in any meet-semilattice with a top;
-    Axiom holds because sound keeps only assignments that satisfy the
-    axioms; ArrCong holds because f is a function; ArrowRule, ArrowTop,
-    ArrowCap (both directions) and TopLe hold by the conditions _admits
-    puts on f for the flags that enable them.  So whatever a saturation
-    derives, in any universe, is 1 <= 1, 0 <= 1 or 0 <= 0 in every sound
-    model, and a pair that some sound model sends to 1 and 0 is never
-    derived.  A fault here could turn a Proven into UnknownWithin, never an
-    unknown into a Proven: the bank only ever stops a saturation."""
+    Trans, IncL/IncR, Glb and Utop hold in any meet-semilattice with a top,
+    and a chain under min is one; Axiom holds because sound keeps only
+    models that satisfy the axioms; ArrCong holds because f is a function;
+    ArrowRule, ArrowTop, ArrowCap (both directions) and TopLe hold by the
+    conditions _cell_values and _admits put on f for the flags that enable
+    them.  So whatever a saturation derives, in any universe, is x <= y of
+    values in every sound model, and a pair that some sound model sends to
+    x > y is never derived.  A fault here could turn a Proven into
+    UnknownWithin, never an unknown into a Proven: the bank only ever stops
+    a saturation."""
 
-    def __init__(self, t: TheorySpec):
-        block = 1 << len(t.constants)  # assignments per table
+    def __init__(self, t: TheorySpec, h: int):
+        tables = _tables(t.flags, h)
+        block = h ** len(t.constants)  # assignments per table
         ones = (1 << block) - 1
-        self.full = (1 << TABLES * block) - 1
+        self.height = h
+        self.full = (1 << len(tables) * block) - 1
         every_table = self.full // ones  # bit 0 of every table's block
-        self.consts: dict[str, int] = {}
+        self.consts: dict[str, tuple[int, ...]] = {}
         for i, c in enumerate(sorted(t.constants)):
-            # assignment bit i is 1 on the upper half of each run of 2 * 2^i
-            half = 1 << i
-            run = ((1 << half) - 1) << half
-            self.consts[c] = run * (ones // ((1 << 2 * half) - 1)) * every_table
-        # per cell, the models whose table holds 1 there
+            # digit i of the assignment is v on the v-th run of h^i bits in
+            # each period of h^(i+1)
+            run = h**i
+            every_period = ones // ((1 << run * h) - 1) * every_table
+            self.consts[c] = tuple(
+                (((1 << (h - j) * run) - 1) << j * run) * every_period for j in range(1, h)
+            )
+        # per threshold j and cell, the models whose table is at least j there
         self.cells = [
-            sum(ones << tab * block for tab in range(TABLES) if tab >> cell & 1)
-            for cell in range(4)
+            [
+                sum(ones << pos * block for pos, f in enumerate(tables) if f[cell] >= j)
+                for cell in range(h * h)
+            ]
+            for j in range(1, h)
         ]
-        sound = sum(
-            ones << tab * block
-            for tab in range(TABLES)
-            if all(_admits(flag, tab) for flag in t.flags)
-        )
+        self.top = (self.full,) * (h - 1)
+        sound = self.full
         for lhs, rhs in t.canonical_pairs:
-            sound &= ~(self.value(lhs) & ~self.value(rhs))
+            for a, b in zip(self.value(lhs), self.value(rhs)):
+                sound &= ~(a & ~b)
         self.sound = sound
 
-    def value(self, a: Ty) -> int | None:
-        """The mask of the models in which a is 1, or None when a names a
-        constant the theory does not declare.  Walks an explicit stack."""
-        full, consts = self.full, self.consts
-        c00, c01, c10, c11 = self.cells
-        memo: dict[Ty, int] = {}
+    def _arrow(self, d: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
+        """The threshold masks of x -> y, x with masks d and y with masks c:
+        each model reads its table at the cell of its values of x and y."""
+        full = self.full
+        # per value v, the models in which x, and y, is exactly v
+        dv = (full ^ d[0], *map(xor, d, d[1:]), d[-1])
+        cv = (full ^ c[0], *map(xor, c, c[1:]), c[-1])
+        at = [x & y for x in dv for y in cv]  # per cell, the models that read it
+        return tuple([reduce(or_, map(and_, at, cells)) for cells in self.cells])
+
+    def value(self, a: Ty) -> tuple[int, ...] | None:
+        """The threshold masks of a, or None when a names a constant the
+        theory does not declare.  Walks an explicit stack."""
+        consts = self.consts
+        memo: dict[Ty, tuple[int, ...]] = {}
         stack = [a]
         while stack:
             x = stack[-1]
@@ -788,49 +857,65 @@ class TwoElementModels:
                 if d is None or c is None:
                     stack += [x.cod, x.dom]
                     continue
-                nd, nc = full ^ d, full ^ c
-                memo[stack.pop()] = (
-                    nd & nc & c00 | nd & c & c01 | d & nc & c10 | d & c & c11
-                )
+                memo[stack.pop()] = self._arrow(d, c)
             elif isinstance(x, Inter):
                 l, r = memo.get(x.left), memo.get(x.right)
                 if l is None or r is None:
                     stack += [x.right, x.left]
                     continue
-                memo[stack.pop()] = l & r
+                memo[stack.pop()] = tuple(p & q for p, q in zip(l, r))
             else:  # U
-                memo[stack.pop()] = full
+                memo[stack.pop()] = self.top
         return memo[a]
 
     def refutes(self, a: Ty, b: Ty) -> bool:
-        """Whether some model of the theory sends a to 1 and b to 0, so that
-        no universe derives a <= b."""
+        """Whether some model of the theory sends a above b, so that no
+        universe derives a <= b."""
         va, vb = self.value(a), self.value(b)
-        return va is not None and vb is not None and va & ~vb & self.sound != 0
+        if va is None or vb is None:
+            return False
+        sound = self.sound
+        return any(x & ~y & sound for x, y in zip(va, vb))
 
 
-# theory -> its bank, or None past the bound; kept as long as the theory lives
-_MODELS: WeakKeyDictionary[TheorySpec, TwoElementModels | None] = WeakKeyDictionary()
+def _fits(t: TheorySpec, h: int) -> bool:
+    """Whether the bank of height h stays within DEFAULT_CAP models, read at
+    call time, decided before any table is enumerated: its tables times
+    h^k, k the number of constants.  Height 2 counts all its 16 tables, so
+    it stops past 10 constants whatever the flags; height 3 counts only the
+    tables the flags' per-cell constraints leave, as all 3^9 of them pass
+    the bound with one constant."""
+    if h == 2:
+        tables = h ** (h * h)
+    else:
+        tables = prod(len(v) for v in _cell_values(t.flags, h))
+    return tables * h ** len(t.constants) <= DEFAULT_CAP
 
 
-def two_element_models(t: TheorySpec) -> TwoElementModels | None:
-    """The theory's bank, built on first need; None when its TABLES * 2^k
-    models, k the number of constants, pass DEFAULT_CAP, read at call time."""
-    try:
-        return _MODELS[t]
-    except KeyError:
-        pass
-    bank = TwoElementModels(t) if TABLES << len(t.constants) <= DEFAULT_CAP else None
-    _MODELS[t] = bank
-    return bank
+# theory -> height -> its bank, or None past the bound; kept as long as the
+# theory lives
+_MODELS: WeakKeyDictionary[TheorySpec, dict[int, ChainModels | None]] = WeakKeyDictionary()
+
+
+def chain_models(t: TheorySpec, h: int) -> ChainModels | None:
+    """The theory's bank of height h, built on first need; None when _fits
+    says it would pass DEFAULT_CAP models."""
+    banks = _MODELS.setdefault(t, {})
+    if h not in banks:
+        banks[h] = ChainModels(t, h) if _fits(t, h) else None
+    return banks[h]
 
 
 def refuted(t: TheorySpec, a: Ty, b: Ty) -> bool:
-    """Whether a two-element model of t separates a from b: then a <= b is
-    not derivable in any universe.  False past the bank's bound, and for a
-    type that names an undeclared constant."""
-    bank = two_element_models(t)
-    return bank is not None and bank.refutes(a, b)
+    """Whether a chain model of t separates a from b, asked at height 2
+    first, then at height 3: then a <= b is not derivable in any universe.
+    False where neither height has a bank, and for a type that names an
+    undeclared constant."""
+    for h in HEIGHTS:
+        bank = chain_models(t, h)
+        if bank is not None and bank.refutes(a, b):
+            return True
+    return False
 
 
 def derive_le(
@@ -840,9 +925,10 @@ def derive_le(
     derives a <= b, else UnknownWithin with its size.
 
     A seed set with no indexed context whose universe strictly extends the
-    theory's base would be saturated anew; when a two-element model refutes
-    the pair first, the answer is UnknownWithin of that universe's size, as
-    the saturation would give, and no context is built."""
+    theory's base would be saturated anew; when a chain model of height 2 or
+    3 refutes the pair first (refuted), the answer is UnknownWithin of that
+    universe's size, as the saturation would give, and no context is
+    built."""
     a, b = canonicalize(a), canonicalize(b)
     key = (t, frozenset((a, b)), inter_width)
     known = _BY_SEEDS.get(key)

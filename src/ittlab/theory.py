@@ -6,10 +6,11 @@ theories restrict axioms to `c ~ A` with one defining axiom per constant;
 validate_natural rewrites such a theory into the restricted characteristic
 form where every right-hand side is a constant, an arrow of constants, or an
 intersection of constants, minting $-named auxiliaries for nested subterms.
-A TheorySpec computes its axioms as canonical <= pairs and its key, the
-theory up to its name, once; every module that reads canonical axioms or
-compares theories reads these two.  parse_theory reads each .itt statement
-off one lexer.Tokens cursor, so its error offsets index the whole file.
+A TheorySpec computes its hash on construction, and its axioms as
+canonical <= pairs and its key, the theory up to its name, once; every
+module that reads canonical axioms or compares theories reads these two.
+parse_theory reads each .itt statement off one lexer.Tokens cursor, so its
+error offsets index the whole file.
 """
 
 from __future__ import annotations
@@ -83,6 +84,19 @@ class TheorySpec:
         object.__setattr__(self, "axioms", tuple(self.axioms))
         object.__setattr__(self, "order", tuple(tuple(p) for p in self.order))
         self._check()
+        # the hash the dataclass would compute on every call, computed once
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (self.name, self.constants, self.flags, self.axioms, self.order, self.natural)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: a string's hash
+        # differs between processes, so the stored hash must not travel
+        return type(self), self._fields()
 
     def _check(self) -> None:
         for c in self.constants:

@@ -107,7 +107,7 @@ class TestProbe:
 
     def test_a_target_derivably_top_is_no_witness(self, tmp_path, capsys):
         # U <= c1 -> U <= c1 -> c2 <= c3, so c3 ~ U, though the universe of
-        # {U, c3} lacks c1 -> U.  Every two-element model sends c3 to 1, so
+        # {U, c3} lacks c1 -> U.  Every chain model sends c3 to its top, so
         # nothing certifies c3 below U and Omega : c3 is no witness.
         text = (
             "theory R\nnatural\nconstants c1 c2 c3\n"

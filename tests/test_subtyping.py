@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -193,6 +194,64 @@ def test_shared_base_blows_the_bound_when_the_reference_does(query, data):
     assert held.base is build_universe(t, seeds, width).base
 
 
+def add_meets_reference(members: set, new: list, old: tuple, width: int) -> None:
+    """_add_meets as build_universe called it before the base kept its meets:
+    add to members the canonical meet of every set of 2..width distinct
+    canonical types of new and old that holds at least one of new."""
+    cap = subtyping.DEFAULT_CAP
+    for j in range(1, min(width, len(new)) + 1):
+        for fresh in combinations(new, j):
+            for i in range(max(0, 2 - j), min(width - j, len(old)) + 1):
+                for rest in combinations(old, i):
+                    parts = set()
+                    for m in fresh + rest:
+                        parts.update(inter_parts(m))
+                    members.add(make_inter(sorted(parts, key=ty_key)))
+                    if len(members) > cap:
+                        raise UniverseTooLarge(cap)
+
+
+def unmemoised_universe(t: TheorySpec, seeds, width: int) -> frozenset:
+    """The members build_universe gave before the base kept its meets."""
+    closed = set(subterms(TOP))
+    for lhs, rhs in t.canonical_pairs:
+        closed.update(subterms(lhs))
+        closed.update(subterms(rhs))
+    pool = tuple(sorted(closed, key=ty_key))
+    members = set(closed)
+    add_meets_reference(members, list(pool), (), width)
+    new = {m for s in seeds for m in subterms(canonicalize(s))} - closed
+    members.update(new)
+    add_meets_reference(members, sorted(new, key=ty_key), pool, width)
+    if len(members) > subtyping.DEFAULT_CAP:
+        raise UniverseTooLarge(subtyping.DEFAULT_CAP)
+    return frozenset(members)
+
+
+@given(universe_queries(), st.data())
+def test_memoised_meets_build_the_unmemoised_universe(query, data):
+    t, seeds, width = query
+    held = build_universe(t, seeds, width)  # fills the memo under the real cap
+    assert held.members == unmemoised_universe(t, seeds, width)
+    base = len(held.base.members)
+    caps = {0, base - 1, base, len(held.members) - 1, len(held.members)}
+    cap = data.draw(st.sampled_from(sorted(caps)))
+    for memo in (dict(held.base.meets), {}):
+        held.base.meets.clear()
+        held.base.meets.update(memo)
+        blown = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subtyping, "DEFAULT_CAP", cap)
+            for build in (build_universe, unmemoised_universe):
+                try:
+                    build(t, seeds, width)
+                    blown.append(False)
+                except UniverseTooLarge:
+                    blown.append(True)
+        assert blown[0] == blown[1] == (len(held.members) > cap)
+    assert held.base is build_universe(t, seeds, width).base
+
+
 def test_universe_keeps_a_member_only_identity():
     # Universe is saturated_ctx's key: its base takes no part in ==, hash or repr
     u = build_universe(T1, [Const("c0")], 1)
@@ -376,45 +435,46 @@ def test_index_hits_keep_their_context_recent():
     assert saturated_ctx.cache_info().misses == 1 + len(cold)
 
 
-# -- two-element models ----------------------------------------------------------
+# -- chain models ----------------------------------------------------------------
 
 
-def schema_tables(flag: RuleFlag) -> set[int]:
-    """The arrow tables under which every instance of the flag's schema, its
-    metavariables read over {0, 1}, takes true premises to a true
-    conclusion.  An instance is a list of premises and a conclusion, each a
-    pair lo <= hi; table t reads x -> y as t >> (2 * x + y) & 1."""
+def schema_tables(flag: RuleFlag, h: int) -> set[tuple[int, ...]]:
+    """The arrow tables of height h under which every instance of the flag's
+    schema, its metavariables read over the chain 0 < .. < h - 1, takes true
+    premises to a true conclusion.  An instance is a list of premises and a
+    conclusion, each a pair lo <= hi; table f reads x -> y as f[h * x + y]."""
+    r, top = range(h), h - 1
     out = set()
-    for table in range(subtyping.TABLES):
+    for f in product(r, repeat=h * h):
 
-        def f(x, y):
-            return table >> (2 * x + y) & 1
+        def arr(x, y):
+            return f[h * x + y]
 
         if flag is RuleFlag.ARROW:  # B' <= B and A <= A' give B -> A <= B' -> A'
-            rules = [
-                ([(b2, b), (a, a2)], (f(b, a), f(b2, a2)))
-                for b, b2, a, a2 in product((0, 1), repeat=4)
-            ]
+            rules = (
+                ([(b2, b), (a, a2)], (arr(b, a), arr(b2, a2)))
+                for b, b2, a, a2 in product(r, repeat=4)
+            )
         elif flag is RuleFlag.ARROW_TOP:  # U ~ A -> U
-            rules = [([], (1, f(a, 1))) for a in (0, 1)]
+            rules = (([], (top, arr(a, top))) for a in r)
         elif flag is RuleFlag.ARROW_CAP:  # (B -> A) & (B -> A') ~ B -> A & A'
-            rules = [
+            rules = (
                 ([], pair)
-                for b, a, a2 in product((0, 1), repeat=3)
-                for both, meet in [(f(b, a) & f(b, a2), f(b, a & a2))]
+                for b, a, a2 in product(r, repeat=3)
+                for both, meet in [(min(arr(b, a), arr(b, a2)), arr(b, min(a, a2)))]
                 for pair in ((both, meet), (meet, both))
-            ]
+            )
         else:  # U <= B -> A gives U <= A
-            rules = [([(1, f(b, a))], (1, a)) for b, a in product((0, 1), repeat=2)]
+            rules = (([(top, arr(b, a))], (top, a)) for b, a in product(r, repeat=2))
         if all(lo <= hi for prems, (lo, hi) in rules if all(p <= q for p, q in prems)):
-            out.add(table)
+            out.add(f)
     return out
 
 
 @pytest.mark.parametrize("flag", list(RuleFlag))
 def test_each_flag_admits_the_tables_its_schema_holds_in(flag):
-    admitted = {t for t in range(subtyping.TABLES) if subtyping._admits(flag, t)}
-    assert admitted == schema_tables(flag)
+    for h in subtyping.HEIGHTS:
+        assert set(subtyping._tables(frozenset({flag}), h)) == schema_tables(flag, h)
 
 
 @st.composite
@@ -440,36 +500,61 @@ def model_queries(draw):
     return t, draw(tys), draw(tys), draw(st.integers(1, 2))
 
 
-def schema_query(flags: str, axiom: str, a: str, b: str) -> tuple:
-    text = f"constants c0 c1 c2; flags {flags}" + (f"; axiom {axiom}" if axiom else "")
+def schema_query(flags: str, axiom: str, a: str, b: str, constants: str = "c0 c1 c2") -> tuple:
+    text = f"constants {constants}; flags {flags}" + (f"; axiom {axiom}" if axiom else "")
     return parse_theory(text), parse_ty(a), parse_ty(b), 2
+
+
+def builtin_query(name: str, a: str, b: str) -> tuple:
+    return BUILTINS[name], parse_ty(a), parse_ty(b), 2
 
 
 @settings(max_examples=200, deadline=None)
 @given(model_queries())
-# one instance of each flag's schema, which random pairs rarely assemble
+# one instance of each flag's schema, which random pairs rarely assemble, in
+# theories with a two-element bank only
 @example(schema_query("arrow", "", "c0 -> c0", "c0 -> U"))
 @example(schema_query("arrow-U", "", "U", "c0 -> U"))
 @example(schema_query("arrow-cap", "", "c0 -> c1 & c2", "(c0 -> c1) & (c0 -> c2)"))
 @example(schema_query("U-leq", "U <= c0 -> c0", "U", "c0"))
+# and in theories with a three-element bank
+@example(schema_query("arrow arrow-U U-leq", "", "U -> c0", "c0 -> c0", "c0"))
+@example(schema_query("arrow-U U-leq", "", "U", "c0 -> U", "c0"))
+@example(
+    schema_query(
+        "arrow-cap arrow-U U-leq", "", "c0 -> c0 & c1", "(c0 -> c0) & (c0 -> c1)", "c0 c1"
+    )
+)
+@example(schema_query("arrow-U U-leq", "U <= c0 -> c0", "U", "c0", "c0"))
+# pairs that only a three-element model refutes
+@example(builtin_query("Park", "c", "U -> c"))
+@example(builtin_query("Tsharp", "c2", "c0"))
 def test_no_model_refutes_a_saturated_fact(query):
     t, a, b, width = query
     universe = build_universe(t, (a, b), width)
     assume(len(universe.members) <= 60)
     ctx = SubtypeCtx(t, universe)
-    bank = subtyping.two_element_models(t)
-    value = {m: bank.value(m) for m in ctx.members}
-    for x, row in enumerate(ctx.succ):
-        one = value[ctx.members[x]] & bank.sound
-        for y in bits(row):
-            assert one & ~value[ctx.members[y]] == 0, (ctx.members[x], ctx.members[y])
-    assert not ctx.holds(a, b) or not bank.refutes(a, b)
+    for h in subtyping.HEIGHTS:
+        bank = subtyping.chain_models(t, h)
+        if bank is None:
+            continue
+        for x, row in enumerate(ctx.succ):
+            for y in bits(row):
+                assert not bank.refutes(ctx.members[x], ctx.members[y]), (h, x, y)
     got = derive_le(t, a, b, width)
     if ctx.holds(a, b):
         assert isinstance(got, Proven)
         assert unparse_subproof(got.proof) == unparse_subproof(ctx.proof(a, b))
     else:
         assert got == UnknownWithin(len(universe.members), width)
+
+
+@pytest.mark.parametrize("name, a, b", [("Park", "c", "U -> c"), ("Tsharp", "c2", "c0")])
+def test_a_three_element_model_refutes_what_no_two_element_one_does(name, a, b):
+    t, a, b = BUILTINS[name], parse_ty(a), parse_ty(b)
+    assert not subtyping.chain_models(t, 2).refutes(a, b)
+    assert subtyping.chain_models(t, 3).refutes(a, b)
+    assert subtyping.refuted(t, a, b)
 
 
 def test_a_refuted_query_builds_no_context():
@@ -482,15 +567,15 @@ def test_a_refuted_query_builds_no_context():
     assert saturated_ctx.cache_info().misses == 0
     assert (T0, frozenset((a, b)), 2) not in subtyping._BY_SEEDS
     # the bank outlives the cache
-    bank = subtyping.two_element_models(T0)
+    bank = subtyping.chain_models(T0, 2)
     saturated_ctx.cache_clear()
     gc.collect()
-    assert subtyping.two_element_models(T0) is bank
+    assert subtyping.chain_models(T0, 2) is bank
 
 
 def test_the_bank_stops_at_the_member_bound():
     wide = parse_theory("constants " + " ".join(f"c{i}" for i in range(11)))
-    assert subtyping.two_element_models(wide) is None
+    assert subtyping.chain_models(wide, 2) is None
     a, b = parse_ty("c1 -> c1"), Const("c0")
     assert not subtyping.refuted(wide, a, b)
     saturated_ctx.cache_clear()
@@ -500,10 +585,40 @@ def test_the_bank_stops_at_the_member_bound():
     assert subtyping.refuted(ten, a, b)
 
 
+@pytest.mark.parametrize(
+    "name, height_3",
+    [
+        ("T0", False),
+        ("EP", False),
+        ("Ainf5", False),
+        ("T4", True),
+        ("T3", True),
+        ("Tflat", True),
+        ("TCDZ", True),
+        ("T2inv", True),
+        ("Park", True),
+        ("Tsharp", True),
+    ],
+)
+def test_the_height_3_bank_stops_at_the_member_bound(monkeypatch, name, height_3):
+    # a copy under another name has no bank yet
+    t = dataclasses.replace(BUILTINS[name], name="copy")
+    enumerated = []
+    real = subtyping._tables
+    monkeypatch.setattr(
+        subtyping, "_tables", lambda flags, h: enumerated.append(h) or real(flags, h)
+    )
+    assert subtyping.chain_models(t, 2) is not None
+    assert (subtyping.chain_models(t, 3) is not None) == height_3
+    assert enumerated == ([2, 3] if height_3 else [2])
+
+
 def test_an_undeclared_constant_skips_the_bank():
     assert subtyping.refuted(T0, Const("c1"), Const("c0"))
     assert not subtyping.refuted(T0, Const("z"), Const("c0"))
     assert not subtyping.refuted(T0, Const("c1"), parse_ty("c0 & z"))
+    park = BUILTINS["Park"]
+    assert not subtyping.refuted(park, Const("c"), parse_ty("(U -> c) & z"))
 
 
 def test_an_extension_shares_the_base_proofs():

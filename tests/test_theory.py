@@ -1,6 +1,14 @@
+import copy
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ittlab
 
 from ittlab.errors import (
     InvalidInput,
@@ -241,3 +249,33 @@ def test_validate_natural_requires_natural():
     t = parse_theory("constants a; axiom a ~ a")
     with pytest.raises(InvalidInput):
         validate_natural(t)
+
+
+_HASH_IN_A_FRESH_PROCESS = """
+import pickle, sys
+from ittlab.theory import parse_theory
+t = pickle.loads(sys.stdin.buffer.read())
+fresh = parse_theory(sys.argv[1])
+assert t == fresh and t.__dict__.keys() == fresh.__dict__.keys()
+assert hash(t) == hash(fresh), (hash(t), hash(fresh))
+"""
+
+
+def test_a_theory_hashes_once_as_its_dataclass_would():
+    t = parse_theory("theory H; natural; constants c; axiom c ~ c -> c; order c <= c")
+    fields = tuple(getattr(t, f.name) for f in dataclasses.fields(t))
+    assert hash(t) == hash(fields)
+    assert hash(copy.copy(t)) == hash(copy.deepcopy(t)) == hash(t)
+    assert t.__reduce__() == (TheorySpec, fields)
+
+
+def test_a_pickled_theory_hashes_like_a_fresh_one_under_another_hash_seed():
+    text = "theory H; natural; constants c c1; axiom c ~ c1 -> c; order c <= c1"
+    data = pickle.dumps(parse_theory(text))
+    src = str(Path(ittlab.__file__).resolve().parents[1])
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-c", _HASH_IN_A_FRESH_PROCESS, text],
+            input=data, env=env, capture_output=True, timeout=120, check=True,
+        )
