@@ -1,10 +1,11 @@
 """Intersection type theories: subtyping, assignment, filter models, sensibility.
 
-The submodules build on each other in this order: terms and types, theory
-specifications, the certificate kernel, the bounded subtyping engine, type
-assignment and filters, probes, polarity and staging, embeddings, and the
-sensibility pipeline.  The names exported here cover the everyday workflow;
-anything finer-grained stays importable from its submodule.
+The submodules build on each other in this order: the frozen record base
+(records), terms and types, theory specifications, the certificate kernel,
+the bounded subtyping engine, type assignment and filters, probes, polarity
+and staging, embeddings, and the sensibility pipeline.  The names exported
+here cover the everyday workflow; anything finer-grained stays importable
+from its submodule.
 
 Importing the package loads no submodule.  Each exported name is read from
 its submodule the first time it is asked for (PEP 562) and bound here, so

@@ -21,7 +21,6 @@ are exactly those of a search that expands such goals again (see _Search).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidInput
@@ -33,6 +32,7 @@ from .kernel import (
     Valid,
     check_derivation,
 )
+from .records import Record
 from .subtyping import DEFAULT_WIDTH, Proven, bits, context_for, derive_le
 from .terms import (
     Abs,
@@ -64,13 +64,11 @@ DEFAULT_FUEL = 10_000
 # -- bounded goal-directed search ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Found:
+class Found(Record):
     derivation: Derivation
 
 
-@dataclass(frozen=True)
-class NotFoundWithinFuel:
+class NotFoundWithinFuel(Record):
     fuel: int
 
 

@@ -11,7 +11,6 @@ bug, reported with its traceback).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -78,11 +77,9 @@ class _Inputs:
         self.read: list[dict] = []
 
     def file(self, path: str) -> str:
-        """The UTF-8 text of a file, recorded with the sha256 of its bytes."""
+        """The UTF-8 text of a file, recorded with its bytes."""
         data = Path(path).read_bytes()
-        self.read.append(
-            {"kind": "file", "path": path, "sha256": hashlib.sha256(data).hexdigest()}
-        )
+        self.read.append({"kind": "file", "path": path, "data": data})
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -100,6 +97,16 @@ class _Inputs:
         spec = builtin_theories().lookup(arg).spec
         self.read.append({"kind": "builtin", "name": spec.name})
         return spec
+
+    def report(self) -> list[dict]:
+        """The inputs as a report lists them: a file by the sha256 of its bytes."""
+        import hashlib  # loads OpenSSL, so only a JSON report pays for it
+
+        return [
+            {"kind": "file", "path": e["path"], "sha256": hashlib.sha256(e["data"]).hexdigest()}
+            if e["kind"] == "file" else e
+            for e in self.read
+        ]
 
 
 def _report(command: str, inputs: list[dict], verdict_payload: dict,
@@ -516,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
     if args.json:
-        report = _report(args.command, inputs.read, payload, certs)
+        report = _report(args.command, inputs.report(), payload, certs)
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in lines:

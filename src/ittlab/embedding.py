@@ -8,18 +8,17 @@ non-sensibility forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import InvalidInput, PreconditionFailed
 from .kernel import SubProof
+from .records import Record
 from .subtyping import DEFAULT_WIDTH, Proven, context_for, is_top_equiv
 from .theory import TheorySpec
 from .types import TOP, Const, Ty, canonicalize, constants_of, map_consts, print_ty
 
 
-@dataclass(frozen=True)
-class ConstantMap:
+class ConstantMap(Record):
     """Total map from source constants to target types."""
 
     source: TheorySpec
@@ -72,19 +71,16 @@ def extend_structurally(k: ConstantMap, a: Ty) -> Ty:
 Check = tuple[str, Union[SubProof, None]]
 
 
-@dataclass(frozen=True)
-class Verified:
+class Verified(Record):
     checks: tuple[Check, ...]
 
 
-@dataclass(frozen=True)
-class Failed:
+class Failed(Record):
     obligation: str
     detail: str
 
 
-@dataclass(frozen=True)
-class Undischarged:
+class Undischarged(Record):
     """An obligation not provable inside the target universe; not a refutation."""
 
     obligation: str
@@ -173,8 +169,7 @@ def compose_maps(k1: ConstantMap, k2: ConstantMap) -> ConstantMap:
     return ConstantMap.of(k1.source, k2.target, composed)
 
 
-@dataclass(frozen=True)
-class TransferCertificate:
+class TransferCertificate(Record):
     """Bundled embedding checks plus the evidence that crossed the map.
 
     The checks are proofs in map.target; the evidence is about map.target

@@ -10,17 +10,16 @@ derivations; this module interprets no terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidInput
+from .records import Record
 from .subtyping import SubtypeCtx, Universe, saturated_ctx
 from .theory import TheorySpec
 from .types import TOP, Arrow, Ty, canonicalize, make_inter, ty_key
 
 
-@dataclass(frozen=True)
-class FilterRep:
+class FilterRep(Record):
     """Upward closure (within universe, under <= and finite &) of generators."""
 
     universe: Universe

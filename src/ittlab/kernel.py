@@ -30,11 +30,13 @@ from .types import TOP, Arrow, Inter, Ty, canonicalize, inter_parts, make_inter
 
 @dataclass(frozen=True)
 class Valid:
-    pass
+    """The verdict of a certificate that passed its check."""
 
 
 @dataclass(frozen=True)
 class Invalid:
+    """The first node that failed its check, by its path of child indices."""
+
     path: tuple[int, ...]
     reason: str
 
@@ -80,6 +82,8 @@ def check_tree(
 
 @dataclass(frozen=True, slots=True, init=False)
 class SubProof:
+    """A subtyping proof: the pair it concludes, by rule, from its premises."""
+
     rule: str
     conclusion: tuple[Ty, Ty]
     premises: tuple[SubProof, ...]
@@ -273,6 +277,8 @@ def _bind(bindings: tuple[tuple[str, Ty], ...], x: str, a: Ty) -> tuple:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Judgment:
+    """basis |- term : ty."""
+
     basis: Basis
     term: Term
     ty: Ty
@@ -285,6 +291,9 @@ class Judgment:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Derivation:
+    """A typing derivation: its conclusion by rule from its children, and
+    for rule Le the subtyping proof it uses."""
+
     rule: str  # Ax | TopU | ArrI | ArrE | CapI | Le
     conclusion: Judgment
     children: tuple[Derivation, ...]

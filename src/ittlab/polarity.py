@@ -9,11 +9,11 @@ search), per-class sign decorations, and the staged solving plan.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from graphlib import TopologicalSorter
 from typing import Mapping, Union
 
 from .errors import UndefinedConstant
+from .records import Record
 from .theory import ArrowC, InterC, Rhs, SelfC, mentioned
 
 Axioms = Mapping[str, Rhs]
@@ -54,8 +54,7 @@ def closure_of(c: str, axioms: Axioms) -> frozenset[str]:
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class ClassPoset:
+class ClassPoset(Record):
     """Equivalence classes of constants with their partial order on indices."""
 
     classes: tuple[frozenset[str], ...]
@@ -93,8 +92,7 @@ def equivalence_classes(axioms: Axioms) -> ClassPoset:
 SignedEdge = tuple[str, str, str]  # (from, to, sign)
 
 
-@dataclass(frozen=True)
-class SignedGraph:
+class SignedGraph(Record):
     nodes: frozenset[str]
     edges: frozenset[SignedEdge]
 
@@ -116,13 +114,11 @@ def signed_graph(axioms: Axioms) -> SignedGraph:
     return SignedGraph(frozenset(axioms), frozenset(edges))
 
 
-@dataclass(frozen=True)
-class PolarityPass:
+class PolarityPass(Record):
     caveats: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PolarityFail:
+class PolarityFail(Record):
     witness: tuple[SignedEdge, ...]
 
 
@@ -166,8 +162,7 @@ def check_positive_polarity(axioms: Axioms) -> PolarityVerdict:
     return PolarityPass()
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(Record):
     """Sign per constant; ± marks already-solved and self-defined constants."""
 
     assignment: tuple[tuple[str, str], ...]
@@ -180,8 +175,7 @@ class Decoration:
         return dict(self.assignment)
 
 
-@dataclass(frozen=True)
-class NoDecoration:
+class NoDecoration(Record):
     conflict: tuple[str, ...]
 
 
@@ -247,8 +241,7 @@ def decorate_class(
     return Decoration.of(out)
 
 
-@dataclass(frozen=True)
-class StagingFailure:
+class StagingFailure(Record):
     reason: str
 
 

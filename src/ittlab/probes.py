@@ -10,11 +10,11 @@ bounded_only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Union
 
 from .errors import InvalidInput
+from .records import Record
 from .subtyping import DEFAULT_WIDTH, bits, context_for
 from .theory import TheorySpec
 from .types import (
@@ -31,16 +31,14 @@ from .types import (
 )
 
 
-@dataclass(frozen=True)
-class CounterexampleFound:
+class CounterexampleFound(Record):
     lhs: Ty
     rhs: Ty
     detail: str
     bounded_only: bool = True
 
 
-@dataclass(frozen=True)
-class NoCounterexampleUpTo:
+class NoCounterexampleUpTo(Record):
     depth: int
 
 

@@ -12,7 +12,6 @@ too: the target's PolarityPass, or a Witness the probe found in the source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from typing import Union
@@ -22,6 +21,7 @@ from .embedding import ConstantMap, TransferCertificate, compose_maps, transfer
 from .errors import InvalidInput
 from .kernel import Basis, Derivation
 from .polarity import PolarityPass, PolarityVerdict, check_positive_polarity, completion
+from .records import Record
 from .subtyping import DEFAULT_WIDTH, refuted
 from .terms import FuelExhausted, Term, head_reduce, parse_term
 from .theory import TheorySpec, parse_theory, validate_natural
@@ -34,13 +34,11 @@ DEFAULT_CHAIN_DEPTH = 3
 # -- registry ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(Record):
     spec: TheorySpec
 
 
-@dataclass(frozen=True)
-class TheoryRegistry:
+class TheoryRegistry(Record):
     entries: tuple[tuple[str, RegistryEntry], ...]
 
     def names(self) -> tuple[str, ...]:
@@ -128,16 +126,14 @@ UNSOLVABLE_POOL: tuple[Term, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     term: Term
     ty: Ty
     derivation: Derivation
     head_trace: FuelExhausted
 
 
-@dataclass(frozen=True)
-class NoneFound:
+class NoneFound(Record):
     fuel: int
     inter_width: int
 
@@ -179,18 +175,15 @@ def probe_unsolvable_typing(
 # -- verdict pipeline ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sensible:
+class Sensible(Record):
     evidence: PolarityPass | TransferCertificate
 
 
-@dataclass(frozen=True)
-class NonSensible:
+class NonSensible(Record):
     evidence: Witness | TransferCertificate
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record):
     tried: tuple[str, ...]
 
 

@@ -71,6 +71,7 @@ from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .errors import InvalidInput, UniverseTooLarge
 from .kernel import Invalid, SubProof, Valid, check_subproof
+from .records import Record
 from .theory import RuleFlag, TheorySpec
 from .types import (
     TOP,
@@ -120,6 +121,9 @@ class _Base:
 
 @dataclass(frozen=True)
 class Universe:
+    """The finite set of canonical types a query saturates over; the key
+    of saturated_ctx."""
+
     members: frozenset[Ty]
     # the base it grew from, held so that the base lives as long as a
     # universe built on it; no part of equality, hash or repr
@@ -199,13 +203,11 @@ def build_universe(
     return Universe(frozenset(members), base)
 
 
-@dataclass(frozen=True)
-class Proven:
+class Proven(Record):
     proof: SubProof
 
 
-@dataclass(frozen=True)
-class UnknownWithin:
+class UnknownWithin(Record):
     universe_size: int
     inter_width: int
 

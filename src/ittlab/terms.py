@@ -27,11 +27,12 @@ it builds.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from typing import Union
 
 from .errors import InvalidInput, ParseError
 from .lexer import IDENT, IDENT_START, Tokens, parse
+from .records import Record
 
 Term = Union["Var", "Abs", "App"]
 
@@ -590,8 +591,7 @@ def substitute(m: Term, x: str, n: Term) -> Term:
     return done[0]
 
 
-@dataclass(frozen=True)
-class HeadNormal:
+class HeadNormal(Record):
     """lx1..xn. y M1 ... Mm with a variable y in head position."""
 
     binders: tuple[str, ...]
@@ -599,8 +599,7 @@ class HeadNormal:
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class HeadRedex:
+class HeadRedex(Record):
     """lx1..xn. (lz.N) P M1 ... Mm; the redex (lz.N) P is the head redex."""
 
     binders: tuple[str, ...]
@@ -645,14 +644,12 @@ def head_step(m: Term) -> Term | None:
     return out
 
 
-@dataclass(frozen=True)
-class Reached:
+class Reached(Record):
     hnf: Term
     steps: int
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(Record):
     last: Term
     steps: int
 

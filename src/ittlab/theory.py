@@ -16,7 +16,7 @@ error offsets index the whole file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Union
@@ -28,6 +28,7 @@ from .errors import (
     UndeclaredConstant,
 )
 from .lexer import END, IDENT, Tokens, parse, statements
+from .records import Record
 from .types import (
     TOP,
     Arrow,
@@ -52,8 +53,7 @@ class RuleFlag(Enum):
     TOP_LE = "U-leq"         # (U<=): U <= B -> A gives U <= A
 
 
-@dataclass(frozen=True)
-class AxiomDecl:
+class AxiomDecl(Record):
     kind: str  # "le" or "eq"; eq abbreviates both le directions
     lhs: Ty
     rhs: Ty
@@ -68,6 +68,9 @@ _CONST_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 @dataclass(frozen=True)
 class TheorySpec:
+    """An intersection type theory: constants, rule flags, axioms and order
+    clauses; natural theories also get flag arrow-U."""
+
     name: str
     constants: frozenset[str]
     flags: frozenset[RuleFlag]
@@ -206,21 +209,18 @@ def parse_theory(src: str) -> TheorySpec:
 TOP_CONST = "$U"  # stands for U on a characteristic right-hand side
 
 
-@dataclass(frozen=True)
-class SelfC:
+class SelfC(Record):
     """c ~ c."""
 
 
-@dataclass(frozen=True)
-class ArrowC:
+class ArrowC(Record):
     """c ~ dom -> cod with constant sides."""
 
     dom: str
     cod: str
 
 
-@dataclass(frozen=True)
-class InterC:
+class InterC(Record):
     """c ~ left & right with constant sides."""
 
     left: str
@@ -241,8 +241,7 @@ def mentioned(rhs: Rhs) -> tuple[str, ...]:
     raise TypeError(f"not an rhs: {rhs!r}")
 
 
-@dataclass
-class CharacteristicSet:
+class CharacteristicSet(Record):
     """Restricted-form characteristic set of a natural theory.
 
     axioms covers every surviving constant (originals that were not pure
@@ -252,8 +251,10 @@ class CharacteristicSet:
 
     theory: TheorySpec
     axioms: dict[str, Rhs]
-    fresh_defs: dict[str, Ty] = field(default_factory=dict)
-    aliases: dict[str, str] = field(default_factory=dict)
+    fresh_defs: dict[str, Ty]
+    aliases: dict[str, str]
+
+    __hash__ = None  # its fields are dicts
 
 
 def validate_natural(t: TheorySpec) -> CharacteristicSet:
