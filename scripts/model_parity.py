@@ -28,6 +28,7 @@ import argparse
 import random
 import sys
 
+from ittlab.assignment import DEFAULT_FUEL
 from ittlab.sensibility import NonSensible, Witness, verdict
 from ittlab.subtyping import HEIGHTS, Proven, bits, chain_models, context_for, derive_le
 from ittlab.theory import RuleFlag, TheorySpec, parse_theory
@@ -108,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=600)
-    p.add_argument("--fuel", type=int, default=2_000)
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     args = p.parse_args(argv)
     rng = random.Random(f"model-parity:{args.seed}")
     offending = 0

@@ -158,7 +158,9 @@ def probe_unsolvable_typing(
     """Search the unsolvable pool for a typing at a non-U type.
 
     A Found derivation only counts with a fuel-exhausted head trace, so a
-    solvable term slipped into extra_pool cannot fake a witness.
+    solvable term slipped into extra_pool cannot fake a witness.  A term is
+    reduced once, at its first Found: one that reaches a head normal form
+    is no witness at any target, so the probe moves on to the next term.
     """
     targets = _probe_targets(t)
     empty = Basis.of()
@@ -169,6 +171,7 @@ def probe_unsolvable_typing(
                 trace = head_reduce(term, fuel)
                 if isinstance(trace, FuelExhausted):
                     return Witness(term, ty, r.derivation, trace)
+                break
     return NoneFound(fuel, inter_width)
 
 

@@ -609,39 +609,45 @@ class HeadRedex(Record):
     args: tuple[Term, ...]
 
 
-Shape = Union[HeadNormal, HeadRedex]
+def _unwind(t: Term, binders: list[str], stack: list[Term]) -> Term:
+    """Take t apart onto binders and a stack of arguments, the first on top,
+    and return its head: a variable, or an abstraction whose argument is on
+    top.  Head reduction keeps its term so, as Krivine's machine does."""
+    if not stack:
+        while type(t) is Abs:
+            binders.append(t.binder)
+            t = t.body
+    while type(t) is App:
+        stack.append(t.arg)
+        t = t.fun
+    return t
 
 
-def classify_shape(m: Term) -> Shape:
+def _wind(binders: list[str], head: Term, stack: list[Term]) -> Term:
+    for a in reversed(stack):
+        head = App(head, a)
+    for b in reversed(binders):
+        head = Abs(b, head)
+    return head
+
+
+def classify_shape(m: Term) -> HeadNormal | HeadRedex:
     """Total decomposition: every term is a head normal form or has a head redex."""
-    binders = []
-    while isinstance(m, Abs):
-        binders.append(m.binder)
-        m = m.body
-    args: list[Term] = []
-    while isinstance(m, App):
-        args.append(m.arg)
-        m = m.fun
-    args.reverse()
-    if isinstance(m, Var):
-        return HeadNormal(tuple(binders), m.name, tuple(args))
-    assert isinstance(m, Abs)
-    if not args:
-        raise AssertionError("abstraction spine left no argument for the redex")
-    return HeadRedex(tuple(binders), m.binder, m.body, args[0], tuple(args[1:]))
+    binders, stack = [], []
+    head = _unwind(m, binders, stack)
+    args = tuple(reversed(stack))
+    if type(head) is Var:
+        return HeadNormal(tuple(binders), head.name, args)
+    return HeadRedex(tuple(binders), head.binder, head.body, args[0], args[1:])
 
 
 def head_step(m: Term) -> Term | None:
     """Contract the head redex, or None when m is already in head normal form."""
-    shape = classify_shape(m)
-    if isinstance(shape, HeadNormal):
+    binders, stack = [], []
+    head = _unwind(m, binders, stack)
+    if type(head) is Var:
         return None
-    out = substitute(shape.redex_fun_body, shape.redex_fun_binder, shape.redex_arg)
-    for a in shape.args:
-        out = App(out, a)
-    for b in reversed(shape.binders):
-        out = Abs(b, out)
-    return out
+    return _wind(binders, substitute(head.body, head.binder, stack.pop()), stack)
 
 
 class Reached(Record):
@@ -655,29 +661,23 @@ class FuelExhausted(Record):
 
 
 def _same_named(a: Term, b: Term) -> bool:
-    """Structural equality including binder names; == is alpha-equivalence.
-
-    Walks application spines in a loop and skips shared subterms, so
-    comparing a reduct with an earlier term costs little next to head_step.
-    """
+    """Equality including binder names (== is alpha-equality): identity, then
+    the memoised alpha-hashes, then a walk that skips shared subterms."""
+    if a is b or hash(a) != hash(b):
+        return a is b
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
-        while a is not b:
-            if type(a) is not type(b):
+        if a is b:
+            continue
+        if type(a) is not type(b) or (type(a) is Var and a.name != b.name):
+            return False
+        if type(a) is Abs:
+            if a.binder != b.binder:
                 return False
-            if isinstance(a, Var):
-                if a.name != b.name:
-                    return False
-                break
-            if isinstance(a, Abs):
-                if a.binder != b.binder:
-                    return False
-                a, b = a.body, b.body
-            else:
-                if a.arg is not b.arg:
-                    stack.append((a.arg, b.arg))
-                a, b = a.fun, b.fun
+            stack.append((a.body, b.body))
+        elif type(a) is App:
+            stack += ((a.arg, b.arg), (a.fun, b.fun))
     return True
 
 
@@ -687,27 +687,26 @@ def head_reduce(m: Term, fuel: int) -> Reached | FuelExhausted:
     Reached proves m solvable.  FuelExhausted never asserts unsolvability:
     head reduction of a solvable term can simply be longer than the budget.
 
-    head_step is a function of the named term, so once a term repeats by
-    name the reduction is periodic and the term at step fuel is found by
-    stepping the remainder of fuel modulo the period.  Repeats are found by
-    Brent's cycle detection, which keeps one saved term.
+    The term stays taken apart (_unwind), so a step costs its substitution.
+    A step is a function of the named term, so after a repeat by name the
+    run ends early, at the step of the period that step fuel falls on.
+    Brent's cycle check finds repeats, comparing its saved state cheapest
+    first: binder count (binders only grow), stack length, then by name.
     """
     if fuel < 0:
         raise InvalidInput("fuel must be nonnegative")
-    saved, saved_at, power = m, 0, 1
-    steps = 0
-    while steps <= fuel:
-        nxt = head_step(m)
-        if nxt is None:
-            return Reached(m, steps)
-        if steps == fuel:
-            break
-        m = nxt
+    binders, stack = [], []
+    head = _unwind(m, binders, stack)
+    saved_n, spine, saved_at, power = len(binders), (head, *stack[::-1]), 0, 1
+    steps, end = 0, fuel
+    while type(head) is not Var and steps < end:
+        head = _unwind(substitute(head.body, head.binder, stack.pop()), binders, stack)
         steps += 1
-        if _same_named(m, saved):
-            for _ in range((fuel - steps) % (steps - saved_at)):
-                m = head_step(m)
-            break
-        if steps - saved_at == power:
-            saved, saved_at, power = m, steps, 2 * power
-    return FuelExhausted(m, fuel)
+        if (saved_n, len(spine)) == (len(binders), len(stack) + 1) and all(
+            map(_same_named, spine, (head, *stack[::-1]))
+        ):
+            end = steps + (fuel - steps) % (steps - saved_at)
+        elif steps - saved_at == power:
+            saved_n, spine, saved_at, power = len(binders), (head, *stack[::-1]), steps, 2 * power
+    out = m if steps == 0 else _wind(binders, head, stack)
+    return Reached(out, steps) if type(head) is Var else FuelExhausted(out, fuel)

@@ -1,6 +1,7 @@
 """Registry, unsolvable-typing probe, and the verdict pipeline."""
 
 import dataclasses
+import hashlib
 import json
 from importlib import resources
 
@@ -26,7 +27,7 @@ from ittlab.sensibility import (
 )
 from ittlab.cli import main
 from ittlab.subtyping import Proven, Valid, check_subproof, is_top_equiv
-from ittlab.terms import FuelExhausted, alpha_eq, head_reduce, parse_term
+from ittlab.terms import FuelExhausted, alpha_eq, head_reduce, parse_term, print_term
 from ittlab.theory import parse_theory
 from ittlab.types import Const, print_ty
 
@@ -66,6 +67,20 @@ class TestRegistry:
             assert isinstance(head_reduce(term, 300), FuelExhausted)
         assert len(set(UNSOLVABLE_POOL)) == len(UNSOLVABLE_POOL)
 
+    def test_pool_at_the_cli_fuel(self):
+        # the last term of each pool term at DEFAULT_FUEL, pinned by the
+        # sha256 of its printed form
+        pinned = [
+            "5be56ef4463b41bad7177d9845f96a72000ba31148217f4f206ebafd4b43c9a0",
+            "e05713bb239859a6e7aa2695c4662f2817190cd7a846021c55a29761aa5c6ab4",
+            "97e4443c864fd658f108548d69d26942220f01fae6629148e6f5b0f8dd698ef2",
+        ]
+        assert DEFAULT_FUEL == 10_000
+        for term, digest in zip(UNSOLVABLE_POOL, pinned, strict=True):
+            r = head_reduce(term, DEFAULT_FUEL)
+            assert r == FuelExhausted(r.last, 10_000)
+            assert hashlib.sha256(print_term(r.last).encode()).hexdigest() == digest
+
 
 class TestProbe:
     def test_park_witness(self):
@@ -104,6 +119,26 @@ class TestProbe:
         # the identity types at c1 -> c0 in T0, but it reaches an hnf
         r = probe_unsolvable_typing(spec("T0"), extra_pool=(parse_term(r"\x.x"),))
         assert isinstance(r, NoneFound)
+
+    def test_a_solvable_term_is_reduced_once(self, monkeypatch):
+        # \x.x types at all four targets; its first Found shows it solvable,
+        # so the probe moves on without reducing it again
+        t = parse_theory(
+            "natural\nconstants a b\nflags arrow arrow-cap U-leq\n"
+            "axiom a ~ a -> a\naxiom b ~ b -> b\n"
+        )
+        assert len(sensibility._probe_targets(t)) == 4
+        calls = []
+
+        def counting(term, fuel):
+            calls.append(term)
+            return head_reduce(term, fuel)
+
+        monkeypatch.setattr(sensibility, "UNSOLVABLE_POOL", ())
+        monkeypatch.setattr(sensibility, "head_reduce", counting)
+        r = probe_unsolvable_typing(t, extra_pool=(parse_term(r"\x.x"),))
+        assert r == NoneFound(DEFAULT_FUEL, 2)
+        assert calls == [parse_term(r"\x.x")]
 
     def test_a_target_derivably_top_is_no_witness(self, tmp_path, capsys):
         # U <= c1 -> U <= c1 -> c2 <= c3, so c3 ~ U, though the universe of

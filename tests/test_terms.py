@@ -558,7 +558,17 @@ CYCLE_FUELS = (0, 1, 2, 3, 7, 10_000)
 @pytest.mark.parametrize(
     "src, fuel",
     [(s, f) for s in (OMEGA_SRC, rf"({OMEGA_SRC}) (\y. y)", PERIOD_TWO_SRC) for f in CYCLE_FUELS]
-    + [(r"(\x. x x x) (\x. x x x)", f) for f in (0, 1, 2, 3, 7, 200)],
+    + [
+        (s, f)
+        for s in (
+            r"(\x. x x x) (\x. x x x)",
+            # its binders grow every step
+            r"(\x. \y. x x) (\x. \y. x x)",
+            # its argument nests
+            r"(\x. \y. x x (f y)) (\x. \y. x x (f y)) q",
+        )
+        for f in (0, 1, 2, 3, 7, 200)
+    ],
 )
 def test_head_reduce_matches_plain_stepping(src, fuel):
     m = parse_term(src)
@@ -576,4 +586,30 @@ def test_period_two_term_repeats_by_alpha_before_by_name():
 
 @given(terms, st.integers(min_value=0, max_value=30))
 def test_head_reduce_matches_plain_stepping_on_random_terms(t, fuel):
+    assert printed(head_reduce(t, fuel)) == plain_head_reduce(t, fuel)
+
+
+def _bodies(depth):
+    """Bodies over x of at most depth nested abstractions and applications.
+    Deeper ones can grow exponentially under self-application."""
+    leaf = st.builds(Var, st.sampled_from(["x", "x", "y"]))
+    if depth == 0:
+        return leaf
+    inner = _bodies(depth - 1)
+    return st.one_of(
+        leaf, st.builds(Abs, st.sampled_from(["x", "y"]), inner), st.builds(App, inner, inner)
+    )
+
+
+@st.composite
+def self_applications(draw):
+    r"""(\x. B) (\x. B), with an optional trailing argument."""
+    b = draw(_bodies(2))
+    t = App(Abs("x", b), Abs("x", b))
+    tail = draw(st.none() | _bodies(1))
+    return t if tail is None else App(t, tail)
+
+
+@given(self_applications(), st.integers(min_value=0, max_value=40))
+def test_head_reduce_matches_plain_stepping_on_self_applications(t, fuel):
     assert printed(head_reduce(t, fuel)) == plain_head_reduce(t, fuel)
