@@ -41,6 +41,9 @@ class Invalid:
     reason: str
 
 
+_VALID = Valid()
+
+
 def check_tree(
     root, children: Callable, reason: Callable, seen: set[int] | None = None
 ) -> Valid | Invalid:
@@ -69,8 +72,8 @@ def check_tree(
                 link, i = link
                 path.append(i)
             return Invalid(tuple(reversed(path)), why)
-        stack.extend((ch, (link, i)) for i, ch in enumerate(children(node)))
-    return Valid()
+        stack += [(ch, (link, i)) for i, ch in enumerate(children(node))]
+    return _VALID
 
 
 # -- subtyping certificates ----------------------------------------------------
@@ -384,7 +387,7 @@ def _node_reason(t: TheorySpec, seen: set[int], d: Derivation) -> str | None:
         if canonicalize(lo) != canonicalize(ch.ty) or canonicalize(hi) != a:
             return "Le certificate must prove child type <= concluded type"
         sub_ok = check_subproof(t, d.sub, seen)
-        if sub_ok != Valid():
+        if type(sub_ok) is Invalid:
             return f"subtyping certificate invalid: {sub_ok.reason}"
     else:
         return f"unknown rule {r!r}"

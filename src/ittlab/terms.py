@@ -6,22 +6,24 @@ alpha-equivalence, implemented by comparing locally nameless skeletons (free
 variables by name, bound ones by de Bruijn index), so the freshening is
 unobservable to clients.
 
-Terms pay for alpha-equality once, as types pay for structural equality once
-by hash-consing.  A constructor writes its fields and computes nothing; a
-term's free variables and its skeleton, whose first field is its hash, are
-memoised on it the first time they are asked for, each made from its
-children's memoised values.  An application shares its children's
-skeletons, an abstraction rebuilds only the paths that reach its binder, and
-== compares the stored hashes before the shared skeletons.
+Terms pay for alpha-equality only when it is asked.  A term hashes by its
+shape, an int made from its node kinds alone, and by its free variables,
+neither of which renaming a binder can change; == compares the hashes
+first, and only terms whose hashes meet build their skeletons and compare
+them.  A constructor writes its fields and computes nothing; a term's free
+variables, shape and skeleton are memoised on it the first time they are
+asked for, each made from its children's memoised values.  An application
+shares its children's skeletons, and an abstraction rebuilds only the paths
+that reach its binder.
 
 Every term text is read by one reader, read_fresh_term, which fills each
-node's free variables as it builds it, from its children's, so a parsed
-term never walks itself for them.  It gives each binder its fresh name as it
-reads it, so a parsed term is never walked to be freshened either; it reads
-a term a second time only when a free name turns out to be a name it gave a
-binder.  freshen, for terms built by substitution, returns every subterm
-that it does not rename as the same object and fills the memo of every node
-it builds.
+node's free variables and shape as it builds it, from its children's, so a
+parsed term never walks itself for them.  It gives each binder its fresh
+name as it reads it, so a parsed term is never walked to be freshened
+either; it reads a term a second time only when a free name turns out to be
+a name it gave a binder.  freshen, for terms built by substitution, returns
+every subterm that it does not rename as the same object and fills the memo
+of every node it builds.
 """
 
 from __future__ import annotations
@@ -44,15 +46,21 @@ class _Term:
     filled, without a lock, the first time it is read:
 
     - _fv, the free variables, from the children's sets (free_vars); the
-      reader and freshen write it as they build each node;
+      reader, freshen and substitute write it as they build each node;
+    - _shape (Abs and App; a variable's is _VAR_SHAPE), from the children's
+      shapes (_shape_of); the builders write it with _fv when the
+      children's are filled;
     - _sk, the skeleton (Abs and App only), from the children's skeletons
       (_skeleton).
 
-    A skeleton is the locally nameless form of the term: a free variable is
+    The hash is that of (shape, free variables): alpha-equal terms share
+    both, and an int shape hashes alike under every PYTHONHASHSEED.  A
+    skeleton is the locally nameless form of the term: a free variable is
     its name, a bound one its de Bruijn index (an int), an abstraction
     (hash, body) and an application (hash, fun, arg).  Alpha-equal terms, and
     only they, have equal skeletons, and a skeleton's hash is made from its
-    children's stored hashes, so no deep tuple is ever hashed.
+    children's stored hashes, so no deep tuple is ever hashed.  == builds
+    skeletons only for terms of one type whose hashes are equal.
     """
 
     __slots__ = ("_fv",)
@@ -63,13 +71,19 @@ class _Term:
             return True
         if not isinstance(other, _Term):
             return NotImplemented
+        if type(self) is not type(other) or hash(self) != hash(other):
+            return False
         return _same(_skeleton(self), _skeleton(other))
 
     def __hash__(self) -> int:
-        # Var has its own; an abstraction's or application's hash heads its
-        # skeleton
-        sk = self._sk
-        return (sk if sk is not None else _skeleton(self))[0]
+        # Var has its own; an abstraction's or application's is made from
+        # what no renaming of a binder changes
+        shape, fv = self._shape, self._fv
+        if shape is None:
+            shape = _shape_of(self)
+        if fv is None:
+            fv = free_vars(self)
+        return hash((shape, fv))
 
     def __reduce__(self):
         # copy and pickle rebuild from the fields alone: a string's hash
@@ -86,10 +100,15 @@ class _Term:
         return print_term(self)
 
 
+# every variable's shape, a fixed int that no hash seed changes
+_VAR_SHAPE = 1
+
+
 class Var(_Term):
     __slots__ = ("name",)
     __match_args__ = ("name",)
     name: str
+    _shape = _VAR_SHAPE
 
     def __init__(self, name: str):
         _set_name(self, name)
@@ -108,7 +127,7 @@ class Var(_Term):
 
 
 class Abs(_Term):
-    __slots__ = ("binder", "body", "_sk")
+    __slots__ = ("binder", "body", "_shape", "_sk")
     __match_args__ = ("binder", "body")
     binder: str
     body: Term
@@ -117,6 +136,7 @@ class Abs(_Term):
         _set_binder(self, binder)
         _set_body(self, body)
         _set_fv(self, None)
+        _set_abs_shape(self, None)
         _set_abs_sk(self, None)
 
     def __repr__(self) -> str:
@@ -124,7 +144,7 @@ class Abs(_Term):
 
 
 class App(_Term):
-    __slots__ = ("fun", "arg", "_sk")
+    __slots__ = ("fun", "arg", "_shape", "_sk")
     __match_args__ = ("fun", "arg")
     fun: Term
     arg: Term
@@ -133,6 +153,7 @@ class App(_Term):
         _set_fun(self, fun)
         _set_arg(self, arg)
         _set_fv(self, None)
+        _set_app_shape(self, None)
         _set_app_sk(self, None)
 
     def __repr__(self) -> str:
@@ -145,9 +166,11 @@ _set_fv = _Term._fv.__set__
 _set_name = Var.name.__set__
 _set_binder = Abs.binder.__set__
 _set_body = Abs.body.__set__
+_set_abs_shape = Abs._shape.__set__
 _set_abs_sk = Abs._sk.__set__
 _set_fun = App.fun.__set__
 _set_arg = App.arg.__set__
+_set_app_shape = App._shape.__set__
 _set_app_sk = App._sk.__set__
 _new = object.__new__
 
@@ -160,8 +183,11 @@ def _app_fv(fun: frozenset[str], arg: frozenset[str]) -> frozenset[str]:
     return fun if arg <= fun else arg if fun <= arg else fun | arg
 
 
-# The builders of the reader and of freshen: each writes a node's fields and
-# its free variables, made from its children's, which must be filled.
+# The builders of the reader, freshen and substitute: each writes a node's
+# fields and its free variables, made from its children's, which must be
+# filled, and its shape, when its children's are filled.  A shape hashes a
+# tuple of one field for an abstraction and of two for an application, so
+# the kind of every node goes into it.
 
 
 def _var(name: str) -> Var:
@@ -176,6 +202,8 @@ def _abs(binder: str, body: Term) -> Abs:
     _set_binder(u, binder)
     _set_body(u, body)
     _set_fv(u, _abs_fv(binder, body._fv))
+    b = body._shape
+    _set_abs_shape(u, None if b is None else hash((b,)))
     _set_abs_sk(u, None)
     return u
 
@@ -185,6 +213,8 @@ def _app(fun: Term, arg: Term) -> App:
     _set_fun(u, fun)
     _set_arg(u, arg)
     _set_fv(u, _app_fv(fun._fv, arg._fv))
+    f, a = fun._shape, arg._shape
+    _set_app_shape(u, None if f is None or a is None else hash((f, a)))
     _set_app_sk(u, None)
     return u
 
@@ -222,6 +252,35 @@ def free_vars(t: Term) -> frozenset[str]:
         _set_fv(u, fv)
         stack.pop()
     return t._fv
+
+
+def _shape_of(t: Abs | App) -> int:
+    """t's shape, memoised on t and on each abstraction and application
+    below it, filled children first with an explicit stack as free_vars
+    fills its memo."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u._shape is not None:
+            stack.pop()
+            continue
+        if type(u) is Abs:
+            b = u.body._shape
+            if b is None:
+                stack.append(u.body)
+                continue
+            _set_abs_shape(u, hash((b,)))
+        else:
+            f, a = u.fun._shape, u.arg._shape
+            if f is None or a is None:
+                if f is None:
+                    stack.append(u.fun)
+                if a is None:
+                    stack.append(u.arg)
+                continue
+            _set_app_shape(u, hash((f, a)))
+        stack.pop()
+    return t._shape
 
 
 def _skel_hash(s: object) -> int:
@@ -369,7 +428,8 @@ def freshen(t: Term, avoid: set[str] | None = None) -> Term:
     Binder names that cause no collision are kept, so round-tripping through
     the printer stays readable, and every subterm with nothing renamed in it
     is returned as the same object.  Every node it builds has its free
-    variables memoised, like the subterms it keeps.
+    variables memoised, like the subterms it keeps, and its shape when its
+    children's are.
     """
     used = set(avoid or ()) | free_vars(t)
     # Walks an explicit stack, function before argument, so that no length
@@ -414,13 +474,14 @@ def read_fresh_term(tk: Tokens) -> Term:
     reader of every term text.
 
     Application associates left; an abstraction body extends as far right as
-    possible.  Each node is built with its free variables memoised.  The
-    binders are freshened as they are read, to what freshen makes of the
-    term: each binder, in reading order, which is preorder, keeps its name
-    unless the name is taken, and takes fresh_name's otherwise.  A name is
-    taken once a binder has it, or when it is a free name of the term, which
-    is known only at the end: a term whose free names meet its binders' is
-    read again, with its free names taken from the start.
+    possible.  Each node is built with its free variables and shape
+    memoised.  The binders are freshened as they are read, to what freshen
+    makes of the term: each binder, in reading order, which is preorder,
+    keeps its name unless the name is taken, and takes fresh_name's
+    otherwise.  A name is taken once a binder has it, or when it is a free
+    name of the term, which is known only at the end: a term whose free
+    names meet its binders' is read again, with its free names taken from
+    the start.
     """
     start = tk.pos
     free: set[str] = set()
@@ -549,7 +610,8 @@ def substitute(m: Term, x: str, n: Term) -> Term:
     binder renamed on the way down, because n goes below it with its name
     free, to a name of neither m nor n nor an earlier rename, which captures
     nothing.  Subterms where no name of sub is free are kept as they are,
-    and every node built has its free variables memoised.  An entry
+    and every node built has its free variables memoised, and its shape
+    when its children's are.  An entry
     (_BUILD, new) builds an abstraction with binder new from the last
     result or, with new None, an application from the last two.
     """
@@ -568,10 +630,10 @@ def substitute(m: Term, x: str, n: Term) -> Term:
                 done.append(_app(done.pop(), arg))
             else:
                 done.append(_abs(sub, done.pop()))
+        elif type(u) is Var:
+            done.append(sub.get(u.name, u))
         elif u._fv.isdisjoint(sub):
             done.append(u)
-        elif type(u) is Var:
-            done.append(sub[u.name])
         elif type(u) is Abs:
             new = b = u.binder
             if b in n_free and x in sub and x in u._fv:
@@ -662,7 +724,8 @@ class FuelExhausted(Record):
 
 def _same_named(a: Term, b: Term) -> bool:
     """Equality including binder names (== is alpha-equality): identity, then
-    the memoised alpha-hashes, then a walk that skips shared subterms."""
+    the hashes of shape and free variables, then a walk that skips shared
+    subterms."""
     if a is b or hash(a) != hash(b):
         return a is b
     stack = [(a, b)]

@@ -713,20 +713,35 @@ print(memo[loaded_term], memo[loaded_basis], memo[loaded_basis, loaded_term])
 """
 
 
+def run_python(code, seed, stdin=""):
+    """The standard output of code run by a fresh interpreter under seed."""
+    src = str(Path(ittlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env,
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+
+
 def test_pickled_terms_and_bases_hash_as_fresh_ones_under_another_hash_seed():
     # string hashes differ between processes, so a hash stored on the object
     # must not be pickled with it
-    src = str(Path(ittlab.__file__).resolve().parents[1])
+    dumped = run_python(_DUMP, "0")
+    assert run_python(_LOAD, "4242", dumped).split() == ["1", "2", "3"]
 
-    def run(code, seed, stdin=""):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-        return subprocess.run(
-            [sys.executable, "-c", code], input=stdin, env=env,
-            capture_output=True, text=True, timeout=300, check=True,
-        ).stdout
 
-    dumped = run(_DUMP, "0")
-    assert run(_LOAD, "4242", dumped).split() == ["1", "2", "3"]
+_DUMP_AS_READ = _MAKE + """
+import pickle
+assert term._shape is not None and term._sk is None  # filled by the reader
+print(pickle.dumps((term, basis)).hex())
+"""
+
+
+def test_a_pickled_term_as_read_compares_as_a_fresh_one_under_another_hash_seed():
+    # the reader fills each node's shape and free variables as it builds
+    # it; pickle carries the fields alone, and the loaded term fills its own
+    dumped = run_python(_DUMP_AS_READ, "0")
+    assert run_python(_LOAD, "4242", dumped).split() == ["1", "2", "3"]
 
 
 # -- the settled search against the search that re-expands ----------------------

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ittlab.assignment import Basis, Found, infer_bounded
 from ittlab.errors import ParseError
+from ittlab.sensibility import builtin_theories
 from ittlab.terms import (
     Abs,
     App,
@@ -22,6 +24,7 @@ from ittlab.terms import (
     print_term,
     substitute,
 )
+from ittlab.types import parse_ty
 
 I = parse_term("\\x.x")
 OMEGA_FN = parse_term("\\x.x x")
@@ -251,6 +254,8 @@ def test_deep_spine_memos_fill_without_recursion():
 
     m = spine("x")
     assert isinstance(hash(m), int)
+    # the hash is made from the shape alone, with no skeleton
+    assert m._shape is not None and m._sk is None
     assert free_vars(m) == {"f", "x"}
     assert m == m
     # a separate copy compares node by node, and a binder over the spine
@@ -258,6 +263,54 @@ def test_deep_spine_memos_fill_without_recursion():
     assert m == spine("x") and m != spine("y")
     assert Abs("x", m) == Abs("y", spine("y"))
     assert hash(Abs("x", m)) == hash(Abs("y", spine("y")))
+
+
+# -- hashing by shape and free variables -----------------------------------------
+
+
+def nodes(t):
+    """Every abstraction and application of t, t included."""
+    return [u for u in (t, *subterm_list(t)) if type(u) is not Var]
+
+
+def test_hashing_a_parsed_term_builds_no_skeleton():
+    m = parse_term(r"(\x. \y. x (y y)) (\z. z) w")
+    hash(m)
+    assert all(u._shape is not None and u._sk is None for u in nodes(m))
+
+
+@pytest.mark.parametrize(
+    "theory, text, ty",
+    [("Park", r"(\x. x x x) (\y. y y)", "c"), ("T4", r"\x. x (\y. y y)", "c0")],
+)
+def test_the_search_builds_no_skeleton_without_alpha_equal_subterms(theory, text, ty):
+    # no two distinct subterms of these terms share a shape and free
+    # variables, so no probe of the search's tables meets an equal hash and
+    # asks == for skeletons
+    m = parse_term(text)
+    out = infer_bounded(builtin_theories().lookup(theory).spec, Basis.of(), m, parse_ty(ty))
+    assert isinstance(out, Found)
+    assert all(u._sk is None for u in nodes(m))
+
+
+@pytest.mark.parametrize(
+    "a, b", [(r"\x y. x y", r"\x y. y x"), ("x y", "y x")]
+)
+def test_terms_of_one_shape_and_free_variables_hash_equal_but_differ(a, b):
+    a, b = parse_term(a), parse_term(b)
+    assert hash(a) == hash(b)
+    assert a != b and b != a
+    assert not a == b and not b == a
+
+
+def test_a_constructor_built_term_fills_its_shape_lazily():
+    inner = parse_term(r"\y. y q")
+    m = Abs("x", App(App(Var("x"), inner), parse_term("q (\\z. z)")))
+    assert m._shape is None and m.body._shape is None
+    assert inner._shape is not None
+    parsed = parse_term(print_term(m))
+    assert hash(m) == hash(parsed) and m == parsed
+    assert m._shape == parsed._shape and m.body._shape is not None
 
 
 # -- substitution ------------------------------------------------------------
